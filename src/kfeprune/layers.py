@@ -11,7 +11,9 @@ Backward passes propagate per-sample, unscaled loss gradients (the
 gradient of each sample's own loss, not the batch mean).  Parameter
 gradients returned to the trainer are means over the batch.  The tape
 dict a layer fills during forward/backward carries the capture tensors
-used for curvature estimation.
+used for curvature estimation.  backward(dy, tape, input_grad=False)
+fills the tape the same way but returns None instead of the input
+gradient.
 """
 
 from __future__ import annotations
@@ -96,11 +98,13 @@ class DenseLayer:
             tape["a"] = x
         return x @ self.w + self.b
 
-    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         a = tape["a"]
         batch = a.shape[0]
         tape["g"] = dy
         tape["grads"] = {"w": a.T @ dy / batch, "b": dy.mean(axis=0)}
+        if not input_grad:
+            return None
         return dy @ self.w.T
 
     def param_items(self):
@@ -171,16 +175,18 @@ class ConvLayer:
             tape["out_hw"] = (h_out, w_out)
         return y.transpose(0, 2, 1).reshape(x.shape[0], self.c_out, h_out, w_out)
 
-    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         x = tape["x_in"]
         patches = tape["patches"]
         batch = x.shape[0]
         g = dy.reshape(batch, self.c_out, -1).transpose(0, 2, 1)
         tape["g"] = g
         tape["grads"] = {
-            "w": np.einsum("bln,blm->nm", patches, g) / batch,
+            "w": patches.reshape(-1, self.w.shape[0]).T @ g.reshape(-1, self.c_out) / batch,
             "b": g.sum(axis=1).mean(axis=0),
         }
+        if not input_grad:
+            return None
         dpatches = g @ self.w.T
         return col2im(dpatches, x.shape, self.k, self.stride, self.padding)
 
@@ -211,7 +217,9 @@ class ReluLayer:
             tape["mask"] = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
+        if not input_grad:
+            return None
         return dy * tape["mask"]
 
     def param_items(self):
@@ -235,7 +243,9 @@ class FlattenLayer:
             tape["shape"] = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
+        if not input_grad:
+            return None
         return dy.reshape(tape["shape"])
 
     def param_items(self):
@@ -337,7 +347,7 @@ class BottleneckDenseLayer:
             tape["h2"] = h2
         return h2 @ self.qs.T + self.b
 
-    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         x, h1, h2 = tape["x"], tape["a"], tape["h2"]
         batch = x.shape[0]
         dh2 = dy @ self.qs
@@ -351,9 +361,11 @@ class BottleneckDenseLayer:
         tape["grads"] = {
             "qa": x.T @ dh1 / batch,
             "core": dcore,
-            "qs": np.einsum("bm,br->mr", dy, h2) / batch,
+            "qs": dy.T @ h2 / batch,
             "b": dy.mean(axis=0),
         }
+        if not input_grad:
+            return None
         return dh1 @ self.qa.T
 
     def param_items(self):
@@ -513,7 +525,9 @@ class BottleneckConvLayer:
                 tape["out_hw"] = (h_out, w_out)
             y = h2 @ self.qs.T + self.b
             return y.transpose(0, 2, 1).reshape(batch, self.c_out, h_out, w_out)
-        x1 = np.einsum("ca,bchw->bahw", self.qa, x)
+        x1 = (self.qa.T @ x.reshape(batch, self.c_in, -1)).reshape(
+            batch, self.ra, x.shape[2], x.shape[3]
+        )
         core_pat = im2col(x1, self.k, self.stride, self.padding)
         if self.core_mode == "diag":
             kk = self.k * self.k
@@ -530,12 +544,12 @@ class BottleneckConvLayer:
         y = h2 @ self.qs.T + self.b
         return y.transpose(0, 2, 1).reshape(batch, self.c_out, h_out, w_out)
 
-    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         x = tape["x_in"]
         batch = x.shape[0]
         dy3 = dy.reshape(batch, self.c_out, -1).transpose(0, 2, 1)
         h2 = tape["h2"]
-        dqs = np.einsum("blo,blr->or", dy3, h2) / batch
+        dqs = dy3.reshape(-1, self.c_out).T @ h2.reshape(-1, self.rc) / batch
         db = dy3.sum(axis=1).mean(axis=0)
         dh2 = dy3 @ self.qs
         tape["g"] = dh2
@@ -544,10 +558,11 @@ class BottleneckConvLayer:
             dcore = np.einsum("bla,blc->ac", h1, dh2) / batch
             dh1 = dh2 @ self.core.T
             dqa = np.einsum("bln,bla->na", patches, dh1) / batch
-            dpatches = dh1 @ self.qa.T
-            dx = col2im(dpatches, x.shape, self.k, self.stride, self.padding)
             tape["grads"] = {"qa": dqa, "core": dcore, "qs": dqs, "b": db}
-            return dx
+            if not input_grad:
+                return None
+            dpatches = dh1 @ self.qa.T
+            return col2im(dpatches, x.shape, self.k, self.stride, self.padding)
         core_pat = tape["core_pat"]
         kk = self.k * self.k
         if self.core_mode == "diag":
@@ -556,15 +571,18 @@ class BottleneckConvLayer:
             dpr = np.einsum("blr,dr->blrd", dh2, self.core)
             dcore_pat = dpr.reshape(core_pat.shape)
         else:
-            dcore_mat = np.einsum("bln,blc->nc", core_pat, dh2) / batch
+            dcore_mat = core_pat.reshape(-1, self.ra * kk).T @ dh2.reshape(-1, self.rc) / batch
             dcore = dcore_mat.reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
             dcore_pat = dh2 @ self.core_matrix().T
         x1 = tape["x1"]
         dx1 = col2im(dcore_pat, x1.shape, self.k, self.stride, self.padding)
-        dqa = np.einsum("bchw,bahw->ca", x, dx1) / batch
-        dx = np.einsum("ca,bahw->bchw", self.qa, dx1)
+        x3 = x.reshape(batch, self.c_in, -1)
+        dx13 = dx1.reshape(batch, self.ra, -1)
+        dqa = (x3 @ dx13.transpose(0, 2, 1)).sum(axis=0) / batch
         tape["grads"] = {"qa": dqa, "core": dcore, "qs": dqs, "b": db}
-        return dx
+        if not input_grad:
+            return None
+        return (self.qa @ dx13).reshape(x.shape)
 
     def param_items(self):
         return [("qa", self.qa), ("core", self.core), ("qs", self.qs), ("b", self.b)]

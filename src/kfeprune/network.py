@@ -68,15 +68,16 @@ class Network:
         """Backprop from the cached forward pass; returns per-layer grad dicts.
 
         Parameter gradients are gradients of the batch-mean loss.  The
-        tapes additionally keep per-sample unscaled capture tensors.
+        tapes additionally keep per-sample unscaled capture tensors.  The
+        first layer skips its input gradient, which nothing reads.
         """
         if self._tapes is None or self._logits is None:
             raise StateError("backward called before forward")
         if logits is not self._logits:
             raise StateError("backward called with logits from a different forward pass")
         delta = cross_entropy_grad(logits, labels)
-        for layer, tape in zip(reversed(self.layers), reversed(self._tapes)):
-            delta = layer.backward(delta, tape)
+        for i in reversed(range(len(self.layers))):
+            delta = self.layers[i].backward(delta, self._tapes[i], input_grad=i > 0)
         return [t.get("grads", {}) for t in self._tapes]
 
     def captures(self) -> dict:

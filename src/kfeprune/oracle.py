@@ -60,9 +60,9 @@ def _per_sample_grads(net: Network, layer_ids) -> np.ndarray:
         layer = net.layers[lid]
         tape = caps[lid]
         if layer.kind == "dense":
-            gm = np.einsum("bn,bm->bnm", tape["a"], tape["g"])
+            gm = tape["a"][:, :, None] * tape["g"][:, None, :]
         else:
-            gm = np.einsum("bln,blm->bnm", tape["patches"], tape["g"])
+            gm = tape["patches"].transpose(0, 2, 1) @ tape["g"]
         parts.append(gm.transpose(0, 2, 1).reshape(gm.shape[0], -1))
     return np.concatenate(parts, axis=1)
 
