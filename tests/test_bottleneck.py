@@ -355,11 +355,13 @@ def test_absorb_depthwise_residual_bound():
     factors = depthwise_decompose(layer, rank=2, seed=0)
     absorbed = absorb_depthwise(layer, factors)
     x = rng.standard_normal((3, 5, 4, 4))
-    err = np.linalg.norm(absorbed.forward(x) - layer.forward(x))
-    cols, _, _ = im2col(x, k=3, stride=1, padding=1)
     core_resid = np.sqrt(2.0 * factors.trace[-1])
-    bound = np.linalg.norm(cols, 2) * core_resid
-    assert err <= bound * (1.0 + 1e-8)
+    # the bound holds per sample, with that sample's own patch matrix P_b
+    for b in range(x.shape[0]):
+        xb = x[b : b + 1]
+        err = np.linalg.norm(absorbed.forward(xb) - layer.forward(xb))
+        bound = np.linalg.norm(im2col(xb, k=3, stride=1, padding=1)[0], 2) * core_resid
+        assert err <= bound * (1.0 + 1e-8)
 
 
 def test_absorb_depthwise_validation():

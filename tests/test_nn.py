@@ -98,15 +98,102 @@ def test_conv_forward_matches_naive():
         )
 
 
+def _im2col_loop(x, k, stride, padding):
+    """Reference im2col: pad, then one strided slice per kernel offset."""
+    b, c, h, w = x.shape
+    h_out = conv_out_size(h, k, stride, padding)
+    w_out = conv_out_size(w, k, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((b, c, k, k, h_out, w_out), dtype=np.float64)
+    for di in range(k):
+        for dj in range(k):
+            cols[:, :, di, dj] = xp[
+                :, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride
+            ]
+    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(b, h_out * w_out, c * k * k)
+
+
+def _col2im_loop(cols, x_shape, k, stride, padding):
+    """Reference col2im: one strided scatter-add per kernel offset."""
+    b, c, h, w = x_shape
+    h_out = conv_out_size(h, k, stride, padding)
+    w_out = conv_out_size(w, k, stride, padding)
+    blocks = cols.reshape(b, h_out, w_out, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+    for di in range(k):
+        for dj in range(k):
+            xp[
+                :, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride
+            ] += blocks[:, :, di, dj]
+    return xp[:, :, padding : padding + h, padding : padding + w]
+
+
+# stride > k leaves input pixels that no patch reads (zero gradient there);
+# k = 1 with padding makes whole patches of padding; H != W throughout.
+GEOMETRIES = [
+    (k, stride, padding) for k in (1, 2, 3, 5) for stride in (1, 2, 3) for padding in (0, 1, 2)
+]
+INPUT_SHAPES = [(1, 1, 7, 6), (1, 3, 6, 7), (5, 1, 6, 7), (5, 3, 7, 6)]
+
+
+def _layout(a):
+    """Strides of the axes longer than 1; a length-1 axis's stride is never used."""
+    return tuple(st for n, st in zip(a.shape, a.strides) if n > 1)
+
+
+@pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
+def test_im2col_matches_loop_reference(k, stride, padding):
+    rng = np.random.default_rng(30)
+    for shape in INPUT_SHAPES:
+        x = rng.standard_normal(shape)
+        got = im2col(x, k, stride, padding)
+        want = _im2col_loop(x, k, stride, padding)
+        assert got.shape == want.shape
+        assert _layout(got) == _layout(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
+def test_col2im_matches_loop_reference(k, stride, padding):
+    # bitwise: each pixel must sum its contributions in the loop's order
+    rng = np.random.default_rng(31)
+    for shape in INPUT_SHAPES:
+        b, c = shape[:2]
+        length = conv_out_size(shape[2], k, stride, padding) * conv_out_size(
+            shape[3], k, stride, padding
+        )
+        n = c * k * k
+        contiguous = rng.standard_normal((b, length, n))
+        transposed = rng.standard_normal((b, n, length)).transpose(0, 2, 1)
+        assert _layout(transposed) == _layout(im2col(np.zeros(shape), k, stride, padding))
+        for cols in (contiguous, transposed):
+            got = col2im(cols, shape, k, stride, padding)
+            assert got.shape == shape
+            assert np.array_equal(got, _col2im_loop(cols, shape, k, stride, padding))
+
+
 def test_im2col_col2im_adjoint():
     """<im2col(x), C> == <x, col2im(C)> makes col2im the exact adjoint."""
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 3, 6, 5))
-    cols = im2col(x, k=3, stride=2, padding=1)
-    c = rng.standard_normal(cols.shape)
-    lhs = float(np.sum(cols * c))
-    rhs = float(np.sum(x * col2im(c, x.shape, k=3, stride=2, padding=1)))
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+    for k, stride, padding in GEOMETRIES:
+        for shape in INPUT_SHAPES:
+            x = rng.standard_normal(shape)
+            cols = im2col(x, k, stride, padding)
+            c = rng.standard_normal(cols.shape)
+            lhs = float(np.sum(cols * c))
+            rhs = float(np.sum(x * col2im(c, x.shape, k, stride, padding)))
+            np.testing.assert_allclose(
+                lhs, rhs, rtol=1e-12, err_msg=f"k={k} stride={stride} padding={padding} {shape}"
+            )
+
+
+def test_col2im_rejects_mismatched_cols():
+    # (2, 3, 6, 5) with k=3, stride=2, padding=1 takes cols of shape (2, 9, 27)
+    good = np.zeros((2, 9, 27))
+    assert col2im(good, (2, 3, 6, 5), 3, 2, 1).shape == (2, 3, 6, 5)
+    for bad in ((1, 9, 27), (2, 8, 27), (2, 9, 26), (9, 27), (2, 9, 27, 1)):
+        with pytest.raises(DimensionError):
+            col2im(np.zeros(bad), (2, 3, 6, 5), 3, 2, 1)
 
 
 def test_im2col_empty_output_rejected():
