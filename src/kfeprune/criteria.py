@@ -19,6 +19,9 @@ from .errors import DimensionError, ValidationError
 
 SCORE_FLOOR = -1e-8
 
+# Removals per triangular solve and GEMM in obs_sequential_update.
+OBS_BLOCK = 64
+
 UNIT_KINDS = ("weight", "filter", "kfe_row", "kfe_col")
 
 
@@ -120,6 +123,36 @@ def obs_scores_and_update(layer_id: int, theta: np.ndarray, h_inv: np.ndarray, q
     return table, dtheta
 
 
+def obs_sequential_update(
+    w: np.ndarray, a_inv: np.ndarray, s_inv: np.ndarray, order
+) -> np.ndarray:
+    """Compensated removal of several weights under H^-1 = S^-1 (x) A^-1.
+
+    `order` lists flat column-major weight indices q = c*n + r.  Weights
+    are removed one at a time in that order: each removal subtracts
+    (w_rc / (a_inv_rr * s_inv_cc)) * a_inv[:, r] outer s_inv[c, :] using
+    the current weights.  Removals are then hard-zeroed.
+
+    Removal k sees earlier steps only through [H^-1]_{q_k q_j}, so the step
+    sizes solve a forward substitution with tril([H^-1]_QQ).  It runs in
+    blocks of OBS_BLOCK removals: one triangular solve for a block's step
+    sizes, then one GEMM to apply them.
+    """
+    out = np.array(w, dtype=np.float64)
+    a_inv = np.asarray(a_inv, dtype=np.float64)
+    s_inv = np.asarray(s_inv, dtype=np.float64)
+    order = np.asarray(order, dtype=np.intp)
+    rows, cols = order % out.shape[0], order // out.shape[0]
+    for start in range(0, rows.size, OBS_BLOCK):
+        r = rows[start : start + OBS_BLOCK]
+        c = cols[start : start + OBS_BLOCK]
+        tri = np.tril(a_inv[np.ix_(r, r)] * s_inv[np.ix_(c, c)].T)
+        alpha = np.linalg.solve(tri, out[r, c])
+        out -= a_inv[:, r] @ (alpha[:, None] * s_inv[c, :])
+    out[rows, cols] = 0.0
+    return out
+
+
 def c_obd_scores(
     layer_id: int, w: np.ndarray, a_diag: np.ndarray, s_diag: np.ndarray
 ) -> ImportanceTable:
@@ -161,7 +194,8 @@ def kron_obs_scores_and_update(
     removal adds -(w_i / [S^-1]_ii) outer [S^-1 row i] using the current
     weights, sequentially in ascending filter order, then hard-zeroes the
     removed columns (later updates re-touch earlier zeroed columns with
-    second-order residue).
+    second-order residue).  The sequence is applied as one forward
+    substitution with tril([S^-1]_QQ) and one GEMM.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -170,11 +204,14 @@ def kron_obs_scores_and_update(
     table = _table("kron_obs", layer_id, "filter", 0.5 * quad / np.diag(s_inv))
 
     def update(removed_ids) -> np.ndarray:
-        out = w.copy()
-        for i in sorted(int(r) for r in removed_ids):
-            out += -np.outer(out[:, i] / s_inv[i, i], s_inv[i, :])
-        for i in removed_ids:
-            out[:, int(i)] = 0.0
+        # step sizes of the sequential removals: forward substitution with
+        # tril of [S^-1]_QQ, as filter k sees the earlier steps through
+        # s_inv[i_j, i_k]
+        q = np.sort(np.asarray(removed_ids, dtype=np.intp))
+        tri = np.tril(s_inv[np.ix_(q, q)].T)
+        alpha = np.linalg.solve(tri, w[:, q].T)
+        out = w - alpha.T @ s_inv[q, :]
+        out[:, q] = 0.0
         return out
 
     return table, update

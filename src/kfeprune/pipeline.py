@@ -101,25 +101,26 @@ def _score_weight_layers(net, factors, strategy, damping, ids):
             a_inv = kfac.inv_psd(kf.a)
             s_inv = kfac.inv_psd(kf.s)
             h_inv_diag = criteria.kfac_diag(np.diag(a_inv), np.diag(s_inv))
-            tables.append(criteria.obs_scores(i, theta, h_inv_diag))
-            context[i] = (a_inv, s_inv)
+            table = criteria.obs_scores(i, theta, h_inv_diag)
+            tables.append(table)
+            context[i] = (a_inv, s_inv, table.scores())
     return tables, context
 
 
-def _apply_weight_mask(net, mask, strategy, context, order):
+def _apply_weight_mask(net, mask, strategy, context):
+    """Zero the removed weights.  Under obs the survivors are compensated
+    first, removing weights in ascending (score, unit id) order."""
     for i, kind in sorted({(lid, k) for lid, k in mask.groups if k == "weight"}):
         layer = net.layers[i]
-        n = layer.w.shape[0]
-        removed = mask.removed(i, kind)
+        removed = np.asarray(mask.removed(i, kind), dtype=np.intp)
         if strategy == "obs":
-            a_inv, s_inv = context[i]
-            for q in order[i]:
-                row, col = q % n, q // n
-                scale = layer.w[row, col] / (s_inv[col, col] * a_inv[row, row])
-                layer.w -= scale * np.outer(a_inv[:, row], s_inv[col, :])
-        flat = _theta_vec(layer.w)
-        flat[removed] = 0.0
-        layer.w = flat.reshape(layer.w.shape, order="F")
+            a_inv, s_inv, scores = context[i]
+            order = removed[np.lexsort((removed, scores[removed]))]
+            layer.w = criteria.obs_sequential_update(layer.w, a_inv, s_inv, order)
+        else:
+            flat = _theta_vec(layer.w)
+            flat[removed] = 0.0
+            layer.w = flat.reshape(layer.w.shape, order="F")
 
 
 def _score_filter_layers(net, factors, strategy, damping, ids):
@@ -238,17 +239,7 @@ def prune_once(net, dataset, cfg: RunConfig, cap: float):
     if strategy in WEIGHT_STRATEGIES:
         tables, context = _score_weight_layers(net, factors, strategy, cfg.damping, ids)
         mask = criteria.select_mask(tables, cfg.ratio, cap)
-        order = {}
-        if strategy == "obs":
-            for table in tables:
-                i = table.entries[0].layer_id
-                removed = set(mask.removed(i, "weight"))
-                ranked = sorted(
-                    (e for e in table.entries if e.unit_id in removed),
-                    key=lambda e: (e.delta_l, e.unit_id),
-                )
-                order[i] = [e.unit_id for e in ranked]
-        _apply_weight_mask(net, mask, strategy, context, order)
+        _apply_weight_mask(net, mask, strategy, context)
     elif strategy in FILTER_STRATEGIES:
         tables, context = _score_filter_layers(net, factors, strategy, cfg.damping, ids)
         mask = criteria.select_mask(tables, cfg.ratio, cap)

@@ -1,5 +1,7 @@
-"""Shared fixtures: a small trained CNN reused by the slow end-to-end tests."""
+"""Shared fixtures: a small trained CNN reused by the slow end-to-end tests,
+and the rank-1 loop reference for the multi-weight OBS update."""
 
+import numpy as np
 import pytest
 
 from kfeprune.checkpoint import network_bytes, network_from_bytes
@@ -55,3 +57,22 @@ def cnn_baseline():
         return cfg, network_from_bytes(blob), ds_train, ds_test
 
     return get
+
+
+def obs_rank1_loop(w, a_inv, s_inv, order):
+    """Reference for criteria.obs_sequential_update: one rank-1 OBS step
+    per removed weight (flat column-major index), then the hard zero."""
+    out = np.array(w, dtype=np.float64)
+    n = out.shape[0]
+    for q in order:
+        row, col = q % n, q // n
+        scale = out[row, col] / (s_inv[col, col] * a_inv[row, row])
+        out -= scale * np.outer(a_inv[:, row], s_inv[col, :])
+    for q in order:
+        out[q % n, q // n] = 0.0
+    return out
+
+
+@pytest.fixture(scope="session")
+def obs_loop():
+    return obs_rank1_loop

@@ -198,6 +198,74 @@ def test_kron_obs_multi_update_zeroes_all_removed():
     np.testing.assert_allclose(new_w[:, [0, 2]], 0.0, atol=1e-12)
 
 
+BLOCK = criteria.OBS_BLOCK
+REMOVAL_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+def spd_with_condition(rng, dim, cond):
+    """Random SPD matrix with eigenvalues spread log-evenly over [1/cond, 1]."""
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return (basis * np.logspace(-np.log10(cond), 0.0, dim)) @ basis.T
+
+
+def kron_obs_rank1_loop(w, s_inv, removed_ids):
+    """Reference for the kron-obs update: one rank-1 step per removed
+    filter in ascending order, then the hard zero."""
+    out = w.copy()
+    for i in sorted(removed_ids):
+        out += -np.outer(out[:, i] / s_inv[i, i], s_inv[i, :])
+    out[:, removed_ids] = 0.0
+    return out
+
+
+def assert_matches_loop(got, ref, removed):
+    np.testing.assert_array_equal(got[removed], 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4])
+@pytest.mark.parametrize("count", REMOVAL_COUNTS)
+def test_obs_sequential_update_matches_rank1_loop(obs_loop, count, cond):
+    rng = np.random.default_rng(count + int(cond))
+    n, m = 16, 20
+    a_inv = np.linalg.inv(spd_with_condition(rng, n, cond))
+    s_inv = np.linalg.inv(spd_with_condition(rng, m, cond))
+    w = rng.standard_normal((n, m))
+    # a random subset in shuffled order: removals share rows and columns
+    order = rng.permutation(n * m)[:count]
+    got = criteria.obs_sequential_update(w, a_inv, s_inv, order)
+    ref = obs_loop(w, a_inv, s_inv, order)
+    removed = np.zeros((n, m), dtype=bool)
+    removed.reshape(-1, order="F")[order] = True
+    assert_matches_loop(got, ref, removed)
+
+
+def test_obs_sequential_update_single_removal_matches_obs_update():
+    # one removal is the textbook OBS step on H^-1 = S^-1 (x) A^-1
+    rng = np.random.default_rng(22)
+    a_inv = np.linalg.inv(random_spd(rng, 4))
+    s_inv = np.linalg.inv(random_spd(rng, 3))
+    w = rng.standard_normal((4, 3))
+    theta = w.reshape(-1, order="F")
+    _, dtheta = criteria.obs_scores_and_update(0, theta, kron(s_inv, a_inv), 7)
+    got = criteria.obs_sequential_update(w, a_inv, s_inv, [7])
+    np.testing.assert_allclose(got.reshape(-1, order="F"), theta + dtheta, atol=1e-12)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4])
+@pytest.mark.parametrize("count", REMOVAL_COUNTS)
+def test_kron_obs_update_matches_rank1_loop(count, cond):
+    rng = np.random.default_rng(100 + count + int(cond))
+    n, m = 6, 3 * BLOCK + 9
+    a = spd_with_condition(rng, n, cond)
+    s_inv = np.linalg.inv(spd_with_condition(rng, m, cond))
+    w = rng.standard_normal((n, m))
+    removed = [int(i) for i in rng.permutation(m)[:count]]
+    _, update = criteria.kron_obs_scores_and_update(0, w, a, s_inv)
+    ref = kron_obs_rank1_loop(w, s_inv, removed)
+    assert_matches_loop(update(removed), ref, (slice(None), removed))
+
+
 def test_eigendamage_scores_no_half_factor():
     lam_a = np.ones(2)
     lam_s = np.ones(3)

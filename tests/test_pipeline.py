@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kfeprune import accounting, checkpoint, cli
+from kfeprune import accounting, checkpoint, cli, criteria
 from kfeprune.config import (
     RunConfig,
     parse_arch,
@@ -36,6 +36,7 @@ from kfeprune.pipeline import (
     conv_variant_for,
     eligible_layer_ids,
     prune_once,
+    write_importance,
 )
 
 MLP_SETTINGS = dict(
@@ -551,6 +552,67 @@ def test_prune_once_kron_obs_zeroes_filter_columns(mlp_run):
     np.testing.assert_array_equal(net.layers[0].b[removed], 0.0)
     kept = mask.kept(0, "filter")
     assert np.any(net.layers[0].w[:, kept] != 0.0)
+
+
+def importance_bytes(out_dir, tables):
+    os.makedirs(out_dir)
+    with open(write_importance(str(out_dir), tables), "rb") as fh:
+        return fh.read()
+
+
+def _prune_obs_recording(blob, ds, cfg, update, monkeypatch):
+    """prune_once with `update` as the obs compensation; also returns the
+    removal order handed to it for each layer."""
+    orders = []
+
+    def recorded(w, a_inv, s_inv, order):
+        orders.append([int(q) for q in order])
+        return update(w, a_inv, s_inv, order)
+
+    monkeypatch.setattr(criteria, "obs_sequential_update", recorded)
+    net = checkpoint.network_from_bytes(blob)
+    tables, mask, _ = prune_once(net, ds, cfg, cap=0.9)
+    return net, tables, mask, orders
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_prune_once_obs_blocked_update_matches_rank1_loop(
+    obs_loop, monkeypatch, tmp_path, seed
+):
+    cfg = RunConfig(
+        seed=seed, arch="mlp:32,16", dataset="blobs", classes=4, dim=8,
+        n_train=256, n_test=64, strategy="obs", ratio=0.6,
+    )
+    ds = build_dataset(cfg, "train")
+    net = build_network(cfg, ds.num_classes)
+    # exact zeros all score 0.0: ties the removal order breaks by unit id
+    net.layers[2].w[::3, ::2] = 0.0
+    blob = checkpoint.network_bytes(net)
+    blocked = _prune_obs_recording(
+        blob, ds, cfg, criteria.obs_sequential_update, monkeypatch
+    )
+    looped = _prune_obs_recording(blob, ds, cfg, obs_loop, monkeypatch)
+
+    net_b, tables, mask, orders = blocked
+    net_l, tables_l, mask_l, _ = looped
+    assert mask.groups == mask_l.groups
+    assert importance_bytes(tmp_path / "b", tables) == importance_bytes(
+        tmp_path / "l", tables_l
+    )
+    # the removal order is ascending (score, unit id), ties included
+    for table, order in zip(tables, orders):
+        removed = set(mask.removed(table.entries[0].layer_id, "weight"))
+        ranked = sorted(
+            (e for e in table.entries if e.unit_id in removed),
+            key=lambda e: (e.delta_l, e.unit_id),
+        )
+        assert order == [e.unit_id for e in ranked]
+    assert max(len(order) for order in orders) > 2 * criteria.OBS_BLOCK
+    for i in net_b.parameterized_ids():
+        w_b, w_l = net_b.layers[i].w, net_l.layers[i].w
+        assert np.max(np.abs(w_b - w_l)) <= 1e-10 * np.max(np.abs(w_l))
+        removed = mask.removed(i, "weight")
+        np.testing.assert_array_equal(w_b.reshape(-1, order="F")[removed], 0.0)
 
 
 def test_cmd_prune_then_eval_agree(mlp_run, tmp_path):
