@@ -14,7 +14,6 @@ from .criteria import (
     kron_obs_scores_and_update,
     obd_scores,
     obs_scores,
-    obs_scores_and_update,
     select_mask,
 )
 from .data import Dataset, load_idx, read_idx, synth_dataset

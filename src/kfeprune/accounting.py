@@ -25,18 +25,3 @@ def reduction_percent(before: float, after: float) -> float:
         raise ValidationError("baseline count must be positive")
     return 100.0 * (1.0 - after / before)
 
-
-def layer_summary(net: Network, in_shape) -> list:
-    rows = []
-    cur = tuple(in_shape)
-    for i, layer in enumerate(net.layers):
-        rows.append(
-            {
-                "layer_id": i,
-                "kind": layer.kind,
-                "params": layer.param_count(),
-                "flops": layer.flops(cur),
-            }
-        )
-        cur = tuple(layer.out_shape(cur))
-    return rows

@@ -17,15 +17,20 @@ twice produces identical bytes.
 Tensor tags: plain layers "W"/"b"; bottleneck layers "QA"/"Wp" (full
 core) or "D" (depthwise core)/"QS"/"b" plus kept-index lists; factor
 records "A"/"S" and optionally "QA"/"QS"/"LA"/"LS".
+
+Conv bottleneck records carry a "basis" meta key that is always 0, the
+channel basis.  Code 1 named a patch basis that is no longer supported;
+the reader rejects it, and every other malformed input, with FormatError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DimensionError, FormatError, ValidationError
 from .kfac import EigenFactors, KronFactors
 from .layers import (
     BottleneckConvLayer,
@@ -54,8 +59,8 @@ TAG_KRON = 7
 DTYPE_F64 = 0
 DTYPE_U32 = 1
 
-_BASIS_CODE = {"channel": 0, "patch": 1}
-_BASIS_NAME = {v: k for k, v in _BASIS_CODE.items()}
+CHANNEL_BASIS = 0
+U32_TAGS = ("kept_rows", "kept_cols")
 _CORE_CODE = {"full": 0, "diag": 1}
 _CORE_NAME = {v: k for k, v in _CORE_CODE.items()}
 _VARIANT_CODE = {"dense": 0, "conv_full": 1, "conv_channel": 2}
@@ -125,7 +130,7 @@ def _layer_record(layer) -> tuple:
             "k": layer.k,
             "stride": layer.stride,
             "padding": layer.padding,
-            "basis": _BASIS_CODE[layer.basis],
+            "basis": CHANNEL_BASIS,
             "core_mode": _CORE_CODE[layer.core_mode],
         }
         return TAG_BN_CONV, meta, _bottleneck_tensors(layer)
@@ -189,7 +194,10 @@ class _Reader:
 
     def key(self) -> str:
         (n,) = self.unpack("<B")
-        return self.take(n).decode("ascii")
+        try:
+            return self.take(n).decode("ascii")
+        except UnicodeDecodeError as err:
+            raise FormatError("record key is not ASCII") from err
 
     def done(self) -> bool:
         return self.pos == len(self.raw)
@@ -211,15 +219,21 @@ def _read_tensors(r: _Reader) -> dict:
         key = r.key()
         code, ndim = r.unpack("<BB")
         dims = r.unpack(f"<{ndim}I")
-        n = int(np.prod(dims)) if ndim else 1
-        if code == DTYPE_F64:
-            arr = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(dims)
-        elif code == DTYPE_U32:
-            arr = np.frombuffer(r.take(4 * n), dtype="<u4").reshape(dims)
-        else:
-            raise FormatError(f"unknown tensor dtype code {code}")
-        tensors[key] = arr.copy()
+        if code != (DTYPE_U32 if key in U32_TAGS else DTYPE_F64):
+            raise FormatError(f"tensor {key!r} has dtype code {code}")
+        dtype = np.dtype("<u4" if code == DTYPE_U32 else "<f8")
+        payload = r.take(dtype.itemsize * math.prod(dims))
+        try:
+            tensors[key] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError as err:
+            raise FormatError(f"tensor {key!r} has an invalid shape {dims}") from err
     return tensors
+
+
+def _decode(names: dict, meta: dict, key: str) -> str:
+    if meta[key] not in names:
+        raise FormatError(f"unknown {key} code {meta[key]}")
+    return names[meta[key]]
 
 
 def _build_layer(tag: int, meta: dict, tensors: dict):
@@ -240,7 +254,7 @@ def _build_layer(tag: int, meta: dict, tensors: dict):
         if tag == TAG_FLATTEN:
             return FlattenLayer()
         if tag == TAG_BN_DENSE:
-            mode = _CORE_NAME[meta["core_mode"]]
+            mode = _decode(_CORE_NAME, meta, "core_mode")
             core = tensors["D" if mode == "diag" else "Wp"]
             return BottleneckDenseLayer(
                 tensors["QA"],
@@ -252,7 +266,12 @@ def _build_layer(tag: int, meta: dict, tensors: dict):
                 kept_cols=tensors["kept_cols"],
             )
         if tag == TAG_BN_CONV:
-            mode = _CORE_NAME[meta["core_mode"]]
+            if meta["basis"] != CHANNEL_BASIS:
+                raise FormatError(
+                    f"conv bottleneck basis code {meta['basis']} is not supported "
+                    "(code 1, the patch basis, is retired)"
+                )
+            mode = _decode(_CORE_NAME, meta, "core_mode")
             return BottleneckConvLayer(
                 tensors["QA"],
                 tensors["D" if mode == "diag" else "Wp"],
@@ -262,13 +281,14 @@ def _build_layer(tag: int, meta: dict, tensors: dict):
                 k=meta["k"],
                 stride=meta["stride"],
                 padding=meta["padding"],
-                basis=_BASIS_NAME[meta["basis"]],
                 core_mode=mode,
                 kept_rows=tensors["kept_rows"],
                 kept_cols=tensors["kept_cols"],
             )
     except KeyError as err:
         raise FormatError(f"layer record missing field {err}") from err
+    except (DimensionError, ValidationError) as err:
+        raise FormatError(f"malformed layer record: {err}") from err
     raise FormatError(f"unknown layer tag {tag}")
 
 
@@ -294,6 +314,8 @@ def network_from_bytes(raw: bytes) -> Network:
         layers.append(_build_layer(tag, meta, tensors))
     if not r.done():
         raise FormatError("trailing bytes after last layer record")
+    if not layers:
+        raise FormatError("checkpoint holds no layers")
     return Network(layers)
 
 
@@ -324,7 +346,7 @@ def load_factors(path) -> tuple:
                 count=meta["count"],
                 a_locs=meta["a_locs"],
                 s_locs=meta["s_locs"],
-                variant=_VARIANT_NAME[meta["variant"]],
+                variant=_decode(_VARIANT_NAME, meta, "variant"),
             )
             if "QA" in tensors:
                 eigen[layer_id] = EigenFactors(
@@ -332,7 +354,7 @@ def load_factors(path) -> tuple:
                     lam_a=tensors["LA"],
                     qs=tensors["QS"],
                     lam_s=tensors["LS"],
-                    variant=_VARIANT_NAME[meta["variant"]],
+                    variant=factors[layer_id].variant,
                 )
         except KeyError as err:
             raise FormatError(f"factor record missing field {err}") from err

@@ -54,15 +54,13 @@ class ImportanceTable:
     def scores(self) -> np.ndarray:
         return np.array([e.delta_l for e in self.entries])
 
-    def extend(self, other: "ImportanceTable"):
-        if other.strategy != self.strategy:
-            raise ValidationError("cannot merge tables from different strategies")
-        self.entries.extend(other.entries)
-
 
 @dataclass
 class PruneMask:
-    """Removal decisions grouped by (layer_id, unit_kind)."""
+    """Removal decisions grouped by (layer_id, unit_kind).
+
+    Each group maps to {"removed": sorted unit ids, "total": unit count}.
+    """
 
     groups: dict
     tau: float
@@ -70,9 +68,6 @@ class PruneMask:
 
     def removed(self, layer_id: int, kind: str) -> list:
         return self.groups.get((layer_id, kind), {}).get("removed", [])
-
-    def kept(self, layer_id: int, kind: str) -> list:
-        return self.groups.get((layer_id, kind), {}).get("kept", [])
 
 
 def _table(strategy, layer_id, kind, scores) -> ImportanceTable:
@@ -103,24 +98,6 @@ def obs_scores(layer_id: int, theta: np.ndarray, h_inv_diag: np.ndarray) -> Impo
     if theta.shape != h_inv_diag.shape:
         raise DimensionError("theta and inverse diagonal disagree")
     return _table("obs", layer_id, "weight", 0.5 * theta ** 2 / h_inv_diag)
-
-
-def obs_scores_and_update(layer_id: int, theta: np.ndarray, h_inv: np.ndarray, q: int):
-    """Scores for all weights plus the compensated update for removing q.
-
-    The update is d = -(theta_q / [H^-1]_qq) * H^-1 e_q, which zeroes
-    coordinate q exactly and adjusts the rest to minimize the quadratic
-    loss increase.
-    """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    h_inv = np.asarray(h_inv, dtype=np.float64)
-    if h_inv.shape != (theta.size, theta.size):
-        raise DimensionError("inverse curvature shape mismatch")
-    if not 0 <= q < theta.size:
-        raise ValidationError(f"prune index {q} out of range")
-    table = obs_scores(layer_id, theta, np.diag(h_inv))
-    dtheta = -(theta[q] / h_inv[q, q]) * h_inv[:, q]
-    return table, dtheta
 
 
 def obs_sequential_update(
@@ -282,7 +259,5 @@ def select_mask(tables, ratio: float, cap: float) -> PruneMask:
             key=lambda e: (e.delta_l, e.unit_id),
         )
         removed = sorted(e.unit_id for e in candidates[:budget])
-        removed_set = set(removed)
-        kept = sorted(e.unit_id for e in members if e.unit_id not in removed_set)
-        groups[key] = {"removed": removed, "kept": kept, "total": total}
+        groups[key] = {"removed": removed, "total": total}
     return PruneMask(groups=groups, tau=tau, ratio=ratio)

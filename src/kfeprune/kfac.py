@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, SingularityError, StateError, ValidationError
 from .network import Network
-from .tensormath import SymEigen, sym_eig
+from .tensormath import sym_eig
 
 DEFAULT_DAMPING = 1e-6
 
@@ -192,9 +192,7 @@ def _capture_arrays(layer, tape, conv_variant: str):
             return "conv_channel", (tape["x_in"], tape["g"])
         return "conv_full", (tape["patches"], tape["g"])
     if kind == "bottleneck_conv":
-        if layer.basis == "channel":
-            return "conv_channel", (tape["x1"], tape["g"])
-        return "conv_full", (tape["a_core"], tape["g"])
+        return "conv_channel", (tape["x1"], tape["g"])
     raise ValidationError(f"layer kind {kind!r} has no factors")
 
 
@@ -209,8 +207,9 @@ def estimate_factors(
     """One deterministic capture pass over the dataset; returns factors per layer.
 
     conv_variant picks the input factor for plain conv layers ("channel"
-    or "full"); bottleneck layers are measured at their core boundary in
-    whatever basis they carry.
+    or "full"); bottleneck layers are measured at their core boundary,
+    conv bottlenecks always on the channel covariance of the projected
+    input.  Each batch is forwarded with capture=True.
     """
     if conv_variant not in ("channel", "full"):
         raise ValidationError(f"unknown conv variant {conv_variant!r}")

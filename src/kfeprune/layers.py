@@ -29,6 +29,14 @@ def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
 
 
+def _check_geometry(k: int, stride: int, padding: int):
+    if k < 1 or stride < 1 or padding < 0:
+        raise ValidationError(
+            f"conv needs k >= 1, stride >= 1 and padding >= 0, "
+            f"got k={k}, stride={stride}, padding={padding}"
+        )
+
+
 @functools.lru_cache(maxsize=64)
 def _patch_index(c: int, h: int, w: int, k: int, stride: int, padding: int) -> np.ndarray:
     """Flat input position of every patch entry, as a read-only intp table.
@@ -169,6 +177,7 @@ class ConvLayer:
         self.k = int(k)
         self.stride = int(stride)
         self.padding = int(padding)
+        _check_geometry(self.k, self.stride, self.padding)
         if self.w.ndim != 2 or self.w.shape[0] != self.c_in * self.k * self.k:
             raise DimensionError("conv weight rows must equal c_in*k*k")
         if bias is None:
@@ -180,11 +189,6 @@ class ConvLayer:
     @property
     def c_out(self) -> int:
         return self.w.shape[1]
-
-    @property
-    def kernel4d(self) -> np.ndarray:
-        """(c_out, c_in, k, k) view of the weight, for inspection."""
-        return self.w.T.reshape(self.c_out, self.c_in, self.k, self.k)
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -198,7 +202,6 @@ class ConvLayer:
         if tape is not None:
             tape["x_in"] = x
             tape["patches"] = patches
-            tape["out_hw"] = (h_out, w_out)
         return y.transpose(0, 2, 1).reshape(x.shape[0], self.c_out, h_out, w_out)
 
     def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
@@ -290,6 +293,16 @@ class FlattenLayer:
         return 0
 
 
+def _kept_index(ids, rank: int, name: str) -> np.ndarray:
+    """Original basis index of each kept direction; all of them when None."""
+    if ids is None:
+        return np.arange(rank, dtype=np.uint32)
+    ids = np.asarray(ids, dtype=np.uint32)
+    if ids.shape != (rank,):
+        raise DimensionError(f"{name} must hold one index per core direction ({rank})")
+    return ids
+
+
 class BottleneckDenseLayer:
     """Dense layer factored as qa @ core @ qs.T with prunable inner ranks.
 
@@ -331,18 +344,8 @@ class BottleneckDenseLayer:
         self.b = np.asarray(bias, dtype=np.float64)
         if self.b.shape != (self.qs.shape[0],):
             raise DimensionError("bottleneck bias shape mismatch")
-        n_rows = self.qa.shape[1] if kept_rows is None else len(kept_rows)
-        n_cols = self.qs.shape[1] if kept_cols is None else len(kept_cols)
-        self.kept_rows = (
-            np.arange(n_rows, dtype=np.uint32)
-            if kept_rows is None
-            else np.asarray(kept_rows, dtype=np.uint32)
-        )
-        self.kept_cols = (
-            np.arange(n_cols, dtype=np.uint32)
-            if kept_cols is None
-            else np.asarray(kept_cols, dtype=np.uint32)
-        )
+        self.kept_rows = _kept_index(kept_rows, ra, "kept_rows")
+        self.kept_cols = _kept_index(kept_cols, rc, "kept_cols")
 
     @property
     def fan_in(self) -> int:
@@ -411,15 +414,12 @@ class BottleneckDenseLayer:
 
 
 class BottleneckConvLayer:
-    """Convolution factored through rotated channel (or patch) spaces.
+    """Convolution factored through rotated channel spaces.
 
-    Channel basis: 1x1 projection qa (c_in, ra), a k x k core conv held as
-    a 3-tensor (ra, rc, k*k) with per-offset slices, then a 1x1
-    projection back through qs (c_out, rc).  Patch basis: the projection
-    qa acts on whole im2col patches (c_in*k*k, ra) and the core is a
-    plain (ra, rc) matrix.  After a depthwise decomposition is absorbed
-    the channel-basis core becomes a (k*k, r) array of per-offset
-    diagonals.
+    A 1x1 projection qa (c_in, ra), a k x k core conv held as a 3-tensor
+    (ra, rc, k*k) with per-offset slices, then a 1x1 projection back
+    through qs (c_out, rc).  After a depthwise decomposition is absorbed
+    the core becomes a (k*k, r) array of per-offset diagonals.
     """
 
     kind = "bottleneck_conv"
@@ -434,7 +434,6 @@ class BottleneckConvLayer:
         k: int,
         stride: int,
         padding: int,
-        basis: str = "channel",
         core_mode: str = "full",
         kept_rows: np.ndarray | None = None,
         kept_cols: np.ndarray | None = None,
@@ -446,31 +445,20 @@ class BottleneckConvLayer:
         self.k = int(k)
         self.stride = int(stride)
         self.padding = int(padding)
-        self.basis = basis
         self.core_mode = core_mode
-        if basis not in ("channel", "patch"):
-            raise ValidationError(f"unknown conv bottleneck basis {basis!r}")
-        if basis == "channel":
-            if self.qa.shape[0] != self.c_in:
-                raise DimensionError("channel basis qa must have c_in rows")
-            if core_mode == "full":
-                if self.core.ndim != 3 or self.core.shape[2] != self.k * self.k:
-                    raise DimensionError("channel core must be (ra, rc, k*k)")
-                ra, rc = self.core.shape[0], self.core.shape[1]
-            elif core_mode == "diag":
-                if self.core.ndim != 2 or self.core.shape[0] != self.k * self.k:
-                    raise DimensionError("depthwise core must be (k*k, r)")
-                ra = rc = self.core.shape[1]
-            else:
-                raise ValidationError(f"unknown core mode {core_mode!r}")
+        _check_geometry(self.k, self.stride, self.padding)
+        if self.qa.shape[0] != self.c_in:
+            raise DimensionError("qa must have c_in rows")
+        if core_mode == "full":
+            if self.core.ndim != 3 or self.core.shape[2] != self.k * self.k:
+                raise DimensionError("full core must be (ra, rc, k*k)")
+            ra, rc = self.core.shape[0], self.core.shape[1]
+        elif core_mode == "diag":
+            if self.core.ndim != 2 or self.core.shape[0] != self.k * self.k:
+                raise DimensionError("depthwise core must be (k*k, r)")
+            ra = rc = self.core.shape[1]
         else:
-            if core_mode != "full":
-                raise ValidationError("patch basis supports only a full core")
-            if self.qa.shape[0] != self.c_in * self.k * self.k:
-                raise DimensionError("patch basis qa must have c_in*k*k rows")
-            if self.core.ndim != 2:
-                raise DimensionError("patch core must be 2-D")
-            ra, rc = self.core.shape
+            raise ValidationError(f"unknown core mode {core_mode!r}")
         if self.qa.shape[1] != ra or self.qs.shape[1] != rc:
             raise DimensionError("basis column counts must match core ranks")
         if bias is None:
@@ -478,18 +466,8 @@ class BottleneckConvLayer:
         self.b = np.asarray(bias, dtype=np.float64)
         if self.b.shape != (self.qs.shape[0],):
             raise DimensionError("bottleneck conv bias shape mismatch")
-        n_rows = ra if kept_rows is None else len(kept_rows)
-        n_cols = rc if kept_cols is None else len(kept_cols)
-        self.kept_rows = (
-            np.arange(n_rows, dtype=np.uint32)
-            if kept_rows is None
-            else np.asarray(kept_rows, dtype=np.uint32)
-        )
-        self.kept_cols = (
-            np.arange(n_cols, dtype=np.uint32)
-            if kept_cols is None
-            else np.asarray(kept_cols, dtype=np.uint32)
-        )
+        self.kept_rows = _kept_index(kept_rows, ra, "kept_rows")
+        self.kept_cols = _kept_index(kept_cols, rc, "kept_cols")
 
     @property
     def c_out(self) -> int:
@@ -505,8 +483,6 @@ class BottleneckConvLayer:
 
     def core_matrix(self) -> np.ndarray:
         """Core as a (ra*k*k, rc) matrix matching the patch row layout."""
-        if self.basis == "patch":
-            return self.core
         kk = self.k * self.k
         if self.core_mode == "diag":
             r = self.core.shape[1]
@@ -518,8 +494,6 @@ class BottleneckConvLayer:
 
     def effective_weight(self) -> np.ndarray:
         """Equivalent plain-conv weight in the canonical (c_in*k*k, c_out) view."""
-        if self.basis == "patch":
-            return self.qa @ self.core @ self.qs.T
         kk = self.k * self.k
         w = np.zeros((self.c_in * kk, self.c_out), dtype=np.float64)
         for delta in range(kk):
@@ -539,18 +513,6 @@ class BottleneckConvLayer:
         batch = x.shape[0]
         h_out = conv_out_size(x.shape[2], self.k, self.stride, self.padding)
         w_out = conv_out_size(x.shape[3], self.k, self.stride, self.padding)
-        if self.basis == "patch":
-            patches = im2col(x, self.k, self.stride, self.padding)
-            h1 = patches @ self.qa
-            h2 = h1 @ self.core
-            if tape is not None:
-                tape["x_in"] = x
-                tape["patches"] = patches
-                tape["a_core"] = h1
-                tape["h2"] = h2
-                tape["out_hw"] = (h_out, w_out)
-            y = h2 @ self.qs.T + self.b
-            return y.transpose(0, 2, 1).reshape(batch, self.c_out, h_out, w_out)
         x1 = (self.qa.T @ x.reshape(batch, self.c_in, -1)).reshape(
             batch, self.ra, x.shape[2], x.shape[3]
         )
@@ -566,7 +528,6 @@ class BottleneckConvLayer:
             tape["x1"] = x1
             tape["core_pat"] = core_pat
             tape["h2"] = h2
-            tape["out_hw"] = (h_out, w_out)
         y = h2 @ self.qs.T + self.b
         return y.transpose(0, 2, 1).reshape(batch, self.c_out, h_out, w_out)
 
@@ -579,16 +540,6 @@ class BottleneckConvLayer:
         db = dy3.sum(axis=1).mean(axis=0)
         dh2 = dy3 @ self.qs
         tape["g"] = dh2
-        if self.basis == "patch":
-            patches, h1 = tape["patches"], tape["a_core"]
-            dcore = np.einsum("bla,blc->ac", h1, dh2) / batch
-            dh1 = dh2 @ self.core.T
-            dqa = np.einsum("bln,bla->na", patches, dh1) / batch
-            tape["grads"] = {"qa": dqa, "core": dcore, "qs": dqs, "b": db}
-            if not input_grad:
-                return None
-            dpatches = dh1 @ self.qa.T
-            return col2im(dpatches, x.shape, self.k, self.stride, self.padding)
         core_pat = tape["core_pat"]
         kk = self.k * self.k
         if self.core_mode == "diag":
@@ -627,14 +578,10 @@ class BottleneckConvLayer:
     def flops(self, in_shape) -> int:
         _, h, w = in_shape
         _, h_out, w_out = self.out_shape(in_shape)
-        if self.basis == "patch":
-            proj = 2 * self.qa.shape[0] * self.ra * h_out * w_out
-            core = 2 * self.ra * self.rc * h_out * w_out
+        proj = 2 * self.c_in * self.ra * h * w
+        if self.core_mode == "diag":
+            core = 2 * self.k * self.k * self.ra * h_out * w_out
         else:
-            proj = 2 * self.c_in * self.ra * h * w
-            if self.core_mode == "diag":
-                core = 2 * self.k * self.k * self.ra * h_out * w_out
-            else:
-                core = 2 * self.k * self.k * self.ra * self.rc * h_out * w_out
+            core = 2 * self.k * self.k * self.ra * self.rc * h_out * w_out
         back = 2 * self.rc * self.c_out * h_out * w_out
         return proj + core + back

@@ -38,9 +38,11 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 class Network:
     """An ordered stack of layers trained with softmax cross-entropy.
 
-    forward() caches per-layer tapes; backward() consumes them and must be
-    handed the exact logits array the cache belongs to, otherwise the
-    cache is stale and a StateError is raised.
+    forward(x, capture=True) records per-layer tapes and keeps them with
+    the logits; backward() consumes them and must be handed the exact
+    logits array the tapes belong to, otherwise they are stale and a
+    StateError is raised.  A plain forward(x) records nothing and drops
+    any earlier tapes, so inference keeps no batch alive.
     """
 
     def __init__(self, layers: list):
@@ -54,14 +56,11 @@ class Network:
         return [i for i, l in enumerate(self.layers) if l.kind in PARAM_KINDS]
 
     def forward(self, x: np.ndarray, capture: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        tapes = [{} for _ in self.layers]
-        out = x
+        out = np.asarray(x, dtype=np.float64)
+        tapes = [{} if capture else None for _ in self.layers]
         for layer, tape in zip(self.layers, tapes):
             out = layer.forward(out, tape)
-        self._tapes = tapes
-        self._logits = out
-        self._capture = capture
+        self._tapes, self._logits = (tapes, out) if capture else (None, None)
         return out
 
     def backward(self, logits: np.ndarray, labels: np.ndarray) -> list:
@@ -71,8 +70,8 @@ class Network:
         tapes additionally keep per-sample unscaled capture tensors.  The
         first layer skips its input gradient, which nothing reads.
         """
-        if self._tapes is None or self._logits is None:
-            raise StateError("backward called before forward")
+        if self._tapes is None:
+            raise StateError("backward needs a preceding forward with capture=True")
         if logits is not self._logits:
             raise StateError("backward called with logits from a different forward pass")
         delta = cross_entropy_grad(logits, labels)
@@ -83,7 +82,7 @@ class Network:
     def captures(self) -> dict:
         """Per-layer capture tensors from the last forward/backward pair."""
         if self._tapes is None:
-            raise StateError("no forward pass cached")
+            raise StateError("no captured forward pass")
         out = {}
         for i, (layer, tape) in enumerate(zip(self.layers, self._tapes)):
             if layer.kind not in PARAM_KINDS:
@@ -95,14 +94,6 @@ class Network:
 
     def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
         return cross_entropy(self.forward(x), labels)
-
-    def out_shapes(self, in_shape) -> list:
-        shapes = []
-        cur = tuple(in_shape)
-        for layer in self.layers:
-            cur = tuple(layer.out_shape(cur))
-            shapes.append(cur)
-        return shapes
 
 
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

@@ -3,13 +3,15 @@
 Everything here is deliberately independent of the fast paths it checks:
 the Fisher is assembled from per-sample gradient outer products, pruning
 updates come from explicit KKT linear systems rather than the closed
-forms, and derivatives come from central differences.
+forms, derivatives come from central differences, and the textbook
+single-weight OBS step uses a dense H^-1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import criteria
 from .errors import DimensionError, SizeError, ValidationError
 from .network import Network, cross_entropy, softmax
 
@@ -130,7 +132,7 @@ def analytic_grad(net: Network, dataset, layer_ids=None, include_bias: bool = Fa
     for start in range(0, n, 256):
         xb = dataset.x[start : start + 256]
         yb = dataset.y[start : start + 256]
-        logits = net.forward(xb)
+        logits = net.forward(xb, capture=True)
         grads = net.backward(logits, yb)
         scale = xb.shape[0] / n
         for lid in layer_ids:
@@ -228,6 +230,24 @@ def exact_multi_prune(theta: np.ndarray, h: np.ndarray, q_set, compensate: bool 
         constrained = list(range(theta.size))
         targets = [-theta[i] if i in set(q_list) else 0.0 for i in constrained]
     return _kkt_solve(h, theta, constrained, targets)
+
+
+def obs_scores_and_update(layer_id: int, theta: np.ndarray, h_inv: np.ndarray, q: int):
+    """Scores for all weights plus the compensated update for removing q.
+
+    The update is d = -(theta_q / [H^-1]_qq) * H^-1 e_q, which zeroes
+    coordinate q exactly and adjusts the rest to minimize the quadratic
+    loss increase.
+    """
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    h_inv = np.asarray(h_inv, dtype=np.float64)
+    if h_inv.shape != (theta.size, theta.size):
+        raise DimensionError("inverse curvature shape mismatch")
+    if not 0 <= q < theta.size:
+        raise ValidationError(f"prune index {q} out of range")
+    table = criteria.obs_scores(layer_id, theta, np.diag(h_inv))
+    dtheta = -(theta[q] / h_inv[q, q]) * h_inv[:, q]
+    return table, dtheta
 
 
 def kl_diag(sigma: np.ndarray, direction: str = "forward") -> np.ndarray:

@@ -174,7 +174,7 @@ def _rotate_for_eigendamage(net, factors, ids):
         ef = kfac.eigenbasis(factors[i])
         layer = net.layers[i]
         if isinstance(layer, (DenseLayer, ConvLayer)):
-            net.layers[i] = reparam.to_kfe(layer, ef, basis="channel")
+            net.layers[i] = reparam.to_kfe(layer, ef)
         else:
             net.layers[i] = reparam.merge_bases(layer, ef)
         eigen[i] = ef
@@ -266,7 +266,7 @@ def per_layer_remaining(net: Network) -> list:
             fracs.append(float(np.count_nonzero(layer.w)) / layer.w.size)
         else:
             denom = layer.qa.shape[0] * layer.qs.shape[0]
-            if layer.kind == "bottleneck_conv" and layer.basis == "channel":
+            if layer.kind == "bottleneck_conv":
                 denom *= layer.k * layer.k
             fracs.append(float(layer.core.size) / denom)
     return fracs
@@ -347,6 +347,33 @@ def _prepare_out(cfg: RunConfig) -> str:
     return cfg.out
 
 
+def _counts(net: Network, in_shape) -> tuple:
+    return count_params(net), count_flops(net, in_shape)
+
+
+def _size_record(net: Network, in_shape, before=None) -> dict:
+    """params, flops and per_layer_remaining of the network.  Given the
+    (params, flops) it started from, also those as params_before and
+    flops_before, and the two reduction percentages."""
+    params, flops = _counts(net, in_shape)
+    record = {"params": params, "flops": flops, "per_layer_remaining": per_layer_remaining(net)}
+    if before is not None:
+        record["params_before"], record["flops_before"] = before
+        record["weight_reduction_percent"] = reduction_percent(before[0], params)
+        record["flop_reduction_percent"] = reduction_percent(before[1], flops)
+    return record
+
+
+def _finish(out_dir: str, record: dict, t0: float, net: Network | None = None) -> dict:
+    """Save the network when one is given, stamp wall_time_s, write the
+    metrics.  Every command ends here."""
+    if net is not None:
+        save_network(os.path.join(out_dir, CHECKPOINT_NAME), net)
+    record["wall_time_s"] = time.perf_counter() - t0
+    write_metrics(out_dir, record)
+    return record
+
+
 def cmd_train(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     out_dir = _prepare_out(cfg)
@@ -367,15 +394,9 @@ def cmd_train(cfg: RunConfig) -> dict:
     record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
     record["train_loss_pre"] = pre_loss
     record["train_loss_post"] = record["train_loss"]
-    in_shape = _data_shape(cfg, ds_train)
-    record["params"] = count_params(net)
-    record["flops"] = count_flops(net, in_shape)
-    record["per_layer_remaining"] = per_layer_remaining(net)
-    save_network(os.path.join(out_dir, CHECKPOINT_NAME), net)
+    record.update(_size_record(net, _data_shape(cfg, ds_train)))
     write_curve(out_dir, curve)
-    record["wall_time_s"] = time.perf_counter() - t0
-    write_metrics(out_dir, record)
-    return record
+    return _finish(out_dir, record, t0, net)
 
 
 def cmd_prune(cfg: RunConfig) -> dict:
@@ -386,8 +407,7 @@ def cmd_prune(cfg: RunConfig) -> dict:
     ds_test = build_dataset(cfg, "test")
     in_shape = _data_shape(cfg, ds_train)
     pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
-    params_before = count_params(net)
-    flops_before = count_flops(net, in_shape)
+    before = _counts(net, in_shape)
     cap = resolve_cap(cfg, iterative=False)
     tables, mask, info = prune_once(net, ds_train, cfg, cap)
     record = _base_record(cfg, "prune")
@@ -397,21 +417,10 @@ def cmd_prune(cfg: RunConfig) -> dict:
     record["tau"] = mask.tau
     record["ratio"] = cfg.ratio
     record["cap"] = cap
-    record["params_before"] = params_before
-    record["flops_before"] = flops_before
-    record["params"] = count_params(net)
-    record["flops"] = count_flops(net, in_shape)
-    record["weight_reduction_percent"] = reduction_percent(
-        params_before, record["params"]
-    )
-    record["flop_reduction_percent"] = reduction_percent(flops_before, record["flops"])
-    record["per_layer_remaining"] = per_layer_remaining(net)
+    record.update(_size_record(net, in_shape, before))
     record.update(info)
-    save_network(os.path.join(out_dir, CHECKPOINT_NAME), net)
     write_importance(out_dir, tables)
-    record["wall_time_s"] = time.perf_counter() - t0
-    write_metrics(out_dir, record)
-    return record
+    return _finish(out_dir, record, t0, net)
 
 
 def _finetune(net, ds_train, cfg: RunConfig):
@@ -441,15 +450,9 @@ def cmd_finetune(cfg: RunConfig) -> dict:
     record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
     record["train_loss_pre"] = pre_loss
     record["train_loss_post"] = record["train_loss"]
-    in_shape = _data_shape(cfg, ds_train)
-    record["params"] = count_params(net)
-    record["flops"] = count_flops(net, in_shape)
-    record["per_layer_remaining"] = per_layer_remaining(net)
-    save_network(os.path.join(out_dir, CHECKPOINT_NAME), net)
+    record.update(_size_record(net, _data_shape(cfg, ds_train)))
     write_curve(out_dir, curve)
-    record["wall_time_s"] = time.perf_counter() - t0
-    write_metrics(out_dir, record)
-    return record
+    return _finish(out_dir, record, t0, net)
 
 
 def cmd_iterate(cfg: RunConfig) -> dict:
@@ -459,8 +462,7 @@ def cmd_iterate(cfg: RunConfig) -> dict:
     ds_train = build_dataset(cfg, "train")
     ds_test = build_dataset(cfg, "test")
     in_shape = _data_shape(cfg, ds_train)
-    params_before = count_params(net)
-    flops_before = count_flops(net, in_shape)
+    before = _counts(net, in_shape)
     cap = resolve_cap(cfg, iterative=True)
     rounds = []
     aborted = None
@@ -484,38 +486,23 @@ def cmd_iterate(cfg: RunConfig) -> dict:
         rec["train_loss_post_prune"] = post_prune_loss
         rec["train_loss_post"] = rec["train_loss"]
         rec["tau"] = mask.tau
-        rec["params"] = count_params(net)
-        rec["flops"] = count_flops(net, in_shape)
-        rec["weight_reduction_percent"] = reduction_percent(
-            params_before, rec["params"]
-        )
-        rec["flop_reduction_percent"] = reduction_percent(flops_before, rec["flops"])
-        rec["per_layer_remaining"] = per_layer_remaining(net)
+        rec.update(_size_record(net, in_shape, before))
+        # the starting counts are reported once, in the top record
+        del rec["params_before"], rec["flops_before"]
         rec.update(info)
         rec["wall_time_s"] = time.perf_counter() - t_round
         rounds.append(rec)
     record = _base_record(cfg, "iterate")
     record["cap"] = cap
     record["ratio"] = cfg.ratio
-    record["params_before"] = params_before
-    record["flops_before"] = flops_before
     record["rounds"] = rounds
     if aborted is not None:
         record["aborted"] = aborted
     record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
-    record["params"] = count_params(net)
-    record["flops"] = count_flops(net, in_shape)
-    record["weight_reduction_percent"] = reduction_percent(
-        params_before, record["params"]
-    )
-    record["flop_reduction_percent"] = reduction_percent(flops_before, record["flops"])
-    record["per_layer_remaining"] = per_layer_remaining(net)
-    save_network(os.path.join(out_dir, CHECKPOINT_NAME), net)
+    record.update(_size_record(net, in_shape, before))
     if last_tables is not None:
         write_importance(out_dir, last_tables)
-    record["wall_time_s"] = time.perf_counter() - t0
-    write_metrics(out_dir, record)
-    return record
+    return _finish(out_dir, record, t0, net)
 
 
 def cmd_eval(cfg: RunConfig) -> dict:
@@ -526,13 +513,8 @@ def cmd_eval(cfg: RunConfig) -> dict:
     ds_test = build_dataset(cfg, "test")
     record = _base_record(cfg, "eval")
     record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
-    in_shape = _data_shape(cfg, ds_train)
-    record["params"] = count_params(net)
-    record["flops"] = count_flops(net, in_shape)
-    record["per_layer_remaining"] = per_layer_remaining(net)
-    record["wall_time_s"] = time.perf_counter() - t0
-    write_metrics(out_dir, record)
-    return record
+    record.update(_size_record(net, _data_shape(cfg, ds_train)))
+    return _finish(out_dir, record, t0)
 
 
 def cmd_decompose(cfg: RunConfig) -> dict:
@@ -541,16 +523,11 @@ def cmd_decompose(cfg: RunConfig) -> dict:
     net = load_network(_checkpoint_in(cfg))
     ds_train = build_dataset(cfg, "train")
     in_shape = _data_shape(cfg, ds_train)
-    params_before = count_params(net)
-    flops_before = count_flops(net, in_shape)
+    before = _counts(net, in_shape)
     decomposed = []
     for i in net.parameterized_ids():
         layer = net.layers[i]
-        if (
-            layer.kind == "bottleneck_conv"
-            and layer.basis == "channel"
-            and layer.core_mode == "full"
-        ):
+        if layer.kind == "bottleneck_conv" and layer.core_mode == "full":
             full_rank = min(layer.core.shape[0], layer.core.shape[1])
             rank = cfg.rank if cfg.rank > 0 else full_rank
             factors = reparam.depthwise_decompose(layer, rank, seed=cfg.seed)
@@ -564,24 +541,13 @@ def cmd_decompose(cfg: RunConfig) -> dict:
                 }
             )
     if not decomposed:
-        raise ValidationError("no channel-basis convolution cores to decompose")
+        raise ValidationError("no full convolution bottleneck cores to decompose")
     record = _base_record(cfg, "decompose")
     ds_test = build_dataset(cfg, "test")
     record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
     record["layers"] = decomposed
-    record["params_before"] = params_before
-    record["flops_before"] = flops_before
-    record["params"] = count_params(net)
-    record["flops"] = count_flops(net, in_shape)
-    record["weight_reduction_percent"] = reduction_percent(
-        params_before, record["params"]
-    )
-    record["flop_reduction_percent"] = reduction_percent(flops_before, record["flops"])
-    record["per_layer_remaining"] = per_layer_remaining(net)
-    save_network(os.path.join(out_dir, CHECKPOINT_NAME), net)
-    record["wall_time_s"] = time.perf_counter() - t0
-    write_metrics(out_dir, record)
-    return record
+    record.update(_size_record(net, in_shape, before))
+    return _finish(out_dir, record, t0, net)
 
 
 def network_snapshot(net: Network) -> Network:

@@ -31,12 +31,13 @@ def _check_square_basis(q: np.ndarray, dim: int, name: str):
         )
 
 
-def to_kfe(layer, ef: EigenFactors, basis: str = "channel"):
+def to_kfe(layer, ef: EigenFactors):
     """Rewrite a plain layer in the eigenbasis of its curvature factors.
 
-    The returned bottleneck layer computes exactly the same function:
-    the core is qa.T @ W @ qs (per kernel offset for channel-basis
-    convolutions) and the outer bases are orthonormal.
+    The returned bottleneck layer computes exactly the same function: the
+    core is qa.T @ W @ qs, per kernel offset for a convolution, whose qa
+    is the eigenbasis of its input channel covariance (the conv_channel
+    factor), and the outer bases are orthonormal.
     """
     if isinstance(layer, DenseLayer):
         n, m = layer.w.shape
@@ -49,40 +50,21 @@ def to_kfe(layer, ef: EigenFactors, basis: str = "channel"):
     if isinstance(layer, ConvLayer):
         kk = layer.k * layer.k
         c_out = layer.w.shape[1]
-        if basis == "channel":
-            _check_square_basis(ef.qa, layer.c_in, "input channel")
-            _check_square_basis(ef.qs, c_out, "output")
-            core = np.empty((layer.c_in, c_out, kk))
-            for delta in range(kk):
-                core[:, :, delta] = ef.qa.T @ layer.w[delta::kk, :] @ ef.qs
-            return BottleneckConvLayer(
-                qa=ef.qa.copy(),
-                core=core,
-                qs=ef.qs.copy(),
-                bias=layer.b.copy(),
-                c_in=layer.c_in,
-                k=layer.k,
-                stride=layer.stride,
-                padding=layer.padding,
-                basis="channel",
-            )
-        if basis == "patch":
-            n = layer.c_in * kk
-            _check_square_basis(ef.qa, n, "input patch")
-            _check_square_basis(ef.qs, c_out, "output")
-            core = ef.qa.T @ layer.w @ ef.qs
-            return BottleneckConvLayer(
-                qa=ef.qa.copy(),
-                core=core,
-                qs=ef.qs.copy(),
-                bias=layer.b.copy(),
-                c_in=layer.c_in,
-                k=layer.k,
-                stride=layer.stride,
-                padding=layer.padding,
-                basis="patch",
-            )
-        raise ValidationError(f"unknown convolution basis {basis!r}")
+        _check_square_basis(ef.qa, layer.c_in, "input channel")
+        _check_square_basis(ef.qs, c_out, "output")
+        core = np.empty((layer.c_in, c_out, kk))
+        for delta in range(kk):
+            core[:, :, delta] = ef.qa.T @ layer.w[delta::kk, :] @ ef.qs
+        return BottleneckConvLayer(
+            qa=ef.qa.copy(),
+            core=core,
+            qs=ef.qs.copy(),
+            bias=layer.b.copy(),
+            c_in=layer.c_in,
+            k=layer.k,
+            stride=layer.stride,
+            padding=layer.padding,
+        )
     raise ValidationError(f"cannot rotate layer of type {type(layer).__name__}")
 
 
@@ -135,7 +117,6 @@ def eigenprune(layer, removed_rows, removed_cols):
             k=layer.k,
             stride=layer.stride,
             padding=layer.padding,
-            basis=layer.basis,
             kept_rows=layer.kept_rows[keep_r],
             kept_cols=layer.kept_cols[keep_c],
         )
@@ -166,27 +147,22 @@ def merge_bases(layer, ef: EigenFactors):
         ra, rc = layer.core.shape[0], layer.core.shape[1]
         _check_square_basis(ef.qa, ra, "input")
         _check_square_basis(ef.qs, rc, "output")
-        if layer.basis == "channel":
-            core = np.einsum("ar,abk,bc->rck", ef.qa, layer.core, ef.qs)
-        else:
-            core = ef.qa.T @ layer.core @ ef.qs
         return BottleneckConvLayer(
             qa=layer.qa @ ef.qa,
-            core=core,
+            core=np.einsum("ar,abk,bc->rck", ef.qa, layer.core, ef.qs),
             qs=layer.qs @ ef.qs,
             bias=layer.b.copy(),
             c_in=layer.c_in,
             k=layer.k,
             stride=layer.stride,
             padding=layer.padding,
-            basis=layer.basis,
         )
     raise ValidationError(f"cannot merge into layer of type {type(layer).__name__}")
 
 
 @dataclass
 class DepthwiseFactors:
-    """Rank-r separable approximation of a channel-basis conv core.
+    """Rank-r separable approximation of a conv bottleneck core.
 
     core[i, j, delta] ~= sum_rho u[i, rho] * v[j, rho] * c[delta, rho].
     trace holds the objective value after init and after each accepted
@@ -201,9 +177,6 @@ class DepthwiseFactors:
     @property
     def rank(self) -> int:
         return self.u.shape[1]
-
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum("ir,jr,dr->ijd", self.u, self.v, self.c)
 
 
 def _objective(t: np.ndarray, u, v, c) -> float:
@@ -250,8 +223,8 @@ def depthwise_decompose(
     monotone.  Collapsed factor columns trigger up to three jittered
     restarts before giving up.
     """
-    if not isinstance(layer, BottleneckConvLayer) or layer.basis != "channel":
-        raise ValidationError("separable fit needs a channel-basis convolution core")
+    if not isinstance(layer, BottleneckConvLayer):
+        raise ValidationError("separable fit needs a convolution bottleneck core")
     if layer.core_mode != "full":
         raise ValidationError("core is already factored")
     t = np.asarray(layer.core, dtype=np.float64)
@@ -298,8 +271,8 @@ def absorb_depthwise(layer, factors: DepthwiseFactors):
     coefficient table applied channelwise.  The layer function changes
     by the approximation error of the fit.
     """
-    if not isinstance(layer, BottleneckConvLayer) or layer.basis != "channel":
-        raise ValidationError("separable absorb needs a channel-basis convolution")
+    if not isinstance(layer, BottleneckConvLayer):
+        raise ValidationError("separable absorb needs a convolution bottleneck")
     if layer.core_mode != "full":
         raise ValidationError("core is already factored")
     if factors.u.shape[0] != layer.core.shape[0] or factors.v.shape[0] != layer.core.shape[1]:
@@ -313,6 +286,5 @@ def absorb_depthwise(layer, factors: DepthwiseFactors):
         k=layer.k,
         stride=layer.stride,
         padding=layer.padding,
-        basis="channel",
         core_mode="diag",
     )

@@ -35,21 +35,6 @@ class SymEigen:
     values: np.ndarray
 
 
-@dataclass
-class KruskalFactors:
-    """Factor matrices of a rank-r Kruskal (CP) tensor, one per mode.
-
-    Every factor has the same column count r; mode k of the tensor has
-    ``factors[k].shape[0]`` entries.
-    """
-
-    factors: list
-
-    @property
-    def rank(self) -> int:
-        return self.factors[0].shape[1]
-
-
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a float64 2-D array."""
     a = np.asarray(m, dtype=np.float64)

@@ -95,7 +95,7 @@ def train(
             idx = perm[start : start + batch_size]
             xb = dataset.x[idx]
             yb = dataset.y[idx]
-            logits = net.forward(xb)
+            logits = net.forward(xb, capture=True)
             loss = cross_entropy(logits, yb)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(

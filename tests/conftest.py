@@ -1,5 +1,6 @@
 """Shared fixtures: a small trained CNN reused by the slow end-to-end tests,
-and the rank-1 loop reference for the multi-weight OBS update."""
+the rank-1 loop reference for the multi-weight OBS update, and the kept
+units of a prune mask group."""
 
 import numpy as np
 import pytest
@@ -76,3 +77,14 @@ def obs_rank1_loop(w, a_inv, s_inv, order):
 @pytest.fixture(scope="session")
 def obs_loop():
     return obs_rank1_loop
+
+
+def kept_units(mask, layer_id, kind):
+    """Sorted unit ids of a mask group that survive: all but the removed."""
+    group = mask.groups.get((layer_id, kind), {"total": 0, "removed": []})
+    return sorted(set(range(group["total"])) - set(group["removed"]))
+
+
+@pytest.fixture(scope="session")
+def kept():
+    return kept_units

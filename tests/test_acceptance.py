@@ -188,7 +188,7 @@ def _rotate_all(net, ds):
     factors = estimate_factors(net, ds, conv_variant="channel")
     for lid in net.parameterized_ids():
         layer = net.layers[lid]
-        net.layers[lid] = to_kfe(layer, eigenbasis(factors[lid]), basis="channel")
+        net.layers[lid] = to_kfe(layer, eigenbasis(factors[lid]))
 
 
 def test_criterion_06_rotation_fidelity_and_energy(capsys):
@@ -451,7 +451,7 @@ def test_criterion_12_iterative_rounds(capsys, cnn_baseline):
                             f"round {rnd + 1} layer {lid}: merged vs staged gap {gap:.3g}"
                         )
                 elif layer.kind == "conv":
-                    rotated = to_kfe(layer, ef, basis="channel")
+                    rotated = to_kfe(layer, ef)
                     gap = float(np.max(np.abs(rotated.forward(xp) - layer.forward(xp))))
                     if gap > 1e-10:
                         problems.append(

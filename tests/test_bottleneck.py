@@ -52,8 +52,12 @@ def planted_conv(rng, c_in=6, c_out=5, k=3, rank=2):
         k=k,
         stride=1,
         padding=1,
-        basis="channel",
     )
+
+
+def reconstruct(factors):
+    """The core a set of separable factors stands for."""
+    return np.einsum("ir,jr,dr->ijd", factors.u, factors.v, factors.c)
 
 
 def test_to_kfe_dense_preserves_function():
@@ -85,21 +89,10 @@ def test_to_kfe_conv_channel_preserves_function():
         stride=1, padding=1,
     )
     ef = random_eigen(rng, 4, 6, variant="conv_channel")
-    rot = to_kfe(layer, ef, basis="channel")
+    rot = to_kfe(layer, ef)
     x = rng.standard_normal((2, 4, 5, 5))
     np.testing.assert_allclose(rot.forward(x), layer.forward(x), atol=1e-12)
     np.testing.assert_allclose(rot.effective_weight(), layer.w, atol=1e-12)
-
-
-def test_to_kfe_conv_patch_preserves_function():
-    rng = np.random.default_rng(3)
-    layer = ConvLayer(
-        rng.standard_normal((3 * 9, 5)), None, c_in=3, k=3, stride=2, padding=1
-    )
-    ef = random_eigen(rng, 27, 5, variant="conv_full")
-    rot = to_kfe(layer, ef, basis="patch")
-    x = rng.standard_normal((2, 3, 6, 6))
-    np.testing.assert_allclose(rot.forward(x), layer.forward(x), atol=1e-12)
 
 
 def test_to_kfe_validation():
@@ -107,9 +100,6 @@ def test_to_kfe_validation():
     layer = DenseLayer(rng.standard_normal((3, 2)))
     with pytest.raises(DimensionError):
         to_kfe(layer, random_eigen(rng, 4, 2))
-    conv = ConvLayer(rng.standard_normal((9, 2)), None, c_in=1, k=3)
-    with pytest.raises(ValidationError):
-        to_kfe(conv, random_eigen(rng, 1, 2), basis="bogus")
     from kfeprune.layers import ReluLayer
 
     with pytest.raises(ValidationError):
@@ -163,7 +153,7 @@ def test_eigenprune_parseval_energy_split():
 def test_eigenprune_conv_channel():
     rng = np.random.default_rng(8)
     layer = ConvLayer(rng.standard_normal((3 * 9, 4)), None, c_in=3, k=3, padding=1)
-    rot = to_kfe(layer, random_eigen(rng, 3, 4), basis="channel")
+    rot = to_kfe(layer, random_eigen(rng, 3, 4))
     pruned = eigenprune(rot, [2], [0, 3])
     assert pruned.core.shape == (2, 2, 9)
     assert pruned.qa.shape == (3, 2)
@@ -211,7 +201,7 @@ def test_merge_bases_preserves_function_dense():
 def test_merge_bases_preserves_function_conv():
     rng = np.random.default_rng(12)
     layer = ConvLayer(rng.standard_normal((3 * 9, 4)), None, c_in=3, k=3, padding=1)
-    rot = to_kfe(layer, random_eigen(rng, 3, 4), basis="channel")
+    rot = to_kfe(layer, random_eigen(rng, 3, 4))
     merged = merge_bases(rot, random_eigen(rng, 3, 4))
     x = rng.standard_normal((2, 3, 4, 4))
     np.testing.assert_allclose(merged.forward(x), layer.forward(x), atol=1e-12)
@@ -260,7 +250,7 @@ def test_depthwise_planted_rank_recovered():
     layer = planted_conv(rng)
     factors = depthwise_decompose(layer, rank=2, seed=0)
     assert factors.trace[-1] <= 1e-10
-    np.testing.assert_allclose(factors.reconstruct(), layer.core, atol=1e-6)
+    np.testing.assert_allclose(reconstruct(factors), layer.core, atol=1e-6)
 
 
 def test_depthwise_trace_monotone_across_seeds():
@@ -268,7 +258,7 @@ def test_depthwise_trace_monotone_across_seeds():
     core = rng.standard_normal((5, 4, 9))
     layer = BottleneckConvLayer(
         qa=np.eye(5), core=core, qs=np.eye(4), bias=None, c_in=5, k=3,
-        stride=1, padding=1, basis="channel",
+        stride=1, padding=1,
     )
     for seed in range(5):
         factors = depthwise_decompose(layer, rank=2, seed=seed)
@@ -276,7 +266,7 @@ def test_depthwise_trace_monotone_across_seeds():
         assert np.all(np.diff(trace) <= 1e-12)
         np.testing.assert_allclose(
             trace[-1],
-            0.5 * np.sum((core - factors.reconstruct()) ** 2),
+            0.5 * np.sum((core - reconstruct(factors)) ** 2),
             rtol=1e-10,
         )
 
@@ -288,7 +278,7 @@ def test_depthwise_single_offset_matches_svd():
     slab = rng.standard_normal((6, 5))
     layer = BottleneckConvLayer(
         qa=np.eye(6), core=slab[:, :, None], qs=np.eye(5), bias=None,
-        c_in=6, k=1, stride=1, padding=0, basis="channel",
+        c_in=6, k=1, stride=1, padding=0,
     )
     factors = depthwise_decompose(layer, rank=2, seed=0)
     sigma = np.linalg.svd(slab, compute_uv=False)
@@ -312,7 +302,7 @@ def test_depthwise_validation():
 def test_depthwise_zero_core_collapses():
     layer = BottleneckConvLayer(
         qa=np.eye(4), core=np.zeros((4, 3, 9)), qs=np.eye(3), bias=None,
-        c_in=4, k=3, stride=1, padding=1, basis="channel",
+        c_in=4, k=3, stride=1, padding=1,
     )
     with pytest.raises(SingularityError):
         depthwise_decompose(layer, rank=1)
@@ -334,7 +324,7 @@ def test_absorb_depthwise_param_shapes():
     slab = rng.standard_normal((6, 5))
     layer = BottleneckConvLayer(
         qa=np.eye(6), core=slab[:, :, None], qs=np.eye(5), bias=None,
-        c_in=6, k=1, stride=1, padding=0, basis="channel",
+        c_in=6, k=1, stride=1, padding=0,
     )
     r = 3
     factors = depthwise_decompose(layer, rank=r, seed=0)
@@ -350,7 +340,7 @@ def test_absorb_depthwise_residual_bound():
     core = rng.standard_normal((5, 4, 9))
     layer = BottleneckConvLayer(
         qa=random_orthonormal(rng, 5), core=core, qs=random_orthonormal(rng, 4),
-        bias=None, c_in=5, k=3, stride=1, padding=1, basis="channel",
+        bias=None, c_in=5, k=3, stride=1, padding=1,
     )
     factors = depthwise_decompose(layer, rank=2, seed=0)
     absorbed = absorb_depthwise(layer, factors)
@@ -387,3 +377,14 @@ def test_diag_core_dense_forward_matches_effective_weight():
     x = rng.standard_normal((6, 5))
     ref = x @ layer.effective_weight() + layer.b
     np.testing.assert_allclose(layer.forward(x), ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("k, stride, padding", [(0, 1, 0), (3, 0, 1)])
+def test_conv_layers_reject_bad_geometry(k, stride, padding):
+    with pytest.raises(ValidationError, match="stride >= 1"):
+        ConvLayer(np.zeros((2 * k * k, 3)), None, c_in=2, k=k, stride=stride, padding=padding)
+    with pytest.raises(ValidationError, match="stride >= 1"):
+        BottleneckConvLayer(
+            qa=np.eye(2), core=np.zeros((2, 3, k * k)), qs=np.eye(3), bias=None,
+            c_in=2, k=k, stride=stride, padding=padding,
+        )

@@ -35,7 +35,7 @@ def param_grad_check(net, x, y):
 
     g_num = oracle.finite_diff_grad(lossfn, theta0)
     lossfn(theta0)
-    grads = net.backward(net.forward(x), y)
+    grads = net.backward(net.forward(x, capture=True), y)
     g_ana = np.concatenate(
         [grads[i][name].ravel() for i, layer in enumerate(net.layers)
          for name, _ in layer.param_items()]
@@ -58,7 +58,7 @@ def bottleneck_conv_net(rng, core_mode):
         core=core,
         qs=rng.standard_normal((3, rc)),
         bias=rng.standard_normal(3),
-        c_in=2, k=k, stride=2, padding=1, basis="channel", core_mode=core_mode,
+        c_in=2, k=k, stride=2, padding=1, core_mode=core_mode,
     )
     return Network([
         ConvLayer(rng.standard_normal((9, 2)), rng.standard_normal(2), c_in=1, k=3, padding=1),
@@ -138,7 +138,7 @@ def test_network_backward_matches_per_layer_input_grads(case):
     """Skipping the first layer's input gradient leaves every parameter
     gradient bit-identical to backpropagating through all layers."""
     net, x, y = CASES[case](0)
-    logits = net.forward(x)
+    logits = net.forward(x, capture=True)
     fast = net.backward(logits, y)
     tapes = [{} for _ in net.layers]
     out = x
@@ -164,7 +164,7 @@ def test_first_layer_skips_input_gradient(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(layers_mod, "col2im", counting_col2im)
-    net.backward(net.forward(x), y)
+    net.backward(net.forward(x, capture=True), y)
     assert calls == [(8, 2, 3, 3)]
     tape = {}
     dy = net.layers[0].forward(x, tape)

@@ -32,6 +32,19 @@ from kfeprune.network import (
 from kfeprune.training import evaluate, lr_at_epoch, sgd_step, train, zero_masks
 
 
+def kernel4d(layer):
+    """(c_out, c_in, k, k) view of a conv layer's canonical weight matrix."""
+    return layer.w.T.reshape(layer.c_out, layer.c_in, layer.k, layer.k)
+
+
+def out_shapes(net, in_shape):
+    """Per-sample output shape of every layer."""
+    shapes = [tuple(in_shape)]
+    for layer in net.layers:
+        shapes.append(tuple(layer.out_shape(shapes[-1])))
+    return shapes[1:]
+
+
 def naive_conv(x, kernel4d, bias, stride, padding):
     """Direct nested-loop convolution used as an oracle."""
     b, c_in, h, w = x.shape
@@ -93,7 +106,7 @@ def test_conv_forward_matches_naive():
         x = rng.standard_normal((2, c_in, 5, 6))
         np.testing.assert_allclose(
             layer.forward(x),
-            naive_conv(x, layer.kernel4d, b, stride, padding),
+            naive_conv(x, kernel4d(layer), b, stride, padding),
             atol=1e-12,
         )
 
@@ -205,7 +218,7 @@ def test_conv_weight_row_layout():
     # row index c*k*k encodes (channel, row, col); check against kernel4d
     rng = np.random.default_rng(4)
     layer = ConvLayer(rng.standard_normal((2 * 4, 3)), None, c_in=2, k=2)
-    k4 = layer.kernel4d
+    k4 = kernel4d(layer)
     for o in range(3):
         for c in range(2):
             for i in range(2):
@@ -250,7 +263,7 @@ def test_saturated_logits_give_zero_gradients():
     layer = DenseLayer(1000.0 * np.eye(2))
     net = Network([layer])
     x = np.eye(2)
-    logits = net.forward(x)
+    logits = net.forward(x, capture=True)
     grads = net.backward(logits, np.array([0, 1]))
     assert np.max(np.abs(grads[0]["w"])) <= 1e-8
     assert np.max(np.abs(grads[0]["b"])) <= 1e-8
@@ -261,15 +274,42 @@ def test_backward_state_errors():
     with pytest.raises(StateError):
         net.backward(np.zeros((1, 2)), np.zeros(1, dtype=np.int64))
     x = np.zeros((1, 2))
-    net.forward(x)
-    with pytest.raises(StateError):
+    net.forward(x, capture=True)
+    with pytest.raises(StateError, match="different forward pass"):
         net.backward(np.zeros((1, 2)), np.zeros(1, dtype=np.int64))
     with pytest.raises(StateError):
         Network([DenseLayer(np.eye(2))]).captures()
     net2 = Network([DenseLayer(np.eye(2))])
-    net2.forward(np.zeros((1, 2)))
-    with pytest.raises(StateError):
+    net2.forward(np.zeros((1, 2)), capture=True)
+    with pytest.raises(StateError, match="before backward"):
         net2.captures()
+
+
+def test_backward_needs_a_captured_forward():
+    net = build_mlp(2, [3], 2, seed=0)
+    x, y = np.zeros((1, 2)), np.zeros(1, dtype=np.int64)
+    captured = net.forward(x, capture=True)
+    plain = net.forward(x)
+    assert net._tapes is None and net._logits is None
+    with pytest.raises(StateError, match="capture=True"):
+        net.backward(plain, y)
+    # the plain forward also dropped the tapes of the captured one
+    with pytest.raises(StateError, match="capture=True"):
+        net.backward(captured, y)
+    with pytest.raises(StateError):
+        net.captures()
+    np.testing.assert_array_equal(plain, captured)
+
+
+def test_evaluate_keeps_no_tapes():
+    net = build_cnn((1, 6, 6), [3], 2, seed=0)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((5, 1, 6, 6))
+    y = rng.integers(0, 2, size=5)
+    net.backward(net.forward(x, capture=True), y)
+    assert net._tapes is not None
+    evaluate(net, x, y, batch_size=2)
+    assert net._tapes is None and net._logits is None
 
 
 def test_network_needs_layers():
@@ -284,7 +324,7 @@ def test_build_mlp_structure():
     assert net.parameterized_ids() == [0, 2, 4]
     assert net.layers[0].w.shape == (4, 8)
     assert net.layers[4].w.shape == (6, 3)
-    assert net.out_shapes((4,))[-1] == (3,)
+    assert out_shapes(net, (4,))[-1] == (3,)
 
 
 def test_build_cnn_structure():
@@ -292,7 +332,7 @@ def test_build_cnn_structure():
     kinds = [l.kind for l in net.layers]
     assert kinds == ["conv", "relu", "conv", "relu", "flatten", "dense"]
     # stride-2 same-ish padding halves each map: 8 -> 4 -> 2
-    assert net.out_shapes((3, 8, 8))[-1] == (5,)
+    assert out_shapes(net, (3, 8, 8))[-1] == (5,)
     assert net.layers[5].w.shape == (6 * 2 * 2, 5)
 
 

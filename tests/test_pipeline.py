@@ -21,7 +21,14 @@ from kfeprune.config import (
 from kfeprune.data import Dataset, load_idx, read_idx, synth_dataset
 from kfeprune.errors import FormatError, ValidationError
 from kfeprune.kfac import KronFactors
-from kfeprune.layers import BottleneckConvLayer, ConvLayer, DenseLayer
+from kfeprune.layers import (
+    BottleneckConvLayer,
+    BottleneckDenseLayer,
+    ConvLayer,
+    DenseLayer,
+    FlattenLayer,
+    ReluLayer,
+)
 from kfeprune.network import Network, build_cnn, build_mlp
 from kfeprune.pipeline import (
     CHECKPOINT_NAME,
@@ -327,7 +334,6 @@ def test_checkpoint_roundtrip_bottlenecks(tmp_path):
         ConvLayer(rng.standard_normal((3 * 9, 4)), None, c_in=3, k=3, stride=1,
                   padding=1),
         EigenFactors(ortho(3), np.ones(3), ortho(4), np.ones(4), "conv_channel"),
-        basis="channel",
     )
     diag = absorb_depthwise(conv, depthwise_decompose(conv, rank=2, seed=0))
     for layer in (dense, conv, diag):
@@ -395,6 +401,97 @@ def test_factors_roundtrip(tmp_path):
     np.testing.assert_array_equal(eigen[2].lam_s, ef.lam_s)
 
 
+def bottleneck_net(rng):
+    """conv -> conv bottleneck (full core) -> flatten -> dense bottleneck
+    (diagonal core) -> dense: every record kind a pruned checkpoint holds."""
+    return Network([
+        ConvLayer(rng.standard_normal((9, 2)), rng.standard_normal(2), c_in=1, k=3, padding=1),
+        ReluLayer(),
+        BottleneckConvLayer(
+            rng.standard_normal((2, 2)), rng.standard_normal((2, 3, 9)),
+            rng.standard_normal((3, 3)), rng.standard_normal(3),
+            c_in=2, k=3, stride=2, padding=1,
+        ),
+        FlattenLayer(),
+        BottleneckDenseLayer(
+            rng.standard_normal((12, 2)), rng.standard_normal(2),
+            rng.standard_normal((4, 2)), core_mode="diag",
+        ),
+        DenseLayer(rng.standard_normal((4, 3))),
+    ])
+
+
+def set_meta(blob, key, old, new):
+    """Rewrite the first meta entry `key = old` of a serialized file to `new`."""
+    field = struct.pack("<B", len(key)) + key.encode("ascii")
+    assert field + struct.pack("<I", old) in blob
+    return blob.replace(field + struct.pack("<I", old), field + struct.pack("<I", new), 1)
+
+
+def test_checkpoint_rejects_retired_patch_basis(tmp_path, capsys):
+    blob = checkpoint.network_bytes(bottleneck_net(np.random.default_rng(4)))
+    # the writer still emits basis code 0, the channel basis
+    patch = set_meta(blob, "basis", 0, 1)
+    with pytest.raises(FormatError, match="patch basis"):
+        checkpoint.network_from_bytes(patch)
+    path = tmp_path / "patch.kfep"
+    path.write_bytes(patch)
+    config = write_config(tmp_path / "ev.cfg", checkpoint=str(path))
+    assert cli.main(["eval", "--config", config, "--out", str(tmp_path / "e")]) == 2
+    assert "patch basis" in capsys.readouterr().err
+
+
+def test_checkpoint_bad_codes_and_records_are_format_errors(tmp_path):
+    blob = checkpoint.network_bytes(bottleneck_net(np.random.default_rng(5)))
+    with pytest.raises(FormatError, match="unknown core_mode code 7"):
+        checkpoint.network_from_bytes(set_meta(blob, "core_mode", 0, 7))
+    # a kernel size that disagrees with the weight rows
+    with pytest.raises(FormatError, match="malformed layer record"):
+        checkpoint.network_from_bytes(set_meta(blob, "k", 3, 4))
+    # stride 0 would load, then divide by zero in the first forward
+    with pytest.raises(FormatError, match="stride >= 1"):
+        checkpoint.network_from_bytes(set_meta(blob, "stride", 1, 0))
+    # a kept-index list shorter than the core would load, then break eigenprune
+    full = checkpoint.network_bytes(Network([BottleneckDenseLayer(np.eye(3), np.eye(3), np.eye(3))]))
+    kept_3 = b"\x09kept_rows" + struct.pack("<BBI3I", 1, 1, 3, 0, 1, 2)
+    kept_1 = b"\x09kept_rows" + struct.pack("<BBII", 1, 1, 1, 0)
+    assert kept_3 in full
+    with pytest.raises(FormatError, match="one index per core direction"):
+        checkpoint.network_from_bytes(full.replace(kept_3, kept_1))
+    with pytest.raises(FormatError, match="not ASCII"):
+        checkpoint.network_from_bytes(blob.replace(b"kept_rows", b"kept_r\xffws", 1))
+    with pytest.raises(FormatError, match="dtype code"):
+        at = blob.index(b"kept_rows") + len(b"kept_rows")
+        checkpoint.network_from_bytes(blob[:at] + b"\x00" + blob[at + 1 :])
+    f = KronFactors(a=np.eye(2), s=np.eye(2), count=1, a_locs=1, s_locs=1, variant="dense")
+    path = tmp_path / "factors.kfep"
+    checkpoint.save_factors(str(path), {0: f})
+    path.write_bytes(set_meta(path.read_bytes(), "variant", 0, 9))
+    with pytest.raises(FormatError, match="unknown variant code 9"):
+        checkpoint.load_factors(str(path))
+
+
+def test_checkpoint_fuzz_raises_only_format_error():
+    """Seeded byte flips and truncations either load or raise FormatError,
+    the exit-2 error; any other exception fails the test."""
+    rng = np.random.default_rng(0)
+    blob = checkpoint.network_bytes(bottleneck_net(rng))
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(3000):
+        raw = bytearray(blob)
+        if rng.random() < 0.2:
+            del raw[rng.integers(0, len(raw)) :]
+        else:
+            for _ in range(rng.integers(1, 4)):
+                raw[rng.integers(0, len(raw))] = rng.integers(0, 256)
+        try:
+            checkpoint.network_from_bytes(bytes(raw))
+            outcomes["loaded"] += 1
+        except FormatError:
+            outcomes["rejected"] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
 def test_count_params_examples():
     dense = Network([DenseLayer(np.zeros((10, 5)), np.zeros(5))])
     assert accounting.count_params(dense) == 55
@@ -428,18 +525,9 @@ def test_bottleneck_param_count_matches_stored_tensors():
         k=3,
         stride=1,
         padding=1,
-        basis="channel",
     )
     expected = 6 * 4 + 4 * 3 * 9 + 5 * 3 + 5
     assert layer.param_count() == expected
-
-
-def test_layer_summary_totals():
-    net = build_cnn((2, 6, 6), [4], 3, seed=0)
-    rows = accounting.layer_summary(net, (2, 6, 6))
-    assert [r["kind"] for r in rows] == ["conv", "relu", "flatten", "dense"]
-    assert sum(r["params"] for r in rows) == accounting.count_params(net)
-    assert sum(r["flops"] for r in rows) == accounting.count_flops(net, (2, 6, 6))
 
 
 def test_eligible_layers_and_variants():
@@ -540,7 +628,7 @@ def test_cmd_prune_strategies_smoke(mlp_run, tmp_path, strategy):
     assert any(frac < 1.0 for frac in record["per_layer_remaining"])
 
 
-def test_prune_once_kron_obs_zeroes_filter_columns(mlp_run):
+def test_prune_once_kron_obs_zeroes_filter_columns(mlp_run, kept):
     cfg, _ = mlp_run
     net = checkpoint.load_network(os.path.join(cfg.out, CHECKPOINT_NAME))
     ds = build_dataset(cfg, "train")
@@ -550,8 +638,7 @@ def test_prune_once_kron_obs_zeroes_filter_columns(mlp_run):
     assert removed
     np.testing.assert_array_equal(net.layers[0].w[:, removed], 0.0)
     np.testing.assert_array_equal(net.layers[0].b[removed], 0.0)
-    kept = mask.kept(0, "filter")
-    assert np.any(net.layers[0].w[:, kept] != 0.0)
+    assert np.any(net.layers[0].w[:, kept(mask, 0, "filter")] != 0.0)
 
 
 def importance_bytes(out_dir, tables):
@@ -768,6 +855,55 @@ def test_cmd_decompose_on_pruned_cnn(cnn_baseline, tmp_path):
     for i in loaded.parameterized_ids():
         if loaded.layers[i].kind == "bottleneck_conv":
             assert loaded.layers[i].core_mode == "diag"
+
+
+RECORD_KEYS = {
+    "schema_version", "command", "strategy", "seed", "train_loss", "train_accuracy",
+    "test_loss", "test_accuracy", "params", "flops", "per_layer_remaining", "wall_time_s",
+}
+REDUCTION_KEYS = {
+    "params_before", "flops_before", "weight_reduction_percent", "flop_reduction_percent",
+}
+COMMAND_KEYS = {
+    "train": RECORD_KEYS | {"train_loss_pre", "train_loss_post"},
+    "prune": RECORD_KEYS | REDUCTION_KEYS
+    | {"train_loss_pre", "train_loss_post", "tau", "ratio", "cap", "predicted_cost"},
+    "finetune": RECORD_KEYS | {"train_loss_pre", "train_loss_post"},
+    "eval": RECORD_KEYS,
+    "decompose": RECORD_KEYS | REDUCTION_KEYS | {"layers"},
+    "iterate": RECORD_KEYS | REDUCTION_KEYS | {"cap", "ratio", "rounds"},
+}
+ROUND_KEYS = {
+    "round", "train_loss", "train_accuracy", "test_loss", "test_accuracy",
+    "train_loss_pre", "train_loss_post_prune", "train_loss_post", "tau", "params",
+    "flops", "weight_reduction_percent", "flop_reduction_percent",
+    "per_layer_remaining", "predicted_cost", "wall_time_s",
+}
+
+
+def test_every_command_metrics_key_set(tmp_path):
+    cfg = RunConfig(
+        seed=0, out=str(tmp_path / "line"), arch="cnn:4,8", image="1x8x8",
+        dataset="blobs", classes=4, n_train=64, n_test=32, epochs=2,
+        finetune_epochs=1, strategy="eigendamage", ratio=0.5,
+    )
+    commands = {
+        "train": cmd_train, "prune": cmd_prune, "finetune": cmd_finetune,
+        "eval": cmd_eval, "decompose": cmd_decompose, "iterate": cmd_iterate,
+    }
+
+    def check(command, run_cfg):
+        record = commands[command](run_cfg)
+        assert set(record) == COMMAND_KEYS[command], command
+        assert set(read_metrics(run_cfg.out)) == COMMAND_KEYS[command], command
+        return record
+
+    check("train", cfg)
+    record = check("iterate", derived(cfg, tmp_path / "iter", iterations=1))
+    assert len(record["rounds"]) == 1
+    assert set(record["rounds"][0]) == ROUND_KEYS
+    for command in ("prune", "finetune", "eval", "decompose"):
+        check(command, cfg)
 
 
 def test_cmd_decompose_needs_channel_cores(mlp_run, tmp_path):

@@ -164,7 +164,3 @@ def test_lstsq_shapes_and_singularity():
     with pytest.raises(SingularityError):
         tm.lstsq(np.zeros((4, 3)), np.ones(4))
 
-
-def test_kruskal_factors_rank():
-    f = tm.KruskalFactors(factors=[np.zeros((4, 2)), np.zeros((5, 2))])
-    assert f.rank == 2
