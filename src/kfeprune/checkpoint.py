@@ -3,9 +3,10 @@
 Layout (integers little-endian unless noted):
 
     magic   4 bytes  "KFEP"
-    version u32      currently 1
+    version u32      currently 2; version 1 files end after the records
     kind    u8       1 = network, 2 = curvature factors
     records u32
+    crc32   u32      after the records: zlib.crc32 of every byte before it
 
 Each record is a layer-type tag byte, a meta block (u8 count of
 key/value pairs, keys length-prefixed ASCII, values u32), and a tensor
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .layers import (
 from .network import Network
 
 MAGIC = b"KFEP"
-VERSION = 1
+VERSION = 2
 
 KIND_NETWORK = 1
 KIND_FACTORS = 2
@@ -137,6 +139,11 @@ def _layer_record(layer) -> tuple:
     raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
 
 
+def _sealed(out: list) -> bytes:
+    body = b"".join(out)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def network_bytes(net: Network) -> bytes:
     out = [MAGIC, struct.pack("<IBI", VERSION, KIND_NETWORK, len(net.layers))]
     for layer in net.layers:
@@ -144,7 +151,7 @@ def network_bytes(net: Network) -> bytes:
         out.append(struct.pack("<B", tag))
         _write_meta(out, meta)
         _write_tensors(out, tensors)
-    return b"".join(out)
+    return _sealed(out)
 
 
 def save_network(path, net: Network):
@@ -174,7 +181,7 @@ def save_factors(path, factors: dict, eigen: dict | None = None):
             tensors.update({"QA": ef.qa, "LA": ef.lam_a, "QS": ef.qs, "LS": ef.lam_s})
         _write_tensors(out, tensors)
     with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+        fh.write(_sealed(out))
 
 
 class _Reader:
@@ -297,7 +304,11 @@ def _parse_header(raw: bytes) -> tuple:
     if r.take(4) != MAGIC:
         raise FormatError("bad checkpoint magic")
     version, kind, count = r.unpack("<IBI")
-    if version != VERSION:
+    if version == VERSION:
+        r.raw = raw[:-4]
+        if len(r.raw) < r.pos or struct.unpack("<I", raw[-4:]) != (zlib.crc32(r.raw),):
+            raise FormatError("checkpoint checksum mismatch")
+    elif version != 1:
         raise FormatError(f"unsupported checkpoint version {version}")
     return r, kind, count
 

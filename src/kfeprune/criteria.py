@@ -11,7 +11,8 @@ factor eigenvalue products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,34 +26,40 @@ OBS_BLOCK = 64
 UNIT_KINDS = ("weight", "filter", "kfe_row", "kfe_col")
 
 
-@dataclass
-class ImportanceEntry:
+class ImportanceEntry(NamedTuple):
     layer_id: int
     unit_kind: str
     unit_id: int
     delta_l: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ImportanceTable:
-    """Scores for one strategy; entries may span several layers."""
+    """Scores of one (layer_id, unit_kind) group under one strategy: unit
+    i scores delta_l[i]."""
 
     strategy: str
-    entries: list = field(default_factory=list)
+    layer_id: int
+    unit_kind: str
+    delta_l: np.ndarray
 
     def __post_init__(self):
-        for e in self.entries:
-            if e.unit_kind not in UNIT_KINDS:
-                raise ValidationError(f"unknown unit kind {e.unit_kind!r}")
-            if not np.isfinite(e.delta_l):
-                raise ValidationError("importance scores must be finite")
-            if e.delta_l < SCORE_FLOOR:
-                raise ValidationError(
-                    f"negative importance {e.delta_l} below tolerance floor"
-                )
+        if self.unit_kind not in UNIT_KINDS:
+            raise ValidationError(f"unknown unit kind {self.unit_kind!r}")
+        self.delta_l = np.asarray(self.delta_l, dtype=np.float64)
+        if not np.isfinite(self.delta_l).all():
+            raise ValidationError("importance scores must be finite")
+        low = self.delta_l[self.delta_l < SCORE_FLOOR]
+        if low.size:
+            raise ValidationError(f"negative importance {low[0]} below tolerance floor")
 
-    def scores(self) -> np.ndarray:
-        return np.array([e.delta_l for e in self.entries])
+    @property
+    def entries(self) -> list:
+        """One ImportanceEntry per unit, in unit id order, built on demand."""
+        return [
+            ImportanceEntry(self.layer_id, self.unit_kind, i, s)
+            for i, s in enumerate(self.delta_l.tolist())
+        ]
 
 
 @dataclass
@@ -64,17 +71,9 @@ class PruneMask:
 
     groups: dict
     tau: float
-    ratio: float
 
     def removed(self, layer_id: int, kind: str) -> list:
         return self.groups.get((layer_id, kind), {}).get("removed", [])
-
-
-def _table(strategy, layer_id, kind, scores) -> ImportanceTable:
-    entries = [
-        ImportanceEntry(layer_id, kind, i, float(s)) for i, s in enumerate(scores)
-    ]
-    return ImportanceTable(strategy=strategy, entries=entries)
 
 
 def kfac_diag(a_diag: np.ndarray, s_diag: np.ndarray) -> np.ndarray:
@@ -88,7 +87,7 @@ def obd_scores(layer_id: int, theta: np.ndarray, h_diag: np.ndarray) -> Importan
     h_diag = np.asarray(h_diag, dtype=np.float64).reshape(-1)
     if theta.shape != h_diag.shape:
         raise DimensionError("theta and curvature diagonal disagree")
-    return _table("obd", layer_id, "weight", 0.5 * theta ** 2 * h_diag)
+    return ImportanceTable("obd", layer_id, "weight", 0.5 * theta ** 2 * h_diag)
 
 
 def obs_scores(layer_id: int, theta: np.ndarray, h_inv_diag: np.ndarray) -> ImportanceTable:
@@ -97,7 +96,7 @@ def obs_scores(layer_id: int, theta: np.ndarray, h_inv_diag: np.ndarray) -> Impo
     h_inv_diag = np.asarray(h_inv_diag, dtype=np.float64).reshape(-1)
     if theta.shape != h_inv_diag.shape:
         raise DimensionError("theta and inverse diagonal disagree")
-    return _table("obs", layer_id, "weight", 0.5 * theta ** 2 / h_inv_diag)
+    return ImportanceTable("obs", layer_id, "weight", 0.5 * theta ** 2 / h_inv_diag)
 
 
 def obs_sequential_update(
@@ -136,7 +135,7 @@ def c_obd_scores(
     """Filter scores as within-filter sums of weight-level OBD saliencies."""
     w = np.asarray(w, dtype=np.float64)
     scores = 0.5 * s_diag * np.einsum("nm,n->m", w ** 2, a_diag)
-    return _table("c_obd", layer_id, "filter", scores)
+    return ImportanceTable("c_obd", layer_id, "filter", scores)
 
 
 def c_obs_scores(
@@ -149,7 +148,7 @@ def c_obs_scores(
     """
     w = np.asarray(w, dtype=np.float64)
     scores = 0.5 / s_inv_diag * np.einsum("nm,n->m", w ** 2, 1.0 / a_inv_diag)
-    return _table("c_obs", layer_id, "filter", scores)
+    return ImportanceTable("c_obs", layer_id, "filter", scores)
 
 
 def kron_obd_scores(
@@ -158,7 +157,7 @@ def kron_obd_scores(
     """Whole-filter saliency without compensation: 0.5 * S_ii * w_i.T A w_i."""
     w = np.asarray(w, dtype=np.float64)
     quad = np.einsum("nm,nk,km->m", w, a, w)
-    return _table("kron_obd", layer_id, "filter", 0.5 * np.diag(s) * quad)
+    return ImportanceTable("kron_obd", layer_id, "filter", 0.5 * np.diag(s) * quad)
 
 
 def kron_obs_scores_and_update(
@@ -178,7 +177,7 @@ def kron_obs_scores_and_update(
     a = np.asarray(a, dtype=np.float64)
     s_inv = np.asarray(s_inv, dtype=np.float64)
     quad = np.einsum("nm,nk,km->m", w, a, w)
-    table = _table("kron_obs", layer_id, "filter", 0.5 * quad / np.diag(s_inv))
+    table = ImportanceTable("kron_obs", layer_id, "filter", 0.5 * quad / np.diag(s_inv))
 
     def update(removed_ids) -> np.ndarray:
         # step sizes of the sequential removals: forward substitution with
@@ -217,8 +216,8 @@ def eigendamage_scores(
     else:
         raise DimensionError("rotated weight must be 2-D or 3-D")
     return (
-        _table("eigendamage", layer_id, "kfe_row", row),
-        _table("eigendamage", layer_id, "kfe_col", col),
+        ImportanceTable("eigendamage", layer_id, "kfe_row", row),
+        ImportanceTable("eigendamage", layer_id, "kfe_col", col),
     )
 
 
@@ -235,29 +234,20 @@ def select_mask(tables, ratio: float, cap: float) -> PruneMask:
         raise ValidationError(f"ratio must lie in [0, 1], got {ratio}")
     if not 0.0 < cap <= 1.0:
         raise ValidationError(f"cap must lie in (0, 1], got {cap}")
-    entries = []
-    for t in tables:
-        entries.extend(t.entries)
-    if not entries:
+    by_group = {(t.layer_id, t.unit_kind): t.delta_l for t in tables}
+    if len(by_group) < len(tables):
+        raise ValidationError("two importance tables for one layer and unit kind")
+    pooled = np.concatenate(list(by_group.values()) or [np.empty(0)])
+    if not pooled.size:
         raise ValidationError("no importance entries to select from")
-    pooled = np.sort(np.array([e.delta_l for e in entries]))
     rank = int(np.ceil(ratio * pooled.size))
-    if rank < 1:
-        tau = -np.inf
-    else:
-        tau = float(pooled[rank - 1])
-    by_group: dict = {}
-    for e in entries:
-        by_group.setdefault((e.layer_id, e.unit_kind), []).append(e)
+    tau = float(np.partition(pooled, rank - 1)[rank - 1]) if rank >= 1 else -np.inf
     groups = {}
     for key in sorted(by_group):
-        members = by_group[key]
-        total = len(members)
-        budget = int(np.floor(cap * total))
-        candidates = sorted(
-            (e for e in members if e.delta_l <= tau),
-            key=lambda e: (e.delta_l, e.unit_id),
-        )
-        removed = sorted(e.unit_id for e in candidates[:budget])
-        groups[key] = {"removed": removed, "total": total}
-    return PruneMask(groups=groups, tau=tau, ratio=ratio)
+        scores = by_group[key]
+        budget = int(np.floor(cap * scores.size))
+        candidates = np.flatnonzero(scores <= tau)
+        # a stable sort keeps ascending ids among equal scores
+        removed = candidates[np.argsort(scores[candidates], kind="stable")[:budget]]
+        groups[key] = {"removed": np.sort(removed).tolist(), "total": scores.size}
+    return PruneMask(groups=groups, tau=tau)

@@ -19,7 +19,7 @@ from .accounting import count_flops, count_params, reduction_percent
 from .checkpoint import load_network, network_bytes, network_from_bytes, save_network
 from .config import RunConfig, parse_arch, parse_image, resolve_cap
 from .data import Dataset, load_idx, synth_dataset
-from .errors import FormatError, ValidationError
+from .errors import FormatError, KfepruneError, ValidationError
 from .layers import ConvLayer, DenseLayer, FlattenLayer
 from .network import Network, build_cnn, build_mlp
 from .training import evaluate, train
@@ -103,7 +103,7 @@ def _score_weight_layers(net, factors, strategy, damping, ids):
             h_inv_diag = criteria.kfac_diag(np.diag(a_inv), np.diag(s_inv))
             table = criteria.obs_scores(i, theta, h_inv_diag)
             tables.append(table)
-            context[i] = (a_inv, s_inv, table.scores())
+            context[i] = (a_inv, s_inv, table.delta_l)
     return tables, context
 
 
@@ -185,11 +185,7 @@ def _score_eigendamage(net, eigen, ids):
     tables = []
     for i in ids:
         ef = eigen[i]
-        rows, cols = criteria.eigendamage_scores(
-            i, net.layers[i].core, ef.lam_a, ef.lam_s
-        )
-        tables.append(rows)
-        tables.append(cols)
+        tables.extend(criteria.eigendamage_scores(i, net.layers[i].core, ef.lam_a, ef.lam_s))
     return tables
 
 
@@ -317,15 +313,14 @@ def write_curve(out_dir: str, curve: list):
 
 
 def write_importance(out_dir: str, tables):
+    """One row per unit, by layer id, unit kind as a string, then unit id."""
     path = os.path.join(out_dir, "importance.csv")
-    entries = []
-    for t in tables:
-        entries.extend((e, t.strategy) for e in t.entries)
-    entries.sort(key=lambda pair: (pair[0].layer_id, pair[0].unit_kind, pair[0].unit_id))
+    rows = ["layer_id,unit_kind,unit_id,delta_L,strategy\n"]
+    for t in sorted(tables, key=lambda t: (t.layer_id, t.unit_kind)):
+        head, tail = f"{t.layer_id},{t.unit_kind},", f",{t.strategy}\n"
+        rows += [f"{head}{i},{s:.17g}{tail}" for i, s in enumerate(t.delta_l.tolist())]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("layer_id,unit_kind,unit_id,delta_L,strategy\n")
-        for e, strategy in entries:
-            fh.write(f"{e.layer_id},{e.unit_kind},{e.unit_id},{e.delta_l:.17g},{strategy}\n")
+        fh.write("".join(rows))
     return path
 
 
@@ -473,13 +468,14 @@ def cmd_iterate(cfg: RunConfig) -> dict:
         try:
             pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
             tables, mask, info = prune_once(net, ds_train, cfg, cap)
-            last_tables = tables
-        except ValidationError as err:
+            post_prune_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
+            net, _ = _finetune(net, ds_train, cfg)
+        except KfepruneError as err:
+            # back to the start of the failed round; completed rounds stand
             net = saved
-            aborted = {"round": round_id, "reason": str(err)}
+            aborted = {"round": round_id, "error": type(err).__name__, "reason": str(err)}
             break
-        post_prune_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
-        net, _ = _finetune(net, ds_train, cfg)
+        last_tables = tables
         rec = _eval_metrics(net, ds_train, ds_test, cfg.batch_size)
         rec["round"] = round_id
         rec["train_loss_pre"] = pre_loss

@@ -55,7 +55,7 @@ def test_criterion_01_worked_example(capsys):
     t0 = time.perf_counter()
     problems = []
 
-    obd = criteria.obd_scores(0, THETA, np.diag(HESS)).scores()
+    obd = criteria.obd_scores(0, THETA, np.diag(HESS)).delta_l
     err = float(np.max(np.abs(obd - [0.5, 0.5, 0.25])))
     if err > 1e-12:
         problems.append(f"diagonal scores off by {err:.3g}")
@@ -97,7 +97,7 @@ def test_criterion_01_worked_example(capsys):
     d, cost = oracle.exact_multi_prune(THETA, HESS, [1, 2])
     if abs(cost - 0.76) > 5e-3 or float(np.max(np.abs(d - [0.0, -1.0, -1.0]))) > 1e-12:
         problems.append(f"true cost of zeroing weights {{1,2}} is {cost:.6f}, pinned 0.76")
-    obs = criteria.obs_scores(0, THETA, np.diag(np.linalg.inv(HESS))).scores()
+    obs = criteria.obs_scores(0, THETA, np.diag(np.linalg.inv(HESS))).delta_l
     if set(np.argsort(obs)[:2]) != {0, 1}:
         problems.append("compensated criterion does not rank weights {0,1} cheapest")
     d, cost = oracle.exact_multi_prune(THETA, HESS, [0, 1])
@@ -245,7 +245,7 @@ def test_criterion_07_structured_criterion_identities(capsys):
         j = int(rng.integers(0, m))
         col = np.arange(j * n, (j + 1) * n)
 
-        scores = criteria.kron_obd_scores(0, w, a, s).scores()
+        scores = criteria.kron_obd_scores(0, w, a, s).delta_l
         _, plain_cost = oracle.exact_multi_prune(vec_w, f, col)
         if abs(scores[j] - plain_cost) > 1e-10:
             problems.append(
@@ -261,9 +261,9 @@ def test_criterion_07_structured_criterion_identities(capsys):
             problems.append(f"trial {trial}: removed filter column is not exactly zero")
         delta = (w_new - w).flatten(order="F")
         true_cost = 0.5 * delta @ f @ delta
-        if abs(table.scores()[j] - true_cost) > 1e-10:
+        if abs(table.delta_l[j] - true_cost) > 1e-10:
             problems.append(
-                f"trial {trial}: compensated score {table.scores()[j]:.6g} "
+                f"trial {trial}: compensated score {table.delta_l[j]:.6g} "
                 f"vs realized cost {true_cost:.6g}"
             )
     _verdict(capsys, 7, "structured criterion identities", 10.0, t0, problems)
@@ -280,7 +280,7 @@ def test_criterion_08_closed_forms_match_solver(capsys):
         h_inv = np.linalg.inv(h)
         q = int(rng.integers(0, n))
         d_cf = -theta[q] * h_inv[:, q] / h_inv[q, q]
-        cost_cf = float(criteria.obs_scores(0, theta, np.diag(h_inv)).scores()[q])
+        cost_cf = float(criteria.obs_scores(0, theta, np.diag(h_inv)).delta_l[q])
         d_kkt, cost_kkt = oracle.exact_single_prune(theta, h, q)
         if float(np.max(np.abs(d_cf - d_kkt))) > 1e-10 or abs(cost_cf - cost_kkt) > 1e-10:
             problems.append(f"trial {trial}: single-weight closed form drifts from solver")
@@ -300,7 +300,7 @@ def test_criterion_08_closed_forms_match_solver(capsys):
         d_or, cost_or = oracle.exact_multi_prune(
             w.flatten(order="F"), np.kron(s, a), col, compensate=True
         )
-        if abs(table.scores()[j] - cost_or) > 1e-10:
+        if abs(table.delta_l[j] - cost_or) > 1e-10:
             problems.append(f"trial {trial}: filter score drifts from solver cost")
         d_pkg = (update([j]) - w).flatten(order="F")
         if float(np.max(np.abs(d_pkg - d_or))) > 1e-10:

@@ -1,5 +1,7 @@
 """Tests for saliency scoring and mask selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,22 +21,22 @@ def random_spd(rng, dim, floor=0.1):
 
 def test_obd_worked_example():
     table = criteria.obd_scores(0, THETA, np.diag(HESS))
-    np.testing.assert_allclose(table.scores(), [0.5, 0.5, 0.25], atol=1e-12)
-    assert int(np.argmin(table.scores())) == 2
+    np.testing.assert_allclose(table.delta_l, [0.5, 0.5, 0.25], atol=1e-12)
+    assert int(np.argmin(table.delta_l)) == 2
     assert all(e.unit_kind == "weight" for e in table.entries)
 
 
 def test_obd_zero_weight_scores_zero():
     table = criteria.obd_scores(0, np.array([0.0, 2.0]), np.array([5.0, 1.0]))
-    np.testing.assert_allclose(table.scores(), [0.0, 2.0])
+    np.testing.assert_allclose(table.delta_l, [0.0, 2.0])
 
 
 def test_obs_equals_obd_for_diagonal_curvature():
     diag = np.array([2.0, 3.0, 4.0])
     theta = np.array([1.0, -2.0, 0.5])
     np.testing.assert_allclose(
-        criteria.obs_scores(0, theta, 1.0 / diag).scores(),
-        criteria.obd_scores(0, theta, diag).scores(),
+        criteria.obs_scores(0, theta, 1.0 / diag).delta_l,
+        criteria.obd_scores(0, theta, diag).delta_l,
         atol=1e-12,
     )
 
@@ -44,7 +46,7 @@ def test_obs_scores_match_exact_prune_cost():
     h = random_spd(rng, 5)
     theta = rng.standard_normal(5)
     h_inv = np.linalg.inv(h)
-    scores = criteria.obs_scores(0, theta, np.diag(h_inv)).scores()
+    scores = criteria.obs_scores(0, theta, np.diag(h_inv)).delta_l
     for q in range(5):
         _, dl = oracle.exact_single_prune(theta, h, q)
         np.testing.assert_allclose(scores[q], dl, atol=1e-10)
@@ -57,7 +59,7 @@ def test_obs_update_zeroes_target_and_prices_correctly():
     h_inv = np.linalg.inv(h)
     table, dtheta = oracle.obs_scores_and_update(0, theta, h_inv, 2)
     assert abs(theta[2] + dtheta[2]) <= 1e-12
-    np.testing.assert_allclose(0.5 * (dtheta @ h @ dtheta), table.scores()[2], atol=1e-10)
+    np.testing.assert_allclose(0.5 * (dtheta @ h @ dtheta), table.delta_l[2], atol=1e-10)
     ref, _ = oracle.exact_single_prune(theta, h, 2)
     np.testing.assert_allclose(dtheta, ref, atol=1e-10)
 
@@ -80,8 +82,8 @@ def test_structured_obd_single_filter_matches_weight_level():
     a_diag = rng.uniform(0.5, 2.0, 4)
     s_diag = np.array([1.7])
     w = rng.standard_normal((4, 1))
-    col = criteria.c_obd_scores(0, w, a_diag, s_diag).scores()
-    flat = criteria.obd_scores(0, w[:, 0], criteria.kfac_diag(a_diag, s_diag)).scores()
+    col = criteria.c_obd_scores(0, w, a_diag, s_diag).delta_l
+    flat = criteria.obd_scores(0, w[:, 0], criteria.kfac_diag(a_diag, s_diag)).delta_l
     np.testing.assert_allclose(col[0], flat.sum(), atol=1e-12)
 
 
@@ -90,22 +92,22 @@ def test_structured_scores_identity_factors():
     w = rng.standard_normal((3, 2))
     half_norms = 0.5 * (w**2).sum(axis=0)
     np.testing.assert_allclose(
-        criteria.c_obd_scores(0, w, np.ones(3), np.ones(2)).scores(),
+        criteria.c_obd_scores(0, w, np.ones(3), np.ones(2)).delta_l,
         half_norms,
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        criteria.c_obs_scores(0, w, np.ones(3), np.ones(2)).scores(),
+        criteria.c_obs_scores(0, w, np.ones(3), np.ones(2)).delta_l,
         half_norms,
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        criteria.kron_obd_scores(0, w, np.eye(3), np.eye(2)).scores(),
+        criteria.kron_obd_scores(0, w, np.eye(3), np.eye(2)).delta_l,
         half_norms,
         atol=1e-12,
     )
     table, _ = criteria.kron_obs_scores_and_update(0, w, np.eye(3), np.eye(2))
-    np.testing.assert_allclose(table.scores(), half_norms, atol=1e-12)
+    np.testing.assert_allclose(table.delta_l, half_norms, atol=1e-12)
 
 
 def test_c_obs_matches_kron_inverse_diagonal():
@@ -119,7 +121,7 @@ def test_c_obs_matches_kron_inverse_diagonal():
     ref = per_weight.reshape((3, 2), order="F").sum(axis=0)
     got = criteria.c_obs_scores(
         0, w, np.diag(np.linalg.inv(a)), np.diag(np.linalg.inv(s))
-    ).scores()
+    ).delta_l
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
@@ -129,8 +131,8 @@ def test_kron_obd_diagonal_input_factor_matches_c_obd():
     s = random_spd(rng, 3)
     w = rng.standard_normal((4, 3))
     np.testing.assert_allclose(
-        criteria.kron_obd_scores(0, w, np.diag(a_diag), s).scores(),
-        criteria.c_obd_scores(0, w, a_diag, np.diag(s)).scores(),
+        criteria.kron_obd_scores(0, w, np.diag(a_diag), s).delta_l,
+        criteria.c_obd_scores(0, w, a_diag, np.diag(s)).delta_l,
         atol=1e-12,
     )
 
@@ -140,7 +142,7 @@ def test_kron_obd_is_half_quadratic_per_filter():
     a = random_spd(rng, 4)
     s = random_spd(rng, 3)
     w = rng.standard_normal((4, 3))
-    scores = criteria.kron_obd_scores(0, w, a, s).scores()
+    scores = criteria.kron_obd_scores(0, w, a, s).delta_l
     for j in range(3):
         ref = 0.5 * s[j, j] * (w[:, j] @ a @ w[:, j])
         np.testing.assert_allclose(scores[j], ref, atol=1e-12)
@@ -152,7 +154,7 @@ def test_kron_obd_trace_identity():
     a = random_spd(rng, 5)
     s = random_spd(rng, 4)
     w = rng.standard_normal((5, 4))
-    total = criteria.kron_obd_scores(0, w, a, s).scores().sum()
+    total = criteria.kron_obd_scores(0, w, a, s).delta_l.sum()
     ref = 0.5 * np.trace(np.diag(np.diag(s)) @ w.T @ a @ w)
     np.testing.assert_allclose(total, ref, atol=1e-12)
 
@@ -169,7 +171,7 @@ def test_kron_obs_scalar_input_factor_matches_exact_prune():
     table, _ = criteria.kron_obs_scores_and_update(0, w, a, np.linalg.inv(s))
     for j in range(3):
         _, dl = oracle.exact_single_prune(theta, fisher, j)
-        np.testing.assert_allclose(table.scores()[j], dl, atol=1e-10)
+        np.testing.assert_allclose(table.delta_l[j], dl, atol=1e-10)
 
 
 def test_kron_obs_single_update_cost_matches_score():
@@ -185,7 +187,7 @@ def test_kron_obs_single_update_cost_matches_score():
     assert not np.allclose(new_w[:, 0], w[:, 0])
     dw = new_w - w
     cost = 0.5 * np.trace(dw.T @ a @ dw @ s)
-    np.testing.assert_allclose(cost, table.scores()[1], atol=1e-10)
+    np.testing.assert_allclose(cost, table.delta_l[1], atol=1e-10)
 
 
 def test_kron_obs_multi_update_zeroes_all_removed():
@@ -271,16 +273,16 @@ def test_eigendamage_scores_no_half_factor():
     lam_s = np.ones(3)
     w2 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     rows, cols = criteria.eigendamage_scores(0, w2, lam_a, lam_s)
-    np.testing.assert_allclose(rows.scores(), (w2**2).sum(axis=1), atol=1e-12)
-    np.testing.assert_allclose(cols.scores(), (w2**2).sum(axis=0), atol=1e-12)
+    np.testing.assert_allclose(rows.delta_l, (w2**2).sum(axis=1), atol=1e-12)
+    np.testing.assert_allclose(cols.delta_l, (w2**2).sum(axis=0), atol=1e-12)
     assert all(e.unit_kind == "kfe_row" for e in rows.entries)
     assert all(e.unit_kind == "kfe_col" for e in cols.entries)
 
 
 def test_eigendamage_zero_basis_weights_score_zero():
     rows, cols = criteria.eigendamage_scores(0, np.zeros((3, 2)), np.ones(3), np.ones(2))
-    np.testing.assert_allclose(rows.scores(), 0.0)
-    np.testing.assert_allclose(cols.scores(), 0.0)
+    np.testing.assert_allclose(rows.delta_l, 0.0)
+    np.testing.assert_allclose(cols.delta_l, 0.0)
 
 
 def test_eigendamage_matches_per_entry_loop():
@@ -296,8 +298,8 @@ def test_eigendamage_matches_per_entry_loop():
             contrib = w2[i, j] ** 2 * lam_a[i] * lam_s[j]
             row_ref[i] += contrib
             col_ref[j] += contrib
-    np.testing.assert_allclose(rows.scores(), row_ref, atol=1e-12)
-    np.testing.assert_allclose(cols.scores(), col_ref, atol=1e-12)
+    np.testing.assert_allclose(rows.delta_l, row_ref, atol=1e-12)
+    np.testing.assert_allclose(cols.delta_l, col_ref, atol=1e-12)
 
 
 def test_eigendamage_conv_core_sums_kernel_offsets():
@@ -307,10 +309,10 @@ def test_eigendamage_conv_core_sums_kernel_offsets():
     core = rng.standard_normal((3, 2, 4))
     rows, cols = criteria.eigendamage_scores(0, core, lam_a, lam_s)
     np.testing.assert_allclose(
-        rows.scores(), np.einsum("ijk,i,j->i", core**2, lam_a, lam_s), atol=1e-12
+        rows.delta_l, np.einsum("ijk,i,j->i", core**2, lam_a, lam_s), atol=1e-12
     )
     np.testing.assert_allclose(
-        cols.scores(), np.einsum("ijk,i,j->j", core**2, lam_a, lam_s), atol=1e-12
+        cols.delta_l, np.einsum("ijk,i,j->j", core**2, lam_a, lam_s), atol=1e-12
     )
 
 
@@ -318,19 +320,30 @@ def test_eigendamage_clamps_negative_eigenvalues():
     rows, cols = criteria.eigendamage_scores(
         0, np.ones((2, 2)), np.array([1.0, -1e-9]), np.ones(2)
     )
-    assert np.all(rows.scores() >= 0.0)
-    assert np.all(cols.scores() >= 0.0)
+    assert np.all(rows.delta_l >= 0.0)
+    assert np.all(cols.delta_l >= 0.0)
 
 
 def test_importance_table_validation():
-    with pytest.raises(ValidationError):
-        ImportanceTable("obd", [ImportanceEntry(0, "bogus", 0, 0.5)])
-    with pytest.raises(ValidationError):
-        ImportanceTable("obd", [ImportanceEntry(0, "weight", 0, float("nan"))])
-    with pytest.raises(ValidationError):
-        ImportanceTable("obd", [ImportanceEntry(0, "weight", 0, -1.0)])
+    with pytest.raises(ValidationError, match="unknown unit kind 'bogus'"):
+        ImportanceTable("obd", 0, "bogus", np.array([0.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ImportanceTable("obd", 0, "weight", np.array([0.5, bad, -1.0]))
+    with pytest.raises(ValidationError, match="negative importance -1.0 below tolerance floor"):
+        ImportanceTable("obd", 0, "weight", np.array([0.5, -1.0, -2.0]))
     # tiny negatives from roundoff stay above the floor
-    ImportanceTable("obd", [ImportanceEntry(0, "weight", 0, -1e-9)])
+    ImportanceTable("obd", 0, "weight", np.array([-1e-9]))
+
+
+def test_importance_table_entries_view():
+    table = ImportanceTable("c_obd", 3, "filter", np.array([0.5, 0.0]))
+    assert table.entries == [
+        ImportanceEntry(3, "filter", 0, 0.5),
+        ImportanceEntry(3, "filter", 1, 0.0),
+    ]
+    e = table.entries[0]
+    assert (type(e.layer_id), type(e.unit_id), type(e.delta_l)) == (int, int, float)
 
 
 def test_select_mask_ratio_zero_removes_nothing(kept):
@@ -341,8 +354,7 @@ def test_select_mask_ratio_zero_removes_nothing(kept):
 
 
 def test_select_mask_threshold_is_nearest_rank():
-    entries = [ImportanceEntry(0, "filter", i, s) for i, s in enumerate([1.0, 2.0, 3.0, 4.0])]
-    table = ImportanceTable("c_obd", entries)
+    table = ImportanceTable("c_obd", 0, "filter", np.array([1.0, 2.0, 3.0, 4.0]))
     mask = criteria.select_mask([table], ratio=0.5, cap=1.0)
     assert mask.tau == 2.0
     assert mask.removed(0, "filter") == [0, 1]
@@ -351,24 +363,75 @@ def test_select_mask_threshold_is_nearest_rank():
 def test_select_mask_uniform_scores_cap_and_tie_break(kept):
     # all scores equal: the threshold admits everything and the cap keeps
     # only the lowest unit ids
-    entries = [ImportanceEntry(0, "filter", i, 1.0) for i in range(10)]
-    table = ImportanceTable("c_obd", entries)
+    table = ImportanceTable("c_obd", 0, "filter", np.ones(10))
     mask = criteria.select_mask([table], ratio=0.9, cap=0.5)
     assert mask.removed(0, "filter") == [0, 1, 2, 3, 4]
     assert kept(mask, 0, "filter") == [5, 6, 7, 8, 9]
 
 
 def test_select_mask_global_threshold_pools_layers(kept):
-    low = ImportanceTable(
-        "c_obd", [ImportanceEntry(0, "filter", i, s) for i, s in enumerate([1.0, 2.0, 3.0, 4.0])]
-    )
-    high = ImportanceTable(
-        "c_obd", [ImportanceEntry(2, "filter", i, s) for i, s in enumerate([10.0, 20.0, 30.0, 40.0])]
-    )
+    low = ImportanceTable("c_obd", 0, "filter", np.array([1.0, 2.0, 3.0, 4.0]))
+    high = ImportanceTable("c_obd", 2, "filter", np.array([10.0, 20.0, 30.0, 40.0]))
     mask = criteria.select_mask([low, high], ratio=0.5, cap=1.0)
     assert mask.removed(0, "filter") == [0, 1, 2, 3]
     assert mask.removed(2, "filter") == []
     assert kept(mask, 2, "filter") == [0, 1, 2, 3]
+
+
+def select_mask_reference(tables, ratio, cap):
+    """The selection rule one unit at a time: pool every entry, take the
+    nearest-rank tau, then remove each group's candidates lowest
+    (score, unit id) first up to floor(cap * group size)."""
+    entries = [e for t in tables for e in t.entries]
+    pooled = sorted(e.delta_l for e in entries)
+    rank = math.ceil(ratio * len(pooled))
+    tau = pooled[rank - 1] if rank >= 1 else -math.inf
+    by_group = {}
+    for e in entries:
+        by_group.setdefault((e.layer_id, e.unit_kind), []).append(e)
+    groups = {}
+    for key, members in sorted(by_group.items()):
+        candidates = sorted(
+            (e for e in members if e.delta_l <= tau), key=lambda e: (e.delta_l, e.unit_id)
+        )
+        budget = math.floor(cap * len(members))
+        removed = sorted(e.unit_id for e in candidates[:budget])
+        groups[key] = {"removed": removed, "total": len(members)}
+    return tau, groups
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_mask_matches_per_unit_reference(seed):
+    rng = np.random.default_rng(seed)
+    keys = [(i, kind) for i in range(4) for kind in criteria.UNIT_KINDS]
+    # few distinct values, many of them exactly 0.0: heavy exact ties
+    levels = np.array([0.0, 0.0, 0.0, 1e-9, 0.25, 0.5, 2.0])
+    tables = []
+    for k in rng.choice(len(keys), size=5, replace=False):
+        layer_id, kind = keys[k]
+        n = int(rng.integers(1, 60))
+        scores = rng.choice(levels, size=n) * rng.choice([1.0, 3.0])
+        if rng.random() < 0.5:
+            spread = rng.random(n) < 0.3
+            scores[spread] = rng.random(int(spread.sum()))
+        tables.append(ImportanceTable("obd", int(layer_id), str(kind), scores))
+    for ratio in (0.0, 0.1, 0.37, 0.5, 0.8, 1.0):
+        for cap in (0.3, 0.5, 1.0):
+            mask = criteria.select_mask(tables, ratio, cap)
+            tau, groups = select_mask_reference(tables, ratio, cap)
+            assert mask.tau == tau
+            assert mask.groups == groups
+            for group in mask.groups.values():
+                assert all(type(u) is int for u in group["removed"])
+
+
+def test_select_mask_rejects_two_tables_for_one_group():
+    first = ImportanceTable("c_obd", 1, "filter", np.array([1.0, 2.0]))
+    second = ImportanceTable("c_obd", 1, "filter", np.array([3.0]))
+    other = ImportanceTable("c_obd", 1, "kfe_row", np.array([3.0]))
+    criteria.select_mask([first, other], ratio=0.5, cap=1.0)
+    with pytest.raises(ValidationError, match="two importance tables for one layer and unit kind"):
+        criteria.select_mask([first, other, second], ratio=0.5, cap=1.0)
 
 
 def test_select_mask_validation():

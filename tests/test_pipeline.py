@@ -4,12 +4,13 @@ pipeline commands, and the command line."""
 import json
 import os
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kfeprune import accounting, checkpoint, cli, criteria
+from kfeprune import accounting, checkpoint, cli, criteria, pipeline
 from kfeprune.config import (
     RunConfig,
     parse_arch,
@@ -19,7 +20,13 @@ from kfeprune.config import (
     validate_config,
 )
 from kfeprune.data import Dataset, load_idx, read_idx, synth_dataset
-from kfeprune.errors import FormatError, ValidationError
+from kfeprune.errors import (
+    FormatError,
+    NumericError,
+    SingularityError,
+    TrainingDivergenceError,
+    ValidationError,
+)
 from kfeprune.kfac import KronFactors
 from kfeprune.layers import (
     BottleneckConvLayer,
@@ -364,9 +371,9 @@ def test_checkpoint_format_errors(tmp_path):
     with pytest.raises(FormatError):
         checkpoint.network_from_bytes(blob[:-3])
     with pytest.raises(FormatError, match="trailing"):
-        checkpoint.network_from_bytes(blob + b"\x00")
+        checkpoint.network_from_bytes(resealed(blob[:-4] + b"\x00" + blob[-4:]))
     with pytest.raises(FormatError, match="tag"):
-        checkpoint.network_from_bytes(blob[:13] + b"\xfa" + blob[14:])
+        checkpoint.network_from_bytes(resealed(blob[:13] + b"\xfa" + blob[14:]))
     factors_path = tmp_path / "factors.kfep"
     f = KronFactors(
         a=np.eye(2), s=np.eye(2), count=1, a_locs=1, s_locs=1, variant="dense"
@@ -421,11 +428,20 @@ def bottleneck_net(rng):
     ])
 
 
+def resealed(blob):
+    """An edited version 2 file with its CRC32 trailer recomputed, so the
+    reader gets past the checksum to the edit."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
 def set_meta(blob, key, old, new):
-    """Rewrite the first meta entry `key = old` of a serialized file to `new`."""
+    """Rewrite the first meta entry `key = old` of a serialized file to
+    `new`, resealed."""
     field = struct.pack("<B", len(key)) + key.encode("ascii")
     assert field + struct.pack("<I", old) in blob
-    return blob.replace(field + struct.pack("<I", old), field + struct.pack("<I", new), 1)
+    return resealed(
+        blob.replace(field + struct.pack("<I", old), field + struct.pack("<I", new), 1)
+    )
 
 
 def test_checkpoint_rejects_retired_patch_basis(tmp_path, capsys):
@@ -457,12 +473,12 @@ def test_checkpoint_bad_codes_and_records_are_format_errors(tmp_path):
     kept_1 = b"\x09kept_rows" + struct.pack("<BBII", 1, 1, 1, 0)
     assert kept_3 in full
     with pytest.raises(FormatError, match="one index per core direction"):
-        checkpoint.network_from_bytes(full.replace(kept_3, kept_1))
+        checkpoint.network_from_bytes(resealed(full.replace(kept_3, kept_1)))
     with pytest.raises(FormatError, match="not ASCII"):
-        checkpoint.network_from_bytes(blob.replace(b"kept_rows", b"kept_r\xffws", 1))
+        checkpoint.network_from_bytes(resealed(blob.replace(b"kept_rows", b"kept_r\xffws", 1)))
     with pytest.raises(FormatError, match="dtype code"):
         at = blob.index(b"kept_rows") + len(b"kept_rows")
-        checkpoint.network_from_bytes(blob[:at] + b"\x00" + blob[at + 1 :])
+        checkpoint.network_from_bytes(resealed(blob[:at] + b"\x00" + blob[at + 1 :]))
     f = KronFactors(a=np.eye(2), s=np.eye(2), count=1, a_locs=1, s_locs=1, variant="dense")
     path = tmp_path / "factors.kfep"
     checkpoint.save_factors(str(path), {0: f})
@@ -471,9 +487,42 @@ def test_checkpoint_bad_codes_and_records_are_format_errors(tmp_path):
         checkpoint.load_factors(str(path))
 
 
+def test_checkpoint_crc_trailer_and_version_1(tmp_path):
+    net = bottleneck_net(np.random.default_rng(6))
+    blob = checkpoint.network_bytes(net)
+    assert struct.unpack("<I", blob[4:8]) == (2,)
+    assert struct.unpack("<I", blob[-4:]) == (zlib.crc32(blob[:-4]),)
+    # one flipped bit inside the first float64 of the conv core
+    at = blob.index(b"\x02Wp") + 3 + 2 + 3 * 4 + 3
+    flipped = blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :]
+    with pytest.raises(FormatError, match="checksum mismatch"):
+        checkpoint.network_from_bytes(flipped)
+    with pytest.raises(FormatError, match="checksum mismatch"):
+        checkpoint.network_from_bytes(blob[:14])
+    # version 1: the same records, no trailer, and no way to see the flip
+    v1 = blob[:4] + struct.pack("<I", 1) + blob[8:-4]
+    x = np.random.default_rng(0).standard_normal((2, 1, 4, 4))
+    np.testing.assert_array_equal(checkpoint.network_from_bytes(v1).forward(x), net.forward(x))
+    v1_flipped = checkpoint.network_from_bytes(v1[:at] + bytes([v1[at] ^ 1]) + v1[at + 1 :])
+    assert not np.array_equal(v1_flipped.layers[2].core, net.layers[2].core)
+    # a version field flipped to 1 leaves the trailer as trailing bytes
+    with pytest.raises(FormatError, match="trailing"):
+        checkpoint.network_from_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    path = tmp_path / "factors.kfep"
+    f = KronFactors(a=np.eye(2), s=np.eye(2), count=1, a_locs=1, s_locs=1, variant="dense")
+    checkpoint.save_factors(str(path), {0: f})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-12] + bytes([raw[-12] ^ 0x80]) + raw[-11:])
+    with pytest.raises(FormatError, match="checksum mismatch"):
+        checkpoint.load_factors(str(path))
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])
+    np.testing.assert_array_equal(checkpoint.load_factors(str(path))[0][0].s, np.eye(2))
+
+
 def test_checkpoint_fuzz_raises_only_format_error():
-    """Seeded byte flips and truncations either load or raise FormatError,
-    the exit-2 error; any other exception fails the test."""
+    """Seeded byte flips and truncations raise FormatError, the exit-2
+    error; any other exception fails the test.  A case loads only when an
+    overwrite wrote back the byte it replaced."""
     rng = np.random.default_rng(0)
     blob = checkpoint.network_bytes(bottleneck_net(rng))
     outcomes = {"loaded": 0, "rejected": 0}
@@ -487,9 +536,11 @@ def test_checkpoint_fuzz_raises_only_format_error():
         try:
             checkpoint.network_from_bytes(bytes(raw))
             outcomes["loaded"] += 1
+            assert bytes(raw) == blob
         except FormatError:
+            assert bytes(raw) != blob
             outcomes["rejected"] += 1
-    assert min(outcomes.values()) > 500, outcomes
+    assert outcomes["rejected"] > 2900, outcomes
 
 
 def test_count_params_examples():
@@ -612,11 +663,19 @@ def test_cmd_prune_strategies_smoke(mlp_run, tmp_path, strategy):
     with open(os.path.join(str(out), "importance.csv"), "r", encoding="ascii") as fh:
         lines = fh.read().strip().split("\n")
     assert lines[0] == "layer_id,unit_kind,unit_id,delta_L,strategy"
+    keys = []
     for line in lines[1:]:
         layer_id, kind, unit_id, delta_l, strat = line.split(",")
         kinds.add(kind)
+        keys.append((int(layer_id), kind, int(unit_id)))
         assert strat == strategy.replace("-", "_")
         assert float(delta_l) >= -1e-8
+    # rows sort by layer, then unit kind as a string (kfe_col before
+    # kfe_row), then unit id
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+    if strategy == "eigendamage":
+        assert keys[0][1] == "kfe_col" and keys[-1][1] == "kfe_row"
     if strategy in ("obd", "obs"):
         assert kinds == {"weight"}
     elif strategy == "eigendamage":
@@ -688,7 +747,7 @@ def test_prune_once_obs_blocked_update_matches_rank1_loop(
     )
     # the removal order is ascending (score, unit id), ties included
     for table, order in zip(tables, orders):
-        removed = set(mask.removed(table.entries[0].layer_id, "weight"))
+        removed = set(mask.removed(table.layer_id, "weight"))
         ranked = sorted(
             (e for e in table.entries if e.unit_id in removed),
             key=lambda e: (e.delta_l, e.unit_id),
@@ -821,10 +880,48 @@ def test_cmd_iterate_abort_restores_network(mlp_run, tmp_path):
         )
     )
     assert record["aborted"]["round"] == 1
+    assert record["aborted"]["error"] == "ValidationError"
     assert "remove every" in record["aborted"]["reason"]
     assert record["rounds"] == []
     assert record["params"] == record["params_before"]
     assert checkpoint_bytes(str(tmp_path / "abort")) == checkpoint_bytes(cfg.out)
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [
+        ("prune_once", SingularityError),
+        ("prune_once", NumericError),
+        ("_finetune", TrainingDivergenceError),
+    ],
+)
+def test_cmd_iterate_rolls_back_on_any_library_error(mlp_run, tmp_path, monkeypatch, where, error):
+    """A library error in round 2, while scoring or while finetuning,
+    leaves exactly what a one-round run writes, plus the aborted record."""
+    cfg, _ = mlp_run
+    settings = dict(strategy="eigendamage", ratio=0.3, cap=0.5, finetune_epochs=1)
+    one = cmd_iterate(derived(cfg, tmp_path / "one", iterations=1, **settings))
+    real, calls = getattr(pipeline, where), []
+
+    def fails_second_time(*args, **kwargs):
+        calls.append(where)
+        if len(calls) == 2:
+            raise error("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, where, fails_second_time)
+    record = cmd_iterate(derived(cfg, tmp_path / "two", iterations=3, **settings))
+    assert len(calls) == 2
+    assert record.pop("aborted") == {
+        "round": 2, "error": error.__name__, "reason": "injected failure",
+    }
+    for rec in (one, record):
+        del rec["wall_time_s"], rec["rounds"][0]["wall_time_s"]
+    assert record == one
+    assert checkpoint_bytes(str(tmp_path / "two")) == checkpoint_bytes(str(tmp_path / "one"))
+    assert (tmp_path / "two" / "importance.csv").read_bytes() == (
+        tmp_path / "one" / "importance.csv"
+    ).read_bytes()
 
 
 def test_cmd_decompose_on_pruned_cnn(cnn_baseline, tmp_path):
