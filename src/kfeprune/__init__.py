@@ -34,7 +34,6 @@ from .kfac import (
     damp,
     eigenbasis,
     estimate_factors,
-    fisher_vec,
     inv_psd,
     offdiag_ratio,
 )

@@ -16,17 +16,21 @@ little-endian; kept-index arrays are u32.  Writing the same object
 twice produces identical bytes.
 
 Tensor tags: plain layers "W"/"b"; bottleneck layers "QA"/"Wp" (full
-core) or "D" (depthwise core)/"QS"/"b" plus kept-index lists; factor
-records "A"/"S" and optionally "QA"/"QS"/"LA"/"LS".
+core) or "D" (depthwise core, conv only)/"QS"/"b" plus kept-index
+lists; factor records "A"/"S" and optionally "QA"/"QS"/"LA"/"LS".
 
-Conv bottleneck records carry a "basis" meta key that is always 0, the
-channel basis.  Code 1 named a patch basis that is no longer supported;
-the reader rejects it, and every other malformed input, with FormatError.
+Bottleneck records carry a "core_mode" meta key: 0 for a full core, 1
+for a depthwise one.  Dense bottleneck records always carry 0; the
+reader rejects any other value there.  Conv bottleneck records also
+carry a "basis" meta key that is always 0, the channel basis.  Code 1
+named a patch basis that is no longer supported; the reader rejects it,
+and every other malformed input, with FormatError.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 
@@ -35,6 +39,7 @@ import numpy as np
 from .errors import DimensionError, FormatError, ValidationError
 from .kfac import EigenFactors, KronFactors
 from .layers import (
+    CONV_GEOMETRY,
     BottleneckConvLayer,
     BottleneckDenseLayer,
     ConvLayer,
@@ -112,29 +117,16 @@ def _layer_record(layer) -> tuple:
     if isinstance(layer, DenseLayer):
         return TAG_DENSE, {}, {"W": layer.w, "b": layer.b}
     if isinstance(layer, ConvLayer):
-        meta = {
-            "c_in": layer.c_in,
-            "k": layer.k,
-            "stride": layer.stride,
-            "padding": layer.padding,
-        }
-        return TAG_CONV, meta, {"W": layer.w, "b": layer.b}
+        return TAG_CONV, layer.geometry(), {"W": layer.w, "b": layer.b}
     if isinstance(layer, ReluLayer):
         return TAG_RELU, {}, {}
     if isinstance(layer, FlattenLayer):
         return TAG_FLATTEN, {}, {}
     if isinstance(layer, BottleneckDenseLayer):
-        meta = {"core_mode": _CORE_CODE[layer.core_mode]}
-        return TAG_BN_DENSE, meta, _bottleneck_tensors(layer)
+        return TAG_BN_DENSE, {"core_mode": _CORE_CODE["full"]}, _bottleneck_tensors(layer)
     if isinstance(layer, BottleneckConvLayer):
-        meta = {
-            "c_in": layer.c_in,
-            "k": layer.k,
-            "stride": layer.stride,
-            "padding": layer.padding,
-            "basis": CHANNEL_BASIS,
-            "core_mode": _CORE_CODE[layer.core_mode],
-        }
+        mode = _CORE_CODE[layer.core_mode]
+        meta = {**layer.geometry(), "basis": CHANNEL_BASIS, "core_mode": mode}
         return TAG_BN_CONV, meta, _bottleneck_tensors(layer)
     raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
 
@@ -154,9 +146,25 @@ def network_bytes(net: Network) -> bytes:
     return _sealed(out)
 
 
+def write_atomic(path, data: bytes):
+    """Write data to a temp file next to path, then rename it over path.
+
+    A write that fails before the rename leaves the previous file whole
+    and removes the temp file.  There is no fsync: this guards against a
+    failed or killed writer, not against power loss.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_network(path, net: Network):
-    with open(path, "wb") as fh:
-        fh.write(network_bytes(net))
+    write_atomic(path, network_bytes(net))
 
 
 def save_factors(path, factors: dict, eigen: dict | None = None):
@@ -180,8 +188,7 @@ def save_factors(path, factors: dict, eigen: dict | None = None):
             ef = eigen[layer_id]
             tensors.update({"QA": ef.qa, "LA": ef.lam_a, "QS": ef.qs, "LS": ef.lam_s})
         _write_tensors(out, tensors)
-    with open(path, "wb") as fh:
-        fh.write(_sealed(out))
+    write_atomic(path, _sealed(out))
 
 
 class _Reader:
@@ -243,54 +250,44 @@ def _decode(names: dict, meta: dict, key: str) -> str:
     return names[meta[key]]
 
 
+def _geometry(meta: dict) -> dict:
+    return {key: meta[key] for key in CONV_GEOMETRY}
+
+
 def _build_layer(tag: int, meta: dict, tensors: dict):
     try:
         if tag == TAG_DENSE:
             return DenseLayer(tensors["W"], tensors["b"])
         if tag == TAG_CONV:
-            return ConvLayer(
-                tensors["W"],
-                tensors["b"],
-                c_in=meta["c_in"],
-                k=meta["k"],
-                stride=meta["stride"],
-                padding=meta["padding"],
-            )
+            return ConvLayer(tensors["W"], tensors["b"], **_geometry(meta))
         if tag == TAG_RELU:
             return ReluLayer()
         if tag == TAG_FLATTEN:
             return FlattenLayer()
-        if tag == TAG_BN_DENSE:
+        if tag in (TAG_BN_DENSE, TAG_BN_CONV):
             mode = _decode(_CORE_NAME, meta, "core_mode")
-            core = tensors["D" if mode == "diag" else "Wp"]
-            return BottleneckDenseLayer(
-                tensors["QA"],
-                core.reshape(-1) if mode == "diag" else core,
-                tensors["QS"],
-                tensors["b"],
-                core_mode=mode,
+            if tag == TAG_BN_DENSE:
+                if mode != "full":
+                    raise FormatError(
+                        f"dense bottleneck core_mode code {meta['core_mode']} is not "
+                        "supported (only conv bottlenecks hold a depthwise core)"
+                    )
+                cls, extra = BottleneckDenseLayer, {}
+            else:
+                if meta["basis"] != CHANNEL_BASIS:
+                    raise FormatError(
+                        f"conv bottleneck basis code {meta['basis']} is not supported "
+                        "(code 1, the patch basis, is retired)"
+                    )
+                cls, extra = BottleneckConvLayer, {**_geometry(meta), "core_mode": mode}
+            return cls(
+                qa=tensors["QA"],
+                core=tensors["D" if mode == "diag" else "Wp"],
+                qs=tensors["QS"],
+                bias=tensors["b"],
                 kept_rows=tensors["kept_rows"],
                 kept_cols=tensors["kept_cols"],
-            )
-        if tag == TAG_BN_CONV:
-            if meta["basis"] != CHANNEL_BASIS:
-                raise FormatError(
-                    f"conv bottleneck basis code {meta['basis']} is not supported "
-                    "(code 1, the patch basis, is retired)"
-                )
-            mode = _decode(_CORE_NAME, meta, "core_mode")
-            return BottleneckConvLayer(
-                tensors["QA"],
-                tensors["D" if mode == "diag" else "Wp"],
-                tensors["QS"],
-                tensors["b"],
-                c_in=meta["c_in"],
-                k=meta["k"],
-                stride=meta["stride"],
-                padding=meta["padding"],
-                core_mode=mode,
-                kept_rows=tensors["kept_rows"],
-                kept_cols=tensors["kept_cols"],
+                **extra,
             )
     except KeyError as err:
         raise FormatError(f"layer record missing field {err}") from err

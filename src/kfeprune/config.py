@@ -105,6 +105,11 @@ def validate_config(cfg: RunConfig):
         raise FormatError("epoch counts must be positive")
     if cfg.iterations < 1:
         raise FormatError("iterations must be at least 1")
+    for key in ("batch_size", "n_train", "n_test", "classes", "dim"):
+        if getattr(cfg, key) < 1:
+            raise FormatError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if not cfg.damping >= 0.0:
+        raise FormatError(f"damping must be non-negative, got {cfg.damping}")
     parse_arch(cfg.arch)
     if cfg.image:
         parse_image(cfg.image)

@@ -154,16 +154,6 @@ def eigenbasis(f: KronFactors) -> EigenFactors:
     )
 
 
-def fisher_vec(f: KronFactors, x: np.ndarray) -> np.ndarray:
-    """Curvature-vector product kron(S, A) @ vec(x), returned in matrix form."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (f.a.shape[0], f.s.shape[0]):
-        raise DimensionError(
-            f"fisher_vec expects shape {(f.a.shape[0], f.s.shape[0])}, got {x.shape}"
-        )
-    return f.a @ x @ f.s.T
-
-
 def inv_psd(m: np.ndarray) -> np.ndarray:
     """Inverse of a PSD factor; singular input raises instead of returning junk."""
     try:

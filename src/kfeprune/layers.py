@@ -25,16 +25,12 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 
+# Constructor arguments that fix a convolution's geometry, in record order.
+CONV_GEOMETRY = ("c_in", "k", "stride", "padding")
+
+
 def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
-
-
-def _check_geometry(k: int, stride: int, padding: int):
-    if k < 1 or stride < 1 or padding < 0:
-        raise ValidationError(
-            f"conv needs k >= 1, stride >= 1 and padding >= 0, "
-            f"got k={k}, stride={stride}, padding={padding}"
-        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -154,7 +150,31 @@ class DenseLayer:
         return 2 * self.fan_in * self.fan_out
 
 
-class ConvLayer:
+class _ConvGeometry:
+    """Geometry shared by both conv kinds: c_in input channels, a k x k
+    kernel, stride and zero padding."""
+
+    def _set_geometry(self, c_in: int, k: int, stride: int, padding: int):
+        self.c_in, self.k, self.stride, self.padding = int(c_in), int(k), int(stride), int(padding)
+        if self.k < 1 or self.stride < 1 or self.padding < 0:
+            raise ValidationError(
+                f"conv needs k >= 1, stride >= 1 and padding >= 0, "
+                f"got k={self.k}, stride={self.stride}, padding={self.padding}"
+            )
+
+    def geometry(self) -> dict:
+        return {key: getattr(self, key) for key in CONV_GEOMETRY}
+
+    def out_shape(self, in_shape):
+        _, h, w = in_shape
+        return (
+            self.c_out,
+            conv_out_size(h, self.k, self.stride, self.padding),
+            conv_out_size(w, self.k, self.stride, self.padding),
+        )
+
+
+class ConvLayer(_ConvGeometry):
     """2-D convolution storing its kernel in the canonical matrix view.
 
     w has shape (c_in*k*k, c_out); column i is filter i flattened in
@@ -173,11 +193,7 @@ class ConvLayer:
         padding: int = 0,
     ):
         self.w = np.asarray(w, dtype=np.float64)
-        self.c_in = int(c_in)
-        self.k = int(k)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        _check_geometry(self.k, self.stride, self.padding)
+        self._set_geometry(c_in, k, stride, padding)
         if self.w.ndim != 2 or self.w.shape[0] != self.c_in * self.k * self.k:
             raise DimensionError("conv weight rows must equal c_in*k*k")
         if bias is None:
@@ -221,14 +237,6 @@ class ConvLayer:
 
     def param_items(self):
         return [("w", self.w), ("b", self.b)]
-
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        return (
-            self.c_out,
-            conv_out_size(h, self.k, self.stride, self.padding),
-            conv_out_size(w, self.k, self.stride, self.padding),
-        )
 
     def param_count(self) -> int:
         return self.w.size + self.b.size
@@ -303,41 +311,24 @@ def _kept_index(ids, rank: int, name: str) -> np.ndarray:
     return ids
 
 
-class BottleneckDenseLayer:
-    """Dense layer factored as qa @ core @ qs.T with prunable inner ranks.
+class Bottleneck:
+    """A layer rewritten as qa @ core @ qs.T with prunable inner ranks.
 
-    core is either a full (ra, rc) matrix ("full" mode) or, after a
-    depthwise decomposition has been absorbed, a length-r diagonal
-    ("diag" mode, ra == rc == r).
+    qa (fan_in side, ra columns) and qs (fan_out side, rc columns) are the
+    bases; kept_rows and kept_cols name the original basis direction of
+    each surviving column, so repeated prunes compose.  Subclasses fix the
+    core layout through core_ranks() and return their constructor's
+    geometry arguments from geometry(), which rebuilt() carries over.
     """
 
-    kind = "bottleneck_dense"
+    core_mode = "full"
 
-    def __init__(
-        self,
-        qa: np.ndarray,
-        core: np.ndarray,
-        qs: np.ndarray,
-        bias: np.ndarray | None = None,
-        core_mode: str = "full",
-        kept_rows: np.ndarray | None = None,
-        kept_cols: np.ndarray | None = None,
-    ):
+    def __init__(self, qa, core, qs, bias=None, kept_rows=None, kept_cols=None):
         self.qa = np.asarray(qa, dtype=np.float64)
         self.core = np.asarray(core, dtype=np.float64)
         self.qs = np.asarray(qs, dtype=np.float64)
-        self.core_mode = core_mode
-        if core_mode == "full":
-            if self.core.ndim != 2:
-                raise DimensionError("full core must be 2-D")
-            ra, rc = self.core.shape
-        elif core_mode == "diag":
-            if self.core.ndim != 1:
-                raise DimensionError("diag core must be 1-D")
-            ra = rc = self.core.shape[0]
-        else:
-            raise ValidationError(f"unknown core mode {core_mode!r}")
-        if self.qa.shape[1] != ra or self.qs.shape[1] != rc:
+        ra, rc = self.core_ranks()
+        if self.qa.ndim != 2 or self.qs.ndim != 2 or self.ra != ra or self.rc != rc:
             raise DimensionError("basis column counts must match core ranks")
         if bias is None:
             bias = np.zeros(self.qs.shape[0])
@@ -348,6 +339,43 @@ class BottleneckDenseLayer:
         self.kept_cols = _kept_index(kept_cols, rc, "kept_cols")
 
     @property
+    def ra(self) -> int:
+        return self.qa.shape[1]
+
+    @property
+    def rc(self) -> int:
+        return self.qs.shape[1]
+
+    def rebuilt(self, qa, core, qs, kept_rows=None, kept_cols=None, **extra):
+        """The same kind of layer with the same geometry and a copy of the
+        bias, around new bases and core."""
+        return type(self)(
+            qa=qa, core=core, qs=qs, bias=self.b.copy(),
+            kept_rows=kept_rows, kept_cols=kept_cols, **self.geometry(), **extra,
+        )
+
+    def param_items(self):
+        return [("qa", self.qa), ("core", self.core), ("qs", self.qs), ("b", self.b)]
+
+    def param_count(self) -> int:
+        return self.qa.size + self.core.size + self.qs.size + self.b.size
+
+
+class BottleneckDenseLayer(Bottleneck):
+    """Dense layer factored as qa @ core @ qs.T; core is a full (ra, rc)
+    matrix."""
+
+    kind = "bottleneck_dense"
+
+    def geometry(self) -> dict:
+        return {}
+
+    def core_ranks(self) -> tuple:
+        if self.core.ndim != 2:
+            raise DimensionError("full core must be 2-D")
+        return self.core.shape
+
+    @property
     def fan_in(self) -> int:
         return self.qa.shape[0]
 
@@ -355,21 +383,13 @@ class BottleneckDenseLayer:
     def fan_out(self) -> int:
         return self.qs.shape[0]
 
-    def effective_weight(self) -> np.ndarray:
-        if self.core_mode == "diag":
-            return self.qa @ (self.core[:, None] * self.qs.T)
-        return self.qa @ self.core @ self.qs.T
-
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.fan_in:
             raise DimensionError(
                 f"bottleneck dense expects (B, {self.fan_in}), got {x.shape}"
             )
         h1 = x @ self.qa
-        if self.core_mode == "diag":
-            h2 = h1 * self.core
-        else:
-            h2 = h1 @ self.core
+        h2 = h1 @ self.core
         if tape is not None:
             tape["x"] = x
             tape["a"] = h1
@@ -381,15 +401,10 @@ class BottleneckDenseLayer:
         batch = x.shape[0]
         dh2 = dy @ self.qs
         tape["g"] = dh2
-        if self.core_mode == "diag":
-            dcore = (dh2 * h1).sum(axis=0) / batch
-            dh1 = dh2 * self.core
-        else:
-            dcore = h1.T @ dh2 / batch
-            dh1 = dh2 @ self.core.T
+        dh1 = dh2 @ self.core.T
         tape["grads"] = {
             "qa": x.T @ dh1 / batch,
-            "core": dcore,
+            "core": h1.T @ dh2 / batch,
             "qs": dy.T @ h2 / batch,
             "b": dy.mean(axis=0),
         }
@@ -397,29 +412,21 @@ class BottleneckDenseLayer:
             return None
         return dh1 @ self.qa.T
 
-    def param_items(self):
-        return [("qa", self.qa), ("core", self.core), ("qs", self.qs), ("b", self.b)]
-
     def out_shape(self, in_shape):
         return (self.fan_out,)
 
-    def param_count(self) -> int:
-        return self.qa.size + self.core.size + self.qs.size + self.b.size
-
     def flops(self, in_shape) -> int:
-        ra = self.qa.shape[1]
-        rc = self.qs.shape[1]
-        core = 2 * ra if self.core_mode == "diag" else 2 * ra * rc
-        return 2 * self.fan_in * ra + core + 2 * rc * self.fan_out
+        return 2 * self.fan_in * self.ra + 2 * self.ra * self.rc + 2 * self.rc * self.fan_out
 
 
-class BottleneckConvLayer:
+class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     """Convolution factored through rotated channel spaces.
 
     A 1x1 projection qa (c_in, ra), a k x k core conv held as a 3-tensor
     (ra, rc, k*k) with per-offset slices, then a 1x1 projection back
     through qs (c_out, rc).  After a depthwise decomposition is absorbed
-    the core becomes a (k*k, r) array of per-offset diagonals.
+    (core_mode "diag", the only bottleneck with a factored core) the core
+    becomes a (k*k, r) array of per-offset diagonals.
     """
 
     kind = "bottleneck_conv"
@@ -438,72 +445,31 @@ class BottleneckConvLayer:
         kept_rows: np.ndarray | None = None,
         kept_cols: np.ndarray | None = None,
     ):
-        self.qa = np.asarray(qa, dtype=np.float64)
-        self.core = np.asarray(core, dtype=np.float64)
-        self.qs = np.asarray(qs, dtype=np.float64)
-        self.c_in = int(c_in)
-        self.k = int(k)
-        self.stride = int(stride)
-        self.padding = int(padding)
+        self._set_geometry(c_in, k, stride, padding)
+        if core_mode not in ("full", "diag"):
+            raise ValidationError(f"unknown core mode {core_mode!r}")
         self.core_mode = core_mode
-        _check_geometry(self.k, self.stride, self.padding)
+        super().__init__(qa, core, qs, bias, kept_rows, kept_cols)
         if self.qa.shape[0] != self.c_in:
             raise DimensionError("qa must have c_in rows")
-        if core_mode == "full":
-            if self.core.ndim != 3 or self.core.shape[2] != self.k * self.k:
-                raise DimensionError("full core must be (ra, rc, k*k)")
-            ra, rc = self.core.shape[0], self.core.shape[1]
-        elif core_mode == "diag":
-            if self.core.ndim != 2 or self.core.shape[0] != self.k * self.k:
+
+    def core_ranks(self) -> tuple:
+        kk = self.k * self.k
+        if self.core_mode == "diag":
+            if self.core.ndim != 2 or self.core.shape[0] != kk:
                 raise DimensionError("depthwise core must be (k*k, r)")
-            ra = rc = self.core.shape[1]
-        else:
-            raise ValidationError(f"unknown core mode {core_mode!r}")
-        if self.qa.shape[1] != ra or self.qs.shape[1] != rc:
-            raise DimensionError("basis column counts must match core ranks")
-        if bias is None:
-            bias = np.zeros(self.qs.shape[0])
-        self.b = np.asarray(bias, dtype=np.float64)
-        if self.b.shape != (self.qs.shape[0],):
-            raise DimensionError("bottleneck conv bias shape mismatch")
-        self.kept_rows = _kept_index(kept_rows, ra, "kept_rows")
-        self.kept_cols = _kept_index(kept_cols, rc, "kept_cols")
+            return self.core.shape[1], self.core.shape[1]
+        if self.core.ndim != 3 or self.core.shape[2] != kk:
+            raise DimensionError("full core must be (ra, rc, k*k)")
+        return self.core.shape[:2]
 
     @property
     def c_out(self) -> int:
         return self.qs.shape[0]
 
-    @property
-    def ra(self) -> int:
-        return self.qa.shape[1]
-
-    @property
-    def rc(self) -> int:
-        return self.qs.shape[1]
-
     def core_matrix(self) -> np.ndarray:
-        """Core as a (ra*k*k, rc) matrix matching the patch row layout."""
-        kk = self.k * self.k
-        if self.core_mode == "diag":
-            r = self.core.shape[1]
-            mat = np.zeros((r * kk, r), dtype=np.float64)
-            for delta in range(kk):
-                mat[delta::kk, :][np.arange(r), np.arange(r)] = self.core[delta]
-            return mat
-        return self.core.transpose(0, 2, 1).reshape(self.ra * kk, self.rc)
-
-    def effective_weight(self) -> np.ndarray:
-        """Equivalent plain-conv weight in the canonical (c_in*k*k, c_out) view."""
-        kk = self.k * self.k
-        w = np.zeros((self.c_in * kk, self.c_out), dtype=np.float64)
-        for delta in range(kk):
-            if self.core_mode == "diag":
-                slice_ = self.core[delta][None, :] * np.eye(self.ra)
-            else:
-                slice_ = self.core[:, :, delta]
-            w_delta = self.qa @ slice_ @ self.qs.T
-            w[delta::kk, :] = w_delta
-        return w
+        """Full core as a (ra*k*k, rc) matrix matching the patch row layout."""
+        return self.core.transpose(0, 2, 1).reshape(self.ra * self.k * self.k, self.rc)
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -560,20 +526,6 @@ class BottleneckConvLayer:
         if not input_grad:
             return None
         return (self.qa @ dx13).reshape(x.shape)
-
-    def param_items(self):
-        return [("qa", self.qa), ("core", self.core), ("qs", self.qs), ("b", self.b)]
-
-    def out_shape(self, in_shape):
-        _, h, w = in_shape
-        return (
-            self.c_out,
-            conv_out_size(h, self.k, self.stride, self.padding),
-            conv_out_size(w, self.k, self.stride, self.padding),
-        )
-
-    def param_count(self) -> int:
-        return self.qa.size + self.core.size + self.qs.size + self.b.size
 
     def flops(self, in_shape) -> int:
         _, h, w = in_shape

@@ -3,8 +3,10 @@
 Everything here is deliberately independent of the fast paths it checks:
 the Fisher is assembled from per-sample gradient outer products, pruning
 updates come from explicit KKT linear systems rather than the closed
-forms, derivatives come from central differences, and the textbook
-single-weight OBS step uses a dense H^-1.
+forms, derivatives come from central differences, the textbook
+single-weight OBS step uses a dense H^-1, curvature products go through
+an explicit Kronecker product of column-major vecs, and a bottleneck's
+plain weight is rebuilt one kernel offset at a time.
 """
 
 from __future__ import annotations
@@ -13,9 +15,66 @@ import numpy as np
 
 from . import criteria
 from .errors import DimensionError, SizeError, ValidationError
+from .kfac import KronFactors
 from .network import Network, cross_entropy, softmax
+from .tensormath import as_matrix
 
 MAX_EXACT_PARAMS = 2000
+
+# Hard ceiling on kron output entries; anything bigger is a mistake at desk scale.
+MAX_KRON_ENTRIES = 2 ** 26
+
+
+def vec(m) -> np.ndarray:
+    """Column-major vectorization: stacks the columns of ``m``."""
+    a = as_matrix(m, "vec input")
+    return a.reshape(-1, order="F").copy()
+
+
+def unvec(v, rows: int, cols: int) -> np.ndarray:
+    """Inverse of :func:`vec`; fails if the length does not factor."""
+    a = np.asarray(v, dtype=np.float64).reshape(-1)
+    if a.size != rows * cols:
+        raise DimensionError(f"cannot unvec length {a.size} into {rows}x{cols}")
+    return a.reshape(rows, cols, order="F").copy()
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product with a result-size guard; column-major stacking
+    makes ``kron(s, a) @ vec(x) == vec(a @ x @ s.T)`` hold."""
+    a = as_matrix(a, "kron lhs")
+    b = as_matrix(b, "kron rhs")
+    entries = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
+    if entries > MAX_KRON_ENTRIES:
+        raise SizeError(
+            f"kron result would hold {entries} entries, budget is {MAX_KRON_ENTRIES}"
+        )
+    return np.kron(a, b)
+
+
+def fisher_vec(f: KronFactors, x: np.ndarray) -> np.ndarray:
+    """Curvature-vector product kron(S, A) @ vec(x), returned in matrix form."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (f.a.shape[0], f.s.shape[0]):
+        raise DimensionError(
+            f"fisher_vec expects shape {(f.a.shape[0], f.s.shape[0])}, got {x.shape}"
+        )
+    return f.a @ x @ f.s.T
+
+
+def effective_weight(layer) -> np.ndarray:
+    """Plain weight a full-core bottleneck stands for, in the canonical
+    (fan_in, fan_out) view: qa @ core @ qs.T, per kernel offset for a
+    conv core, whose offsets interleave the rows as (channel, offset)."""
+    if layer.core_mode != "full":
+        raise ValidationError("effective weight needs a full core")
+    if layer.core.ndim == 2:
+        return layer.qa @ layer.core @ layer.qs.T
+    kk = layer.core.shape[2]
+    w = np.zeros((layer.qa.shape[0] * kk, layer.qs.shape[0]), dtype=np.float64)
+    for delta in range(kk):
+        w[delta::kk, :] = layer.qa @ layer.core[:, :, delta] @ layer.qs.T
+    return w
 
 
 def _weight_layers(net: Network, layer_ids):

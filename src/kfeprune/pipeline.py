@@ -16,7 +16,13 @@ import numpy as np
 
 from . import criteria, kfac, reparam
 from .accounting import count_flops, count_params, reduction_percent
-from .checkpoint import load_network, network_bytes, network_from_bytes, save_network
+from .checkpoint import (
+    load_network,
+    network_bytes,
+    network_from_bytes,
+    save_network,
+    write_atomic,
+)
 from .config import RunConfig, parse_arch, parse_image, resolve_cap
 from .data import Dataset, load_idx, synth_dataset
 from .errors import FormatError, KfepruneError, ValidationError
@@ -297,18 +303,16 @@ def _jsonable(obj):
 
 def write_metrics(out_dir: str, record: dict):
     path = os.path.join(out_dir, "metrics.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(_jsonable(record), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("ascii"))
     return path
 
 
 def write_curve(out_dir: str, curve: list):
     path = os.path.join(out_dir, "curve.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,lr,train_loss,train_accuracy\n")
-        for epoch, lr, loss, acc in curve:
-            fh.write(f"{epoch},{lr:.17g},{loss:.17g},{acc:.17g}\n")
+    rows = ["epoch,lr,train_loss,train_accuracy\n"]
+    rows += [f"{epoch},{lr:.17g},{loss:.17g},{acc:.17g}\n" for epoch, lr, loss, acc in curve]
+    write_atomic(path, "".join(rows).encode("ascii"))
     return path
 
 
@@ -319,8 +323,7 @@ def write_importance(out_dir: str, tables):
     for t in sorted(tables, key=lambda t: (t.layer_id, t.unit_kind)):
         head, tail = f"{t.layer_id},{t.unit_kind},", f",{t.strategy}\n"
         rows += [f"{head}{i},{s:.17g}{tail}" for i, s in enumerate(t.delta_l.tolist())]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(rows))
+    write_atomic(path, "".join(rows).encode("ascii"))
     return path
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, SingularityError, ValidationError
 from .kfac import EigenFactors
-from .layers import BottleneckConvLayer, BottleneckDenseLayer, ConvLayer, DenseLayer
+from .layers import Bottleneck, BottleneckConvLayer, BottleneckDenseLayer, ConvLayer, DenseLayer
 from .tensormath import khatri_rao, lstsq
 
 ALS_MAX_ITER = 200
@@ -56,14 +56,7 @@ def to_kfe(layer, ef: EigenFactors):
         for delta in range(kk):
             core[:, :, delta] = ef.qa.T @ layer.w[delta::kk, :] @ ef.qs
         return BottleneckConvLayer(
-            qa=ef.qa.copy(),
-            core=core,
-            qs=ef.qs.copy(),
-            bias=layer.b.copy(),
-            c_in=layer.c_in,
-            k=layer.k,
-            stride=layer.stride,
-            padding=layer.padding,
+            ef.qa.copy(), core, ef.qs.copy(), layer.b.copy(), **layer.geometry()
         )
     raise ValidationError(f"cannot rotate layer of type {type(layer).__name__}")
 
@@ -82,6 +75,15 @@ def _drop(total: int, removed, what) -> np.ndarray:
     return np.array(keep, dtype=np.intp)
 
 
+def _full_core(layer, action: str) -> np.ndarray:
+    """The core of a bottleneck layer whose core is not factored."""
+    if not isinstance(layer, Bottleneck):
+        raise ValidationError(f"cannot {action} layer of type {type(layer).__name__}")
+    if layer.core_mode != "full":
+        raise ValidationError(f"cannot {action} a factored core")
+    return layer.core
+
+
 def eigenprune(layer, removed_rows, removed_cols):
     """Drop basis directions from a bottleneck layer.
 
@@ -89,75 +91,34 @@ def eigenprune(layer, removed_rows, removed_cols):
     (columns of qs).  Kept-index bookkeeping composes across repeated
     prunes within the same basis.
     """
-    if isinstance(layer, BottleneckDenseLayer):
-        if layer.core_mode != "full":
-            raise ValidationError("cannot prune a factored core")
-        keep_r = _drop(layer.core.shape[0], removed_rows, "input direction")
-        keep_c = _drop(layer.core.shape[1], removed_cols, "output direction")
-        return BottleneckDenseLayer(
-            qa=layer.qa[:, keep_r],
-            core=layer.core[np.ix_(keep_r, keep_c)],
-            qs=layer.qs[:, keep_c],
-            bias=layer.b.copy(),
-            kept_rows=layer.kept_rows[keep_r],
-            kept_cols=layer.kept_cols[keep_c],
-        )
-    if isinstance(layer, BottleneckConvLayer):
-        if layer.core_mode != "full":
-            raise ValidationError("cannot prune a factored core")
-        keep_r = _drop(layer.core.shape[0], removed_rows, "input direction")
-        keep_c = _drop(layer.core.shape[1], removed_cols, "output direction")
-        core = layer.core[np.ix_(keep_r, keep_c)]
-        return BottleneckConvLayer(
-            qa=layer.qa[:, keep_r],
-            core=core,
-            qs=layer.qs[:, keep_c],
-            bias=layer.b.copy(),
-            c_in=layer.c_in,
-            k=layer.k,
-            stride=layer.stride,
-            padding=layer.padding,
-            kept_rows=layer.kept_rows[keep_r],
-            kept_cols=layer.kept_cols[keep_c],
-        )
-    raise ValidationError(f"cannot prune layer of type {type(layer).__name__}")
+    core = _full_core(layer, "prune")
+    keep_r = _drop(core.shape[0], removed_rows, "input direction")
+    keep_c = _drop(core.shape[1], removed_cols, "output direction")
+    return layer.rebuilt(
+        layer.qa[:, keep_r],
+        core[np.ix_(keep_r, keep_c)],
+        layer.qs[:, keep_c],
+        kept_rows=layer.kept_rows[keep_r],
+        kept_cols=layer.kept_cols[keep_c],
+    )
 
 
 def merge_bases(layer, ef: EigenFactors):
     """Fold a fresh eigenbasis into an existing bottleneck layer.
 
-    qa <- qa @ qa', qs <- qs @ qs', core <- qa'.T @ core @ qs'.  The
-    layer function is unchanged because the new bases are orthonormal.
+    qa <- qa @ qa', qs <- qs @ qs', core <- qa'.T @ core @ qs' (per kernel
+    offset for a conv core).  The layer function is unchanged because the
+    new bases are orthonormal.  The kept-index lists restart, since the
+    new basis directions mix the old ones.
     """
-    if isinstance(layer, BottleneckDenseLayer):
-        if layer.core_mode != "full":
-            raise ValidationError("cannot merge into a factored core")
-        ra, rc = layer.core.shape
-        _check_square_basis(ef.qa, ra, "input")
-        _check_square_basis(ef.qs, rc, "output")
-        return BottleneckDenseLayer(
-            qa=layer.qa @ ef.qa,
-            core=ef.qa.T @ layer.core @ ef.qs,
-            qs=layer.qs @ ef.qs,
-            bias=layer.b.copy(),
-        )
-    if isinstance(layer, BottleneckConvLayer):
-        if layer.core_mode != "full":
-            raise ValidationError("cannot merge into a factored core")
-        ra, rc = layer.core.shape[0], layer.core.shape[1]
-        _check_square_basis(ef.qa, ra, "input")
-        _check_square_basis(ef.qs, rc, "output")
-        return BottleneckConvLayer(
-            qa=layer.qa @ ef.qa,
-            core=np.einsum("ar,abk,bc->rck", ef.qa, layer.core, ef.qs),
-            qs=layer.qs @ ef.qs,
-            bias=layer.b.copy(),
-            c_in=layer.c_in,
-            k=layer.k,
-            stride=layer.stride,
-            padding=layer.padding,
-        )
-    raise ValidationError(f"cannot merge into layer of type {type(layer).__name__}")
+    core = _full_core(layer, "merge into")
+    _check_square_basis(ef.qa, core.shape[0], "input")
+    _check_square_basis(ef.qs, core.shape[1], "output")
+    if core.ndim == 2:
+        core = ef.qa.T @ core @ ef.qs
+    else:
+        core = np.einsum("ar,abk,bc->rck", ef.qa, core, ef.qs)
+    return layer.rebuilt(layer.qa @ ef.qa, core, layer.qs @ ef.qs)
 
 
 @dataclass
@@ -223,11 +184,9 @@ def depthwise_decompose(
     monotone.  Collapsed factor columns trigger up to three jittered
     restarts before giving up.
     """
-    if not isinstance(layer, BottleneckConvLayer):
+    t = _full_core(layer, "fit separable factors to")
+    if t.ndim != 3:
         raise ValidationError("separable fit needs a convolution bottleneck core")
-    if layer.core_mode != "full":
-        raise ValidationError("core is already factored")
-    t = np.asarray(layer.core, dtype=np.float64)
     ra, rc, kk = t.shape
     if not 1 <= rank <= min(ra, rc):
         raise ValidationError(
@@ -271,20 +230,11 @@ def absorb_depthwise(layer, factors: DepthwiseFactors):
     coefficient table applied channelwise.  The layer function changes
     by the approximation error of the fit.
     """
-    if not isinstance(layer, BottleneckConvLayer):
+    core = _full_core(layer, "absorb separable factors into")
+    if core.ndim != 3:
         raise ValidationError("separable absorb needs a convolution bottleneck")
-    if layer.core_mode != "full":
-        raise ValidationError("core is already factored")
-    if factors.u.shape[0] != layer.core.shape[0] or factors.v.shape[0] != layer.core.shape[1]:
+    if factors.u.shape[0] != core.shape[0] or factors.v.shape[0] != core.shape[1]:
         raise DimensionError("separable factors do not match the core shape")
-    return BottleneckConvLayer(
-        qa=layer.qa @ factors.u,
-        core=factors.c.copy(),
-        qs=layer.qs @ factors.v,
-        bias=layer.b.copy(),
-        c_in=layer.c_in,
-        k=layer.k,
-        stride=layer.stride,
-        padding=layer.padding,
-        core_mode="diag",
+    return layer.rebuilt(
+        layer.qa @ factors.u, factors.c.copy(), layer.qs @ factors.v, core_mode="diag"
     )

@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives used by the curvature and pruning code.
 
 All routines work on float64 numpy arrays.  Matrices are ordinary 2-D
-arrays; ``vec``/``unvec`` use column-major stacking, which is what makes
-``kron(s, a) @ vec(x) == vec(a @ x @ s.T)`` hold.
+arrays.  The explicit Kronecker product and the vec/unvec pair live in
+``oracle``: only the checks build them.
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularityError, SizeError, ValidationError
-
-# Hard ceiling on kron output entries; anything bigger is a mistake at desk scale.
-MAX_KRON_ENTRIES = 2 ** 26
+from .errors import DimensionError, SingularityError, ValidationError
 
 # Relative asymmetry tolerated by sym_eig before it refuses the input.
 SYM_TOL = 1e-6
@@ -43,32 +40,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} contains NaN or Inf")
     return a
-
-
-def vec(m) -> np.ndarray:
-    """Column-major vectorization: stacks the columns of ``m``."""
-    a = as_matrix(m, "vec input")
-    return a.reshape(-1, order="F").copy()
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`; fails if the length does not factor."""
-    a = np.asarray(v, dtype=np.float64).reshape(-1)
-    if a.size != rows * cols:
-        raise DimensionError(f"cannot unvec length {a.size} into {rows}x{cols}")
-    return a.reshape(rows, cols, order="F").copy()
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with a result-size guard."""
-    a = as_matrix(a, "kron lhs")
-    b = as_matrix(b, "kron rhs")
-    entries = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if entries > MAX_KRON_ENTRIES:
-        raise SizeError(
-            f"kron result would hold {entries} entries, budget is {MAX_KRON_ENTRIES}"
-        )
-    return np.kron(a, b)
 
 
 def khatri_rao(a, b) -> np.ndarray:

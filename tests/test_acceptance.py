@@ -218,9 +218,9 @@ def test_criterion_06_rotation_fidelity_and_energy(capsys):
         ("dense", mlp.layers[2], [1, 3], [0, 4]),
         ("conv", cnn.layers[0], [1], [0, 2]),
     ):
-        w_full = layer.effective_weight()
+        w_full = oracle.effective_weight(layer)
         pruned = eigenprune(layer, rows, cols)
-        err2 = float(np.sum((w_full - pruned.effective_weight()) ** 2))
+        err2 = float(np.sum((w_full - oracle.effective_weight(pruned)) ** 2))
         mask = np.zeros(layer.core.shape, dtype=bool)
         mask[rows] = True
         mask[:, cols] = True

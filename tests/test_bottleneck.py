@@ -4,7 +4,7 @@ and the separable core decomposition."""
 import numpy as np
 import pytest
 
-from kfeprune import reparam
+from kfeprune import oracle
 from kfeprune.errors import DimensionError, SingularityError, ValidationError
 from kfeprune.kfac import EigenFactors
 from kfeprune.layers import (
@@ -55,6 +55,31 @@ def planted_conv(rng, c_in=6, c_out=5, k=3, rank=2):
     )
 
 
+def rotated(kind, rng, n=6, m=6):
+    """A plain dense or conv layer with a bias, its rotation into random
+    orthonormal bases, and an input batch for both."""
+    if kind == "dense":
+        plain = DenseLayer(rng.standard_normal((n, m)), rng.standard_normal(m))
+        x = rng.standard_normal((7, n))
+    else:
+        plain = ConvLayer(
+            rng.standard_normal((n * 9, m)), rng.standard_normal(m), c_in=n, k=3,
+            stride=2, padding=1,
+        )
+        x = rng.standard_normal((2, n, 5, 5))
+    return plain, to_kfe(plain, random_eigen(rng, n, m)), x
+
+
+def assert_same_shell(new, old):
+    """A rewrite keeps the class, the geometry and the bias bytes, and
+    copies the bias."""
+    assert type(new) is type(old)
+    assert (new.qa.shape[0], new.qs.shape[0]) == (old.qa.shape[0], old.qs.shape[0])
+    assert new.geometry() == old.geometry()
+    assert new.b.tobytes() == old.b.tobytes()
+    assert new.b is not old.b
+
+
 def reconstruct(factors):
     """The core a set of separable factors stands for."""
     return np.einsum("ir,jr,dr->ijd", factors.u, factors.v, factors.c)
@@ -67,7 +92,7 @@ def test_to_kfe_dense_preserves_function():
     rot = to_kfe(layer, ef)
     x = rng.standard_normal((7, 5))
     np.testing.assert_allclose(rot.forward(x), layer.forward(x), atol=1e-12)
-    np.testing.assert_allclose(rot.effective_weight(), layer.w, atol=1e-12)
+    np.testing.assert_allclose(oracle.effective_weight(rot), layer.w, atol=1e-12)
     np.testing.assert_allclose(rot.qa.T @ rot.qa, np.eye(4 + 1), atol=1e-12)
     np.testing.assert_allclose(rot.qs.T @ rot.qs, np.eye(4), atol=1e-12)
 
@@ -92,7 +117,7 @@ def test_to_kfe_conv_channel_preserves_function():
     rot = to_kfe(layer, ef)
     x = rng.standard_normal((2, 4, 5, 5))
     np.testing.assert_allclose(rot.forward(x), layer.forward(x), atol=1e-12)
-    np.testing.assert_allclose(rot.effective_weight(), layer.w, atol=1e-12)
+    np.testing.assert_allclose(oracle.effective_weight(rot), layer.w, atol=1e-12)
 
 
 def test_to_kfe_validation():
@@ -108,12 +133,13 @@ def test_to_kfe_validation():
 
 def test_eigenprune_empty_removals_keep_function():
     rng = np.random.default_rng(5)
-    layer = DenseLayer(rng.standard_normal((4, 3)), rng.standard_normal(3))
-    rot = to_kfe(layer, random_eigen(rng, 4, 3))
-    pruned = eigenprune(rot, [], [])
-    x = rng.standard_normal((6, 4))
-    np.testing.assert_allclose(pruned.forward(x), layer.forward(x), atol=1e-12)
-    np.testing.assert_array_equal(pruned.kept_rows, [0, 1, 2, 3])
+    for kind in ("dense", "conv"):
+        layer, rot, x = rotated(kind, rng, 4, 3)
+        pruned = eigenprune(rot, [], [])
+        assert_same_shell(pruned, rot)
+        np.testing.assert_allclose(pruned.forward(x), layer.forward(x), atol=1e-12)
+        np.testing.assert_array_equal(pruned.kept_rows, [0, 1, 2, 3])
+        np.testing.assert_array_equal(pruned.kept_cols, [0, 1, 2])
 
 
 def test_eigenprune_zero_directions_exact():
@@ -137,17 +163,16 @@ def test_eigenprune_parseval_energy_split():
     # orthonormal bases make the removed function energy exactly the
     # removed core energy: |W|_F^2 = |kept core|_F^2 + |dropped core|_F^2
     rng = np.random.default_rng(7)
-    layer = DenseLayer(rng.standard_normal((6, 5)))
-    rot = to_kfe(layer, random_eigen(rng, 6, 5))
-    pruned = eigenprune(rot, [4, 5], [0])
-    total = np.sum(layer.w**2)
-    kept = np.sum(pruned.core**2)
-    dropped = total - np.sum(rot.core[np.ix_([0, 1, 2, 3], [1, 2, 3, 4])] ** 2)
-    np.testing.assert_allclose(kept + (total - kept), total, atol=1e-10)
-    np.testing.assert_allclose(
-        np.sum(pruned.effective_weight() ** 2), kept, atol=1e-10
-    )
-    np.testing.assert_allclose(dropped + kept, total, atol=1e-10)
+    for kind in ("dense", "conv"):
+        layer, rot, _ = rotated(kind, rng, 6, 5)
+        pruned = eigenprune(rot, [4, 5], [0])
+        total = np.sum(layer.w**2)
+        kept = np.sum(pruned.core**2)
+        dropped = total - np.sum(rot.core[np.ix_([0, 1, 2, 3], [1, 2, 3, 4])] ** 2)
+        np.testing.assert_allclose(
+            np.sum(oracle.effective_weight(pruned) ** 2), kept, atol=1e-10
+        )
+        np.testing.assert_allclose(dropped + kept, total, atol=1e-10)
 
 
 def test_eigenprune_conv_channel():
@@ -165,13 +190,19 @@ def test_eigenprune_conv_channel():
 
 def test_eigenprune_kept_indices_compose():
     rng = np.random.default_rng(9)
-    layer = DenseLayer(rng.standard_normal((6, 6)))
-    rot = to_kfe(layer, random_eigen(rng, 6, 6))
-    once = eigenprune(rot, [1, 4], [5])
-    twice = eigenprune(once, [2], [0, 1])
-    np.testing.assert_array_equal(once.kept_rows, [0, 2, 3, 5])
-    np.testing.assert_array_equal(twice.kept_rows, [0, 2, 5])
-    np.testing.assert_array_equal(twice.kept_cols, [2, 3, 4])
+    for kind in ("dense", "conv"):
+        _, rot, _ = rotated(kind, rng)
+        once = eigenprune(rot, [1, 4], [5])
+        twice = eigenprune(once, [2], [0, 1])
+        np.testing.assert_array_equal(once.kept_rows, [0, 2, 3, 5])
+        np.testing.assert_array_equal(twice.kept_rows, [0, 2, 5])
+        np.testing.assert_array_equal(twice.kept_cols, [2, 3, 4])
+        assert twice.kept_rows.dtype == twice.kept_cols.dtype == np.uint32
+        assert_same_shell(twice, rot)
+        # the core keeps exactly the surviving entries, every kernel offset
+        np.testing.assert_array_equal(twice.core, rot.core[np.ix_([0, 2, 5], [2, 3, 4])])
+        np.testing.assert_array_equal(twice.qa, rot.qa[:, [0, 2, 5]])
+        np.testing.assert_array_equal(twice.qs, rot.qs[:, [2, 3, 4]])
 
 
 def test_eigenprune_validation():
@@ -196,6 +227,10 @@ def test_merge_bases_preserves_function_dense():
     merged = merge_bases(pruned, random_eigen(rng, 4, 3))
     x = rng.standard_normal((6, 5))
     np.testing.assert_allclose(merged.forward(x), pruned.forward(x), atol=1e-12)
+    assert_same_shell(merged, pruned)
+    # the merged basis mixes the kept directions, so the bookkeeping restarts
+    np.testing.assert_array_equal(merged.kept_rows, [0, 1, 2, 3])
+    np.testing.assert_array_equal(merged.kept_cols, [0, 1, 2])
 
 
 def test_merge_bases_preserves_function_conv():
@@ -205,19 +240,27 @@ def test_merge_bases_preserves_function_conv():
     merged = merge_bases(rot, random_eigen(rng, 3, 4))
     x = rng.standard_normal((2, 3, 4, 4))
     np.testing.assert_allclose(merged.forward(x), layer.forward(x), atol=1e-12)
+    assert_same_shell(merged, rot)
+    pruned = eigenprune(rot, [0], [1, 2])
+    merged = merge_bases(pruned, random_eigen(rng, 2, 2))
+    np.testing.assert_allclose(merged.forward(x), pruned.forward(x), atol=1e-12)
+    assert_same_shell(merged, pruned)
+    np.testing.assert_array_equal(merged.kept_rows, [0, 1])
 
 
 def test_merge_bases_identity_is_noop():
     rng = np.random.default_rng(13)
-    layer = DenseLayer(rng.standard_normal((4, 3)))
-    rot = to_kfe(layer, random_eigen(rng, 4, 3))
     ident = EigenFactors(
         qa=np.eye(3 + 1), lam_a=np.ones(4), qs=np.eye(3), lam_s=np.ones(3),
         variant="dense",
     )
-    merged = merge_bases(rot, ident)
-    np.testing.assert_allclose(merged.qa, rot.qa, atol=1e-15)
-    np.testing.assert_allclose(merged.core, rot.core, atol=1e-15)
+    for kind in ("dense", "conv"):
+        _, rot, _ = rotated(kind, rng, 4, 3)
+        merged = merge_bases(rot, ident)
+        assert_same_shell(merged, rot)
+        np.testing.assert_allclose(merged.qa, rot.qa, atol=1e-15)
+        np.testing.assert_allclose(merged.core, rot.core, atol=1e-15)
+        np.testing.assert_allclose(merged.qs, rot.qs, atol=1e-15)
 
 
 def test_merge_bases_nested_equals_staged():
@@ -243,6 +286,12 @@ def test_merge_bases_validation():
         merge_bases(rot, random_eigen(rng, 2, 3))
     with pytest.raises(ValidationError):
         merge_bases(DenseLayer(np.eye(2)), random_eigen(rng, 2, 2))
+    conv = planted_conv(rng)
+    absorbed = absorb_depthwise(conv, depthwise_decompose(conv, rank=2, seed=0))
+    with pytest.raises(ValidationError, match="factored core"):
+        merge_bases(absorbed, random_eigen(rng, 2, 2))
+    with pytest.raises(ValidationError, match="factored core"):
+        eigenprune(absorbed, [0], [])
 
 
 def test_depthwise_planted_rank_recovered():
@@ -312,9 +361,13 @@ def test_absorb_depthwise_exact_fit_preserves_function():
     rng = np.random.default_rng(20)
     layer = planted_conv(rng)
     factors = depthwise_decompose(layer, rank=2, seed=0)
+    pruned = eigenprune(layer, [5], [4])
     absorbed = absorb_depthwise(layer, factors)
     assert absorbed.core_mode == "diag"
     assert absorbed.core.shape == (9, 2)
+    assert_same_shell(absorbed, layer)
+    assert_same_shell(absorb_depthwise(pruned, depthwise_decompose(pruned, 2)), pruned)
+    np.testing.assert_array_equal(absorbed.kept_rows, [0, 1])
     x = rng.standard_normal((2, 6, 5, 5))
     np.testing.assert_allclose(absorbed.forward(x), layer.forward(x), atol=1e-5)
 
@@ -364,19 +417,12 @@ def test_absorb_depthwise_validation():
     other = planted_conv(rng, c_in=4)
     with pytest.raises(DimensionError):
         absorb_depthwise(other, factors)
-
-
-def test_diag_core_dense_forward_matches_effective_weight():
-    rng = np.random.default_rng(24)
-    qa = random_orthonormal(rng, 5)[:, :3]
-    qs = random_orthonormal(rng, 4)[:, :3]
-    core = rng.standard_normal(3)
-    layer = BottleneckDenseLayer(
-        qa=qa, core=core, qs=qs, bias=rng.standard_normal(4), core_mode="diag"
-    )
-    x = rng.standard_normal((6, 5))
-    ref = x @ layer.effective_weight() + layer.b
-    np.testing.assert_allclose(layer.forward(x), ref, atol=1e-12)
+    # a dense bottleneck has no kernel offsets to factor
+    _, dense, _ = rotated("dense", rng)
+    with pytest.raises(ValidationError):
+        absorb_depthwise(dense, factors)
+    with pytest.raises(ValidationError):
+        absorb_depthwise(DenseLayer(np.eye(2)), factors)
 
 
 @pytest.mark.parametrize("k, stride, padding", [(0, 1, 0), (3, 0, 1)])

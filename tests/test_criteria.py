@@ -8,7 +8,7 @@ import pytest
 from kfeprune import criteria, oracle
 from kfeprune.criteria import ImportanceEntry, ImportanceTable
 from kfeprune.errors import ValidationError
-from kfeprune.tensormath import kron
+from kfeprune.oracle import kron
 
 THETA = np.array([1.0, 1.0, 1.0])
 HESS = np.array([[1.0, 0.99, 0.0], [0.99, 1.0, 0.01], [0.0, 0.01, 0.5]])

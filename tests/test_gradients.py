@@ -70,15 +70,13 @@ def bottleneck_conv_net(rng, core_mode):
     ])
 
 
-def bottleneck_dense_net(rng, core_mode):
-    ra, rc = (3, 3) if core_mode == "diag" else (3, 2)
-    core = rng.standard_normal(ra) if core_mode == "diag" else rng.standard_normal((ra, rc))
+def bottleneck_dense_net(rng):
+    core = rng.standard_normal((3, 2))
     bottleneck = BottleneckDenseLayer(
-        qa=rng.standard_normal((5, ra)),
+        qa=rng.standard_normal((5, 3)),
         core=core,
-        qs=rng.standard_normal((4, rc)),
+        qs=rng.standard_normal((4, 2)),
         bias=rng.standard_normal(4),
-        core_mode=core_mode,
     )
     return Network([
         DenseLayer(rng.standard_normal((6, 5)), rng.standard_normal(5)),
@@ -101,9 +99,9 @@ def bottleneck_conv_case(seed, core_mode):
     return net, rng.standard_normal((4, 1, 5, 5)), rng.integers(0, 3, 4)
 
 
-def bottleneck_dense_case(seed, core_mode):
+def bottleneck_dense_case(seed):
     rng = np.random.default_rng(seed)
-    net = bottleneck_dense_net(rng, core_mode)
+    net = bottleneck_dense_net(rng)
     return net, rng.standard_normal((6, 6)), rng.integers(0, 3, 6)
 
 
@@ -111,8 +109,7 @@ CASES = {
     "two_conv": two_conv_case,
     "bottleneck_conv_full": lambda seed: bottleneck_conv_case(seed, "full"),
     "bottleneck_conv_diag": lambda seed: bottleneck_conv_case(seed, "diag"),
-    "bottleneck_dense_full": lambda seed: bottleneck_dense_case(seed, "full"),
-    "bottleneck_dense_diag": lambda seed: bottleneck_dense_case(seed, "diag"),
+    "bottleneck_dense_full": bottleneck_dense_case,
 }
 
 
@@ -127,10 +124,11 @@ def test_bottleneck_conv_gradient_matches_finite_differences(core_mode, seed):
     assert param_grad_check(*bottleneck_conv_case(seed, core_mode)) <= REL_TOL
 
 
-@pytest.mark.parametrize("core_mode", ["full", "diag"])
+# dense bottleneck cores are always full; the mode stays in the test id
+@pytest.mark.parametrize("core_mode", ["full"])
 @pytest.mark.parametrize("seed", range(3))
 def test_bottleneck_dense_gradient_matches_finite_differences(core_mode, seed):
-    assert param_grad_check(*bottleneck_dense_case(seed, core_mode)) <= REL_TOL
+    assert param_grad_check(*bottleneck_dense_case(seed)) <= REL_TOL
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -204,7 +202,7 @@ def test_blas_contractions_match_einsum_reference():
     close(tape["grads"]["qa"], np.einsum("bchw,bahw->ca", x, dx1) / 3)
     close(dx, np.einsum("ca,bahw->bchw", layer.qa, dx1))
 
-    layer = bottleneck_dense_net(rng, "full").layers[2]
+    layer = bottleneck_dense_net(rng).layers[2]
     x = rng.standard_normal((4, 5))
     tape = {}
     dy = rng.standard_normal(layer.forward(x, tape).shape)

@@ -8,7 +8,7 @@ from kfeprune.data import Dataset, synth_dataset
 from kfeprune.errors import DimensionError, SizeError, ValidationError
 from kfeprune.layers import DenseLayer
 from kfeprune.network import Network, build_mlp
-from kfeprune.tensormath import kron
+from kfeprune.oracle import kron
 from kfeprune.training import train
 
 # three-weight quadratic model used across the pruning tests

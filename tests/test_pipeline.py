@@ -158,6 +158,14 @@ def test_validate_config_errors():
         {"iterations": 0},
         {"arch": "mlp"},
         {"image": "8x8"},
+        {"batch_size": 0},
+        {"batch_size": -4},
+        {"n_train": 0},
+        {"n_test": 0},
+        {"classes": 0},
+        {"dim": 0},
+        {"damping": -1.0},
+        {"damping": float("nan")},
     ):
         with pytest.raises(FormatError):
             validate_config(RunConfig(**bad))
@@ -409,8 +417,8 @@ def test_factors_roundtrip(tmp_path):
 
 
 def bottleneck_net(rng):
-    """conv -> conv bottleneck (full core) -> flatten -> dense bottleneck
-    (diagonal core) -> dense: every record kind a pruned checkpoint holds."""
+    """conv -> conv bottleneck -> flatten -> dense bottleneck -> dense, all
+    cores full: every record kind a pruned checkpoint holds."""
     return Network([
         ConvLayer(rng.standard_normal((9, 2)), rng.standard_normal(2), c_in=1, k=3, padding=1),
         ReluLayer(),
@@ -421,8 +429,8 @@ def bottleneck_net(rng):
         ),
         FlattenLayer(),
         BottleneckDenseLayer(
-            rng.standard_normal((12, 2)), rng.standard_normal(2),
-            rng.standard_normal((4, 2)), core_mode="diag",
+            rng.standard_normal((12, 2)), rng.standard_normal((2, 2)),
+            rng.standard_normal((4, 2)),
         ),
         DenseLayer(rng.standard_normal((4, 3))),
     ])
@@ -457,10 +465,21 @@ def test_checkpoint_rejects_retired_patch_basis(tmp_path, capsys):
     assert "patch basis" in capsys.readouterr().err
 
 
-def test_checkpoint_bad_codes_and_records_are_format_errors(tmp_path):
+def test_checkpoint_bad_codes_and_records_are_format_errors(tmp_path, capsys):
     blob = checkpoint.network_bytes(bottleneck_net(np.random.default_rng(5)))
     with pytest.raises(FormatError, match="unknown core_mode code 7"):
         checkpoint.network_from_bytes(set_meta(blob, "core_mode", 0, 7))
+    # the depthwise core code on a dense bottleneck record: only conv
+    # bottlenecks hold one
+    dense = checkpoint.network_bytes(Network([BottleneckDenseLayer(np.eye(3), np.eye(3), np.eye(3))]))
+    dense_diag = set_meta(dense, "core_mode", 0, 1)
+    with pytest.raises(FormatError, match="dense bottleneck core_mode code 1"):
+        checkpoint.network_from_bytes(dense_diag)
+    path = tmp_path / "dense_diag.kfep"
+    path.write_bytes(dense_diag)
+    config = write_config(tmp_path / "ev.cfg", checkpoint=str(path))
+    assert cli.main(["eval", "--config", config, "--out", str(tmp_path / "e")]) == 2
+    assert "dense bottleneck core_mode code 1" in capsys.readouterr().err
     # a kernel size that disagrees with the weight rows
     with pytest.raises(FormatError, match="malformed layer record"):
         checkpoint.network_from_bytes(set_meta(blob, "k", 3, 4))
@@ -541,6 +560,37 @@ def test_checkpoint_fuzz_raises_only_format_error():
             assert bytes(raw) != blob
             outcomes["rejected"] += 1
     assert outcomes["rejected"] > 2900, outcomes
+
+
+def test_failed_write_keeps_previous_artifacts(mlp_run, tmp_path, monkeypatch):
+    """Every artifact goes through a temp file and a rename: a write that
+    fails before the rename leaves the previous files byte-identical and
+    no temp file behind."""
+    cfg, _ = mlp_run
+    out = tmp_path / "ft"
+    fcfg = derived(cfg, out, finetune_epochs=1)
+    cmd_finetune(fcfg)
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert set(before) == {CHECKPOINT_NAME, "curve.csv", "metrics.json"}
+    path = str(out / CHECKPOINT_NAME)
+    other = build_mlp(2, [3], 4, seed=1)
+    # the payload write fails
+    with pytest.raises(TypeError):
+        checkpoint.write_atomic(path, "not bytes")
+
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(checkpoint.os, "replace", no_rename)
+    with pytest.raises(OSError, match="rename refused"):
+        checkpoint.save_network(path, other)
+    with pytest.raises(OSError, match="rename refused"):
+        cmd_finetune(fcfg)
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    monkeypatch.undo()
+    checkpoint.save_network(path, other)
+    assert sorted(os.listdir(out)) == sorted(before)
+    assert checkpoint_bytes(str(out)) == checkpoint.network_bytes(other)
 
 
 def test_count_params_examples():
@@ -1080,21 +1130,27 @@ def test_cli_usage_errors(tmp_path, capsys):
     ev = write_config(tmp_path / "ev.cfg", checkpoint=str(tmp_path / "ghost.kfep"))
     assert cli.main(["eval", "--config", ev, "--out", str(tmp_path / "e")]) == 2
     assert "ghost.kfep" in capsys.readouterr().err
+    # sizes below 1 and negative damping are usage errors, reported
+    # without a traceback, whether from the file or from a flag
+    zero = write_config(tmp_path / "zero.cfg", batch_size=0, out=str(tmp_path / "z"))
+    assert cli.main(["train", "--config", zero]) == 2
+    err = capsys.readouterr().err
+    assert "batch_size must be at least 1" in err and "Traceback" not in err
+    assert cli.main(["prune", "--config", ok, "--damping", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "damping must be non-negative" in err and "Traceback" not in err
 
 
-def test_cli_numeric_failure_exit_code(mlp_run, tmp_path, capsys):
-    cfg, _ = mlp_run
+def test_cli_numeric_failure_exit_code(tmp_path, capsys):
+    # an infinite learning rate makes the first epoch's loss non-finite
     config = write_config(
-        tmp_path / "prune.cfg",
-        checkpoint=os.path.join(cfg.out, CHECKPOINT_NAME),
-        out=str(tmp_path / "out"),
-        **MLP_SETTINGS,
+        tmp_path / "train.cfg", **{**MLP_SETTINGS, "lr": "inf"}, out=str(tmp_path / "out")
     )
-    code = cli.main(
-        ["prune", "--config", config, "--strategy", "obd", "--damping", "-1"]
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        code = cli.main(["train", "--config", config])
     assert code == 1
-    assert "damping" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
 
 
 def test_cli_overrides(mlp_run, tmp_path, capsys):
