@@ -7,6 +7,7 @@ fails loudly before any work happens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import FormatError
@@ -110,6 +111,11 @@ def validate_config(cfg: RunConfig):
             raise FormatError(f"{key} must be at least 1, got {getattr(cfg, key)}")
     if not cfg.damping >= 0.0:
         raise FormatError(f"damping must be non-negative, got {cfg.damping}")
+    for key in ("lr", "finetune_lr"):
+        if not 0.0 < getattr(cfg, key) < math.inf:
+            raise FormatError(f"{key} must be finite and positive, got {getattr(cfg, key)}")
+    if not 0.0 <= cfg.weight_decay < math.inf:
+        raise FormatError(f"weight_decay must be finite and non-negative, got {cfg.weight_decay}")
     parse_arch(cfg.arch)
     if cfg.image:
         parse_image(cfg.image)

@@ -7,6 +7,16 @@ filter i.  Pre-activations follow s = W.T @ a per sample, so the input
 covariance lives on the fan_in side and the gradient covariance on the
 fan_out side.
 
+Conv activations keep their logical (B, C, H, W) shape but are
+channels-last in memory, as PyTorch's channels_last format: each is a
+(B, C, H, W) view of a contiguous (B, H, W, C) array, which is the conv
+GEMM's (B, L, C) output reshaped.  So conv, ReLU, col2im and flatten's
+backward hand each other arrays of one layout, the channel-covariance
+factor of a plain conv reads its input's pixel rows without a copy, and
+a conv bottleneck's 1x1 projections multiply those rows.  Every layer
+accepts either layout and gives bitwise the same result for both;
+shapes, weights and flop counts do not depend on it.
+
 Backward passes propagate per-sample, unscaled loss gradients (the
 gradient of each sample's own loss, not the batch mean).  Parameter
 gradients returned to the trainer are means over the batch.  The tape
@@ -35,11 +45,14 @@ def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _patch_index(c: int, h: int, w: int, k: int, stride: int, padding: int) -> np.ndarray:
-    """Flat input position of every patch entry, as a read-only intp table.
+    """Flat channels-last input position of every patch entry, as a
+    read-only intp table.
 
     Shape (c*k*k, L), rows in (channel, di, dj) order and columns in
-    (out_row, out_col) order.  Positions in the padding point at the
-    sentinel slot c*h*w, one past the last input pixel.
+    (out_row, out_col) order; input pixel (row, col) of channel ch sits at
+    (row*w + col)*c + ch, its offset in an (H, W, C) array.  Positions in
+    the padding point at the sentinel slot c*h*w, one past the last input
+    pixel.
     """
     h_out = conv_out_size(h, k, stride, padding)
     w_out = conv_out_size(w, k, stride, padding)
@@ -48,20 +61,48 @@ def _patch_index(c: int, h: int, w: int, k: int, stride: int, padding: int) -> n
     rows = (np.arange(k)[:, None] + stride * np.arange(h_out) - padding)[:, None, :, None]
     cols = (np.arange(k)[:, None] + stride * np.arange(w_out) - padding)[None, :, None, :]
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    channel = np.arange(c)[:, None, None, None, None] * (h * w)
-    table = np.where(inside, channel + rows * w + cols, c * h * w)
+    channel = np.arange(c)[:, None, None, None, None]
+    table = np.where(inside, (rows * w + cols) * c + channel, c * h * w)
     table = table.reshape(c * k * k, h_out * w_out).astype(np.intp)
     table.flags.writeable = False
     return table
 
 
+def _channels_last(rows: np.ndarray, b: int, c: int, h: int, w: int) -> np.ndarray:
+    """(B, C, H, W) view of contiguous channels-last storage, such as the
+    (B, H*W, C) pixel rows of a GEMM."""
+    return rows.reshape(b, h, w, c).transpose(0, 3, 1, 2)
+
+
+def _pixel_rows(x: np.ndarray) -> np.ndarray:
+    """Contiguous (B, H*W, C) per-pixel channel rows of x; a view when x
+    is channels-last, a copy otherwise."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(x.shape[0], -1, x.shape[1])
+
+
+def _transposed(m: np.ndarray) -> np.ndarray:
+    """m.T as a contiguous copy.  At batch 32 on one BLAS thread, numpy
+    multiplies a stack of matrices by a transposed 2-D view 1.3 to 2.5
+    times slower than by a contiguous copy."""
+    return np.ascontiguousarray(m.T)
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """Batch-mean bias gradient from (B, L, C) output gradients.
+
+    numpy sums pairwise only along a contiguous axis, so the location sum
+    runs over a (B, C, L) copy: the order does not depend on g's layout.
+    """
+    return np.ascontiguousarray(g.transpose(0, 2, 1)).sum(axis=2).mean(axis=0)
+
+
 def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     """Extract sliding k x k patches.
 
-    x: (B, C, H, W) -> (B, L, C*k*k) with L = H_out*W_out and each patch
-    flattened in (channel, row, col) order, matching the canonical weight
-    matrix row layout.  The result is a transposed view of a contiguous
-    (B, C*k*k, L) array.
+    x: (B, C, H, W) in either memory layout -> (B, L, C*k*k) with
+    L = H_out*W_out and each patch flattened in (channel, row, col) order,
+    matching the canonical weight matrix row layout.  The result is a
+    transposed view of a contiguous (B, C*k*k, L) array.
     """
     b, c, h, w = x.shape
     table = _patch_index(c, h, w, k, stride, padding)
@@ -70,8 +111,8 @@ def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     # heap (the other order adds about 5 MB of peak RSS to a conv run).
     cols = np.empty((b,) + table.shape, dtype=np.float64)
     flat = np.empty((b, c * h * w + 1), dtype=np.float64)
-    # copy through a 4-D view: x.reshape(b, -1) would copy a strided x twice
-    flat[:, :-1].reshape(b, c, h, w)[...] = x
+    # a plain copy when x is channels-last; x.reshape(b, -1) would copy twice
+    flat[:, :-1].reshape(b, h, w, c)[...] = x.transpose(0, 2, 3, 1)
     flat[:, -1] = 0.0
     # every index is in range; "clip" lets take write into cols unbuffered
     np.take(flat, table, axis=1, out=cols, mode="clip")
@@ -82,7 +123,7 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.n
     """Scatter-add patches back onto the input grid; adjoint of im2col.
 
     Each input pixel sums its contributions in (di, dj) order, the order
-    of the patch index table.
+    of the patch index table.  The result is channels-last in memory.
     """
     b, c, h, w = x_shape
     table = _patch_index(c, h, w, k, stride, padding)
@@ -95,7 +136,7 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.n
     out = np.empty((b, c * h * w), dtype=np.float64)
     for i in range(b):
         out[i] = np.bincount(index, weights=cols[i].T.ravel(), minlength=c * h * w + 1)[:-1]
-    return out.reshape(b, c, h, w)
+    return _channels_last(out, b, c, h, w)
 
 
 class DenseLayer:
@@ -212,23 +253,21 @@ class ConvLayer(_ConvGeometry):
                 f"conv expects (B, {self.c_in}, H, W), got {x.shape}"
             )
         patches = im2col(x, self.k, self.stride, self.padding)
-        h_out = conv_out_size(x.shape[2], self.k, self.stride, self.padding)
-        w_out = conv_out_size(x.shape[3], self.k, self.stride, self.padding)
         y = patches @ self.w + self.b
         if tape is not None:
             tape["x_in"] = x
             tape["patches"] = patches
-        return y.transpose(0, 2, 1).reshape(x.shape[0], self.c_out, h_out, w_out)
+        return _channels_last(y, x.shape[0], *self.out_shape(x.shape[1:]))
 
     def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         x = tape["x_in"]
         patches = tape["patches"]
         batch = x.shape[0]
-        g = dy.reshape(batch, self.c_out, -1).transpose(0, 2, 1)
+        g = _pixel_rows(dy)
         tape["g"] = g
         tape["grads"] = {
             "w": patches.reshape(-1, self.w.shape[0]).T @ g.reshape(-1, self.c_out) / batch,
-            "b": g.sum(axis=1).mean(axis=0),
+            "b": _bias_grad(g),
         }
         if not input_grad:
             return None
@@ -283,7 +322,9 @@ class FlattenLayer:
     def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         if not input_grad:
             return None
-        return dy.reshape(tape["shape"])
+        dx = dy.reshape(tape["shape"])
+        # hand a conv stack's ReLU its gradient in the mask's layout
+        return _channels_last(_pixel_rows(dx), *dx.shape) if dx.ndim == 4 else dx
 
     def param_items(self):
         return []
@@ -476,12 +517,11 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
             raise DimensionError(
                 f"bottleneck conv expects (B, {self.c_in}, H, W), got {x.shape}"
             )
-        batch = x.shape[0]
-        h_out = conv_out_size(x.shape[2], self.k, self.stride, self.padding)
-        w_out = conv_out_size(x.shape[3], self.k, self.stride, self.padding)
-        x1 = (self.qa.T @ x.reshape(batch, self.c_in, -1)).reshape(
-            batch, self.ra, x.shape[2], x.shape[3]
-        )
+        batch, _, h, w = x.shape
+        # an NCHW-order product, (ra, c_in) times each sample's (c_in, H*W)
+        # pixel columns: a pixel-row GEMM rounds differently, and the loss
+        # recorded right after a rewrite would move in its last bit
+        x1 = (self.qa.T @ _pixel_rows(x).transpose(0, 2, 1)).reshape(batch, self.ra, h, w)
         core_pat = im2col(x1, self.k, self.stride, self.padding)
         if self.core_mode == "diag":
             kk = self.k * self.k
@@ -494,16 +534,16 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
             tape["x1"] = x1
             tape["core_pat"] = core_pat
             tape["h2"] = h2
-        y = h2 @ self.qs.T + self.b
-        return y.transpose(0, 2, 1).reshape(batch, self.c_out, h_out, w_out)
+        y = h2 @ _transposed(self.qs) + self.b
+        return _channels_last(y, batch, *self.out_shape(x.shape[1:]))
 
     def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         x = tape["x_in"]
         batch = x.shape[0]
-        dy3 = dy.reshape(batch, self.c_out, -1).transpose(0, 2, 1)
+        dy3 = _pixel_rows(dy)
         h2 = tape["h2"]
         dqs = dy3.reshape(-1, self.c_out).T @ h2.reshape(-1, self.rc) / batch
-        db = dy3.sum(axis=1).mean(axis=0)
+        db = _bias_grad(dy3)
         dh2 = dy3 @ self.qs
         tape["g"] = dh2
         core_pat = tape["core_pat"]
@@ -516,16 +556,15 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         else:
             dcore_mat = core_pat.reshape(-1, self.ra * kk).T @ dh2.reshape(-1, self.rc) / batch
             dcore = dcore_mat.reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
-            dcore_pat = dh2 @ self.core_matrix().T
+            dcore_pat = dh2 @ _transposed(self.core_matrix())
         x1 = tape["x1"]
         dx1 = col2im(dcore_pat, x1.shape, self.k, self.stride, self.padding)
-        x3 = x.reshape(batch, self.c_in, -1)
-        dx13 = dx1.reshape(batch, self.ra, -1)
-        dqa = (x3 @ dx13.transpose(0, 2, 1)).sum(axis=0) / batch
+        dx13 = _pixel_rows(dx1)
+        dqa = _pixel_rows(x).reshape(-1, self.c_in).T @ dx13.reshape(-1, self.ra) / batch
         tape["grads"] = {"qa": dqa, "core": dcore, "qs": dqs, "b": db}
         if not input_grad:
             return None
-        return (self.qa @ dx13).reshape(x.shape)
+        return _channels_last(dx13 @ _transposed(self.qa), *x.shape)
 
     def flops(self, in_shape) -> int:
         _, h, w = in_shape

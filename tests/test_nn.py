@@ -12,6 +12,7 @@ from kfeprune.errors import (
     ValidationError,
 )
 from kfeprune.layers import (
+    BottleneckConvLayer,
     ConvLayer,
     DenseLayer,
     FlattenLayer,
@@ -198,6 +199,100 @@ def test_im2col_col2im_adjoint():
             np.testing.assert_allclose(
                 lhs, rhs, rtol=1e-12, err_msg=f"k={k} stride={stride} padding={padding} {shape}"
             )
+
+
+def _channels_last_copy(x):
+    """x with the same (B, C, H, W) values, stored channels-last."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _is_channels_last(a):
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _conv_layers(rng, c_in, k, stride, padding):
+    """A plain conv and a bottleneck of each core mode over c_in channels."""
+    geometry = dict(c_in=c_in, k=k, stride=stride, padding=padding)
+    kk = k * k
+    return [
+        ConvLayer(rng.standard_normal((c_in * kk, 4)), rng.standard_normal(4), **geometry),
+        BottleneckConvLayer(
+            rng.standard_normal((c_in, 2)), rng.standard_normal((2, 3, kk)),
+            rng.standard_normal((5, 3)), rng.standard_normal(5), **geometry,
+        ),
+        BottleneckConvLayer(
+            rng.standard_normal((c_in, 2)), rng.standard_normal((kk, 2)),
+            rng.standard_normal((5, 2)), rng.standard_normal(5), core_mode="diag", **geometry,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
+def test_layers_agree_across_memory_layouts(k, stride, padding):
+    # NCHW-contiguous and channels-last inputs give bitwise equal results,
+    # and col2im and both conv kinds return channels-last arrays
+    rng = np.random.default_rng(33)
+    for shape in INPUT_SHAPES:
+        x = rng.standard_normal(shape)
+        x_last = _channels_last_copy(x)
+        assert x.flags.c_contiguous and _is_channels_last(x_last)
+        assert np.array_equal(im2col(x, k, stride, padding), im2col(x_last, k, stride, padding))
+        cols = rng.standard_normal(im2col(x, k, stride, padding).shape)
+        assert _is_channels_last(col2im(cols, shape, k, stride, padding))
+        for layer in _conv_layers(rng, shape[1], k, stride, padding):
+            dy = None
+            results = []
+            for inp in (x, x_last):
+                tape = {}
+                y = layer.forward(inp, tape)
+                assert _is_channels_last(y), layer.kind
+                if dy is None:
+                    dy = rng.standard_normal(y.shape)
+                dx = layer.backward(dy if inp is x else _channels_last_copy(dy), tape)
+                assert _is_channels_last(dx), layer.kind
+                results.append([y, dx, tape["g"]] + [tape["grads"][n] for n, _ in layer.param_items()])
+            for got, want in zip(*results):
+                assert np.array_equal(got, want), layer.kind
+
+
+def _nchw_conv_backward(layer, dy, tape):
+    """ConvLayer.backward as it was with NCHW activations: dy read through
+    a transposed (B, L, C) view, whose location axis is contiguous."""
+    x, patches = tape["x_in"], tape["patches"]
+    batch = x.shape[0]
+    g = np.ascontiguousarray(dy).reshape(batch, layer.c_out, -1).transpose(0, 2, 1)
+    grad_w = patches.reshape(-1, layer.w.shape[0]).T @ g.reshape(-1, layer.c_out) / batch
+    grad_b = g.sum(axis=1).mean(axis=0)
+    dx = col2im(g @ layer.w.T, x.shape, layer.k, layer.stride, layer.padding)
+    return grad_w, grad_b, dx
+
+
+@pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
+def test_conv_backward_matches_nchw_reference(k, stride, padding):
+    # bitwise: a location sum over a contiguous axis is pairwise, over a
+    # strided one sequential, so the bias gradient must keep the old order.
+    # With one sample or one patch entry the old reshapes gave BLAS a
+    # strided operand (a Fortran-order GEMM, or GEMV instead of GEMM), so
+    # there the weight and input gradients may round differently.
+    rng = np.random.default_rng(34)
+    for shape in INPUT_SHAPES:
+        conv, bottleneck, _ = _conv_layers(rng, shape[1], k, stride, padding)
+        x = _channels_last_copy(rng.standard_normal(shape))
+        tape = {}
+        dy = _channels_last_copy(rng.standard_normal(conv.forward(x, tape).shape))
+        dx = conv.backward(dy, tape)
+        grad_w, grad_b, want_dx = _nchw_conv_backward(conv, dy, tape)
+        assert np.array_equal(tape["grads"]["b"], grad_b)
+        if shape[0] > 1 and conv.w.shape[0] > 1:
+            assert np.array_equal(tape["grads"]["w"], grad_w)
+            assert np.array_equal(dx, want_dx)
+        np.testing.assert_allclose(tape["grads"]["w"], grad_w, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-13, atol=1e-13)
+        tape = {}
+        dy = _channels_last_copy(rng.standard_normal(bottleneck.forward(x, tape).shape))
+        bottleneck.backward(dy, tape)
+        nchw = np.ascontiguousarray(dy).reshape(shape[0], bottleneck.c_out, -1)
+        assert np.array_equal(tape["grads"]["b"], nchw.transpose(0, 2, 1).sum(axis=1).mean(axis=0))
 
 
 def test_col2im_rejects_mismatched_cols():

@@ -166,6 +166,17 @@ def test_validate_config_errors():
         {"dim": 0},
         {"damping": -1.0},
         {"damping": float("nan")},
+        {"lr": -0.5},
+        {"lr": 0.0},
+        {"lr": float("inf")},
+        {"lr": float("nan")},
+        {"finetune_lr": -0.02},
+        {"finetune_lr": 0.0},
+        {"finetune_lr": float("inf")},
+        {"finetune_lr": float("nan")},
+        {"weight_decay": -1e-4},
+        {"weight_decay": float("inf")},
+        {"weight_decay": float("nan")},
     ):
         with pytest.raises(FormatError):
             validate_config(RunConfig(**bad))
@@ -1139,12 +1150,18 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["prune", "--config", ok, "--damping", "-1"]) == 2
     err = capsys.readouterr().err
     assert "damping must be non-negative" in err and "Traceback" not in err
+    # a negative learning rate would train by gradient ascent and exit 0
+    ascent = write_config(tmp_path / "ascent.cfg", **{**MLP_SETTINGS, "lr": "-0.5"})
+    assert cli.main(["train", "--config", ascent, "--out", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert "lr must be finite and positive" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "a")
 
 
 def test_cli_numeric_failure_exit_code(tmp_path, capsys):
-    # an infinite learning rate makes the first epoch's loss non-finite
+    # a finite but huge learning rate makes the first epoch's loss non-finite
     config = write_config(
-        tmp_path / "train.cfg", **{**MLP_SETTINGS, "lr": "inf"}, out=str(tmp_path / "out")
+        tmp_path / "train.cfg", **{**MLP_SETTINGS, "lr": "1e300"}, out=str(tmp_path / "out")
     )
     with np.errstate(invalid="ignore", over="ignore"):
         code = cli.main(["train", "--config", config])
