@@ -21,7 +21,8 @@ lists; factor records "A"/"S" and optionally "QA"/"QS"/"LA"/"LS".
 
 Bottleneck records carry a "core_mode" meta key: 0 for a full core, 1
 for a depthwise one.  Dense bottleneck records always carry 0; the
-reader rejects any other value there.  Conv bottleneck records also
+reader rejects any other value there, and any code that does not match
+the rank of the core tensor (a layer reads its mode off that rank).  Conv bottleneck records also
 carry a "basis" meta key that is always 0, the channel basis.  Code 1
 named a patch basis that is no longer supported; the reader rejects it,
 and every other malformed input, with FormatError.
@@ -279,10 +280,15 @@ def _build_layer(tag: int, meta: dict, tensors: dict):
                         f"conv bottleneck basis code {meta['basis']} is not supported "
                         "(code 1, the patch basis, is retired)"
                     )
-                cls, extra = BottleneckConvLayer, {**_geometry(meta), "core_mode": mode}
+                cls, extra = BottleneckConvLayer, _geometry(meta)
+            core = tensors["D" if mode == "diag" else "Wp"]
+            if core.ndim != (3 if tag == TAG_BN_CONV and mode == "full" else 2):
+                raise FormatError(
+                    f"core_mode code {meta['core_mode']} does not match a {core.ndim}-D core"
+                )
             return cls(
                 qa=tensors["QA"],
-                core=tensors["D" if mode == "diag" else "Wp"],
+                core=core,
                 qs=tensors["QS"],
                 bias=tensors["b"],
                 kept_rows=tensors["kept_rows"],

@@ -193,31 +193,33 @@ def kron_obs_scores_and_update(
     return table, update
 
 
+def kfe_energy(w_prime: np.ndarray, lam_a: np.ndarray, lam_s: np.ndarray) -> np.ndarray:
+    """Entries w'_ij^2 * lam_a_i * lam_s_j of a rotated weight, the 2-D
+    dense core or the (ra, rc, k*k) conv core (per kernel offset).  Tiny
+    negative eigenvalues from roundoff are clamped to zero."""
+    w_prime = np.asarray(w_prime, dtype=np.float64)
+    la = np.clip(np.asarray(lam_a, dtype=np.float64), 0.0, None)
+    ls = np.clip(np.asarray(lam_s, dtype=np.float64), 0.0, None)
+    if w_prime.ndim == 2:
+        return w_prime ** 2 * la[:, None] * ls[None, :]
+    if w_prime.ndim == 3:
+        return w_prime ** 2 * la[:, None, None] * ls[None, :, None]
+    raise DimensionError("rotated weight must be 2-D or 3-D")
+
+
 def eigendamage_scores(
     layer_id: int, w_prime: np.ndarray, lam_a: np.ndarray, lam_s: np.ndarray
 ):
     """Row and column scores of the rotated weight under the diagonal curvature.
 
-    Entry (i, j) carries w'_ij^2 * lam_a_i * lam_s_j (no 0.5 factor);
-    rows sum over columns (and kernel offsets for conv cores), columns
-    over rows.  Tiny negative eigenvalues from roundoff are clamped.
+    Entry (i, j) carries its kfe_energy (no 0.5 factor); rows sum over
+    columns (and kernel offsets for conv cores), columns over rows.
     """
-    w_prime = np.asarray(w_prime, dtype=np.float64)
-    la = np.clip(np.asarray(lam_a, dtype=np.float64), 0.0, None)
-    ls = np.clip(np.asarray(lam_s, dtype=np.float64), 0.0, None)
-    if w_prime.ndim == 2:
-        theta = w_prime ** 2 * la[:, None] * ls[None, :]
-        row = theta.sum(axis=1)
-        col = theta.sum(axis=0)
-    elif w_prime.ndim == 3:
-        theta = w_prime ** 2 * la[:, None, None] * ls[None, :, None]
-        row = theta.sum(axis=(1, 2))
-        col = theta.sum(axis=(0, 2))
-    else:
-        raise DimensionError("rotated weight must be 2-D or 3-D")
+    theta = kfe_energy(w_prime, lam_a, lam_s)
+    offsets = tuple(range(2, theta.ndim))
     return (
-        ImportanceTable("eigendamage", layer_id, "kfe_row", row),
-        ImportanceTable("eigendamage", layer_id, "kfe_col", col),
+        ImportanceTable("eigendamage", layer_id, "kfe_row", theta.sum(axis=(1,) + offsets)),
+        ImportanceTable("eigendamage", layer_id, "kfe_col", theta.sum(axis=(0,) + offsets)),
     )
 
 

@@ -387,12 +387,12 @@ class Bottleneck:
     def rc(self) -> int:
         return self.qs.shape[1]
 
-    def rebuilt(self, qa, core, qs, kept_rows=None, kept_cols=None, **extra):
+    def rebuilt(self, qa, core, qs, kept_rows=None, kept_cols=None):
         """The same kind of layer with the same geometry and a copy of the
         bias, around new bases and core."""
         return type(self)(
             qa=qa, core=core, qs=qs, bias=self.b.copy(),
-            kept_rows=kept_rows, kept_cols=kept_cols, **self.geometry(), **extra,
+            kept_rows=kept_rows, kept_cols=kept_cols, **self.geometry(),
         )
 
     def param_items(self):
@@ -466,8 +466,9 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     A 1x1 projection qa (c_in, ra), a k x k core conv held as a 3-tensor
     (ra, rc, k*k) with per-offset slices, then a 1x1 projection back
     through qs (c_out, rc).  After a depthwise decomposition is absorbed
-    (core_mode "diag", the only bottleneck with a factored core) the core
-    becomes a (k*k, r) array of per-offset diagonals.
+    the core becomes a (k*k, r) array of per-offset diagonals, the only
+    factored bottleneck core.  core_mode, "full" or "diag", is read off
+    the core's rank.
     """
 
     kind = "bottleneck_conv"
@@ -482,17 +483,17 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         k: int,
         stride: int,
         padding: int,
-        core_mode: str = "full",
         kept_rows: np.ndarray | None = None,
         kept_cols: np.ndarray | None = None,
     ):
         self._set_geometry(c_in, k, stride, padding)
-        if core_mode not in ("full", "diag"):
-            raise ValidationError(f"unknown core mode {core_mode!r}")
-        self.core_mode = core_mode
         super().__init__(qa, core, qs, bias, kept_rows, kept_cols)
         if self.qa.shape[0] != self.c_in:
             raise DimensionError("qa must have c_in rows")
+
+    @property
+    def core_mode(self) -> str:
+        return "diag" if self.core.ndim == 2 else "full"
 
     def core_ranks(self) -> tuple:
         kk = self.k * self.k

@@ -8,6 +8,7 @@ the metrics are reproducible for a fixed seed except wall_time_s.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import time
@@ -31,9 +32,6 @@ from .network import Network, build_cnn, build_mlp
 from .training import evaluate, train
 
 SCHEMA_VERSION = 1
-
-WEIGHT_STRATEGIES = ("obd", "obs")
-FILTER_STRATEGIES = ("c-obd", "c-obs", "kron-obd", "kron-obs")
 
 CHECKPOINT_NAME = "checkpoint.kfep"
 
@@ -81,149 +79,100 @@ def eligible_layer_ids(net: Network, strategy: str) -> list:
     """Layers a strategy may touch; unit-removing strategies spare the
     final parameterized layer so no output class can be deleted."""
     ids = net.parameterized_ids()
-    if strategy in WEIGHT_STRATEGIES:
-        return ids
-    return ids[:-1] if len(ids) > 1 else []
+    return ids if strategy in ("obd", "obs") else ids[:-1]
 
 
 def conv_variant_for(strategy: str) -> str:
     return "channel" if strategy == "eigendamage" else "full"
 
 
-def _theta_vec(w: np.ndarray) -> np.ndarray:
-    return w.flatten(order="F")
+def _plan(strategy: str, layer_id: int, layer, factors, damping: float):
+    """Score one layer's units from its Kronecker factors.
 
-
-def _score_weight_layers(net, factors, strategy, damping, ids):
-    tables, context = [], {}
-    for i in ids:
-        kf = kfac.damp(factors[i], damping)
-        layer = net.layers[i]
-        theta = _theta_vec(layer.w)
-        if strategy == "obd":
-            h_diag = criteria.kfac_diag(np.diag(kf.a), np.diag(kf.s))
-            tables.append(criteria.obd_scores(i, theta, h_diag))
-        else:
-            a_inv = kfac.inv_psd(kf.a)
-            s_inv = kfac.inv_psd(kf.s)
-            h_inv_diag = criteria.kfac_diag(np.diag(a_inv), np.diag(s_inv))
-            table = criteria.obs_scores(i, theta, h_inv_diag)
-            tables.append(table)
-            context[i] = (a_inv, s_inv, table.delta_l)
-    return tables, context
-
-
-def _apply_weight_mask(net, mask, strategy, context):
-    """Zero the removed weights.  Under obs the survivors are compensated
-    first, removing weights in ascending (score, unit id) order."""
-    for i, kind in sorted({(lid, k) for lid, k in mask.groups if k == "weight"}):
-        layer = net.layers[i]
-        removed = np.asarray(mask.removed(i, kind), dtype=np.intp)
-        if strategy == "obs":
-            a_inv, s_inv, scores = context[i]
-            order = removed[np.lexsort((removed, scores[removed]))]
-            layer.w = criteria.obs_sequential_update(layer.w, a_inv, s_inv, order)
-        else:
-            flat = _theta_vec(layer.w)
-            flat[removed] = 0.0
-            layer.w = flat.reshape(layer.w.shape, order="F")
-
-
-def _score_filter_layers(net, factors, strategy, damping, ids):
-    tables, context = [], {}
-    for i in ids:
-        kf = kfac.damp(factors[i], damping)
-        layer = net.layers[i]
-        if strategy == "c-obd":
-            tables.append(
-                criteria.c_obd_scores(i, layer.w, np.diag(kf.a), np.diag(kf.s))
-            )
-        elif strategy == "c-obs":
-            a_inv = kfac.inv_psd(kf.a)
-            s_inv = kfac.inv_psd(kf.s)
-            tables.append(
-                criteria.c_obs_scores(i, layer.w, np.diag(a_inv), np.diag(s_inv))
-            )
-        elif strategy == "kron-obd":
-            tables.append(criteria.kron_obd_scores(i, layer.w, kf.a, kf.s))
-        else:
-            s_inv = kfac.inv_psd(kf.s)
-            table, update = criteria.kron_obs_scores_and_update(
-                i, layer.w, kf.a, s_inv
-            )
-            tables.append(table)
-            context[i] = update
-    return tables, context
-
-
-def _apply_filter_mask(net, mask, strategy, context):
-    for i, kind in sorted({(lid, k) for lid, k in mask.groups if k == "filter"}):
-        layer = net.layers[i]
-        removed = mask.removed(i, kind)
-        if not removed:
-            continue
-        if strategy == "kron-obs":
-            layer.w = context[i](removed)
-        else:
-            layer.w[:, removed] = 0.0
-        layer.b[removed] = 0.0
-
-
-def _rotate_for_eigendamage(net, factors, ids):
-    """Move eligible layers into the eigenbasis of their current factors.
-
-    Plain layers are rewritten as bottlenecks; existing bottlenecks get
-    the fresh basis folded in.  Returns per-layer eigen factors.
+    Returns (tables, rewrite).  rewrite(mask) builds the pruned layer and
+    returns it with the removal's predicted cost, which only eigendamage
+    reports (None otherwise).  Neither step changes `layer`: eigendamage
+    scores a rotated copy, and the in-place strategies write into copies
+    of the weights.
     """
-    eigen = {}
-    for i in ids:
-        ef = kfac.eigenbasis(factors[i])
-        layer = net.layers[i]
+    if strategy == "eigendamage":
+        ef = kfac.eigenbasis(factors)
         if isinstance(layer, (DenseLayer, ConvLayer)):
-            net.layers[i] = reparam.to_kfe(layer, ef)
+            rotated = reparam.to_kfe(layer, ef)
         else:
-            net.layers[i] = reparam.merge_bases(layer, ef)
-        eigen[i] = ef
-    return eigen
+            rotated = reparam.merge_bases(layer, ef)
+        tables = criteria.eigendamage_scores(layer_id, rotated.core, ef.lam_a, ef.lam_s)
 
+        def rewrite(mask):
+            rows = mask.removed(layer_id, "kfe_row")
+            cols = mask.removed(layer_id, "kfe_col")
+            removed = np.zeros(rotated.core.shape, dtype=bool)
+            removed[rows] = True
+            removed[:, cols] = True
+            energy = criteria.kfe_energy(rotated.core, ef.lam_a, ef.lam_s)
+            cost = 0.5 * float(energy[removed].sum())
+            return reparam.eigenprune(rotated, rows, cols), cost
 
-def _score_eigendamage(net, eigen, ids):
-    tables = []
-    for i in ids:
-        ef = eigen[i]
-        tables.extend(criteria.eigendamage_scores(i, net.layers[i].core, ef.lam_a, ef.lam_s))
-    return tables
+        return tables, rewrite
 
-
-def _predicted_cost(net, eigen, mask, ids) -> float:
-    total = 0.0
-    for i in ids:
-        core = net.layers[i].core
-        ef = eigen[i]
-        la = np.clip(ef.lam_a, 0.0, None)
-        ls = np.clip(ef.lam_s, 0.0, None)
-        if core.ndim == 2:
-            theta = core ** 2 * la[:, None] * ls[None, :]
-        else:
-            theta = core ** 2 * la[:, None, None] * ls[None, :, None]
-        removed = np.zeros(core.shape, dtype=bool)
-        removed[mask.removed(i, "kfe_row")] = True
-        removed[:, mask.removed(i, "kfe_col")] = True
-        total += 0.5 * float(theta[removed].sum())
-    return total
-
-
-def _apply_eigendamage_mask(net, mask, ids):
-    for i in ids:
-        net.layers[i] = reparam.eigenprune(
-            net.layers[i], mask.removed(i, "kfe_row"), mask.removed(i, "kfe_col")
+    if not isinstance(layer, (DenseLayer, ConvLayer)):
+        raise ValidationError(
+            f"layer {layer_id} is a {layer.kind} layer; {strategy} prunes plain "
+            "dense and conv layers only (prune a rotated checkpoint with eigendamage)"
         )
+    kf = kfac.damp(factors, damping)
+    w, update = layer.w, None
+    if strategy in ("obs", "c-obs"):
+        a_inv = kfac.inv_psd(kf.a)
+    if strategy in ("obs", "c-obs", "kron-obs"):
+        s_inv = kfac.inv_psd(kf.s)
+    if strategy == "obd":
+        h_diag = criteria.kfac_diag(np.diag(kf.a), np.diag(kf.s))
+        table = criteria.obd_scores(layer_id, w.flatten(order="F"), h_diag)
+    elif strategy == "obs":
+        h_inv_diag = criteria.kfac_diag(np.diag(a_inv), np.diag(s_inv))
+        table = criteria.obs_scores(layer_id, w.flatten(order="F"), h_inv_diag)
+    elif strategy == "c-obd":
+        table = criteria.c_obd_scores(layer_id, w, np.diag(kf.a), np.diag(kf.s))
+    elif strategy == "c-obs":
+        table = criteria.c_obs_scores(layer_id, w, np.diag(a_inv), np.diag(s_inv))
+    elif strategy == "kron-obd":
+        table = criteria.kron_obd_scores(layer_id, w, kf.a, kf.s)
+    else:
+        table, update = criteria.kron_obs_scores_and_update(layer_id, w, kf.a, s_inv)
+
+    def rewrite(mask):
+        removed = np.asarray(mask.removed(layer_id, table.unit_kind), dtype=np.intp)
+        out = copy.copy(layer)
+        if strategy == "obs":
+            # the survivors are compensated removing weights in ascending
+            # (score, unit id) order
+            order = removed[np.lexsort((removed, table.delta_l[removed]))]
+            out.w = criteria.obs_sequential_update(w, a_inv, s_inv, order)
+        elif strategy == "obd":
+            flat = w.flatten(order="F")
+            flat[removed] = 0.0
+            out.w = flat.reshape(w.shape, order="F")
+        elif not removed.size:
+            return layer, None
+        else:
+            # kron-obs compensates the surviving filters; its update
+            # zeroes the removed ones as well
+            out.w = w.copy(order="K") if update is None else update(removed)
+            out.w[:, removed] = 0.0
+            out.b = layer.b.copy()
+            out.b[removed] = 0.0
+        return out, None
+
+    return [table], rewrite
 
 
 def prune_once(net, dataset, cfg: RunConfig, cap: float):
-    """Estimate factors, score, select, and apply one round of pruning.
+    """Estimate factors, plan every eligible layer, select one global
+    mask, then apply every layer's rewrite.
 
-    Returns (tables, mask, info); the network is modified in place.
+    Returns (tables, mask, info).  The network changes only once every
+    rewrite is built, so when this raises the network is as it was.
     """
     strategy = cfg.strategy
     ids = eligible_layer_ids(net, strategy)
@@ -237,21 +186,18 @@ def prune_once(net, dataset, cfg: RunConfig, cap: float):
         max_batches=cfg.fisher_batches if cfg.fisher_batches > 0 else None,
         layer_ids=ids,
     )
+    tables, rewrites = [], []
+    for i in ids:
+        layer_tables, rewrite = _plan(strategy, i, net.layers[i], factors[i], cfg.damping)
+        tables.extend(layer_tables)
+        rewrites.append(rewrite)
+    mask = criteria.select_mask(tables, cfg.ratio, cap)
+    pruned = [rewrite(mask) for rewrite in rewrites]
     info = {}
-    if strategy in WEIGHT_STRATEGIES:
-        tables, context = _score_weight_layers(net, factors, strategy, cfg.damping, ids)
-        mask = criteria.select_mask(tables, cfg.ratio, cap)
-        _apply_weight_mask(net, mask, strategy, context)
-    elif strategy in FILTER_STRATEGIES:
-        tables, context = _score_filter_layers(net, factors, strategy, cfg.damping, ids)
-        mask = criteria.select_mask(tables, cfg.ratio, cap)
-        _apply_filter_mask(net, mask, strategy, context)
-    else:
-        eigen = _rotate_for_eigendamage(net, factors, ids)
-        tables = _score_eigendamage(net, eigen, ids)
-        mask = criteria.select_mask(tables, cfg.ratio, cap)
-        info["predicted_cost"] = _predicted_cost(net, eigen, mask, ids)
-        _apply_eigendamage_mask(net, mask, ids)
+    if strategy == "eigendamage":
+        info["predicted_cost"] = sum(cost for _, cost in pruned)
+    for i, (layer, _) in zip(ids, pruned):
+        net.layers[i] = layer
     return tables, mask, info
 
 

@@ -235,6 +235,4 @@ def absorb_depthwise(layer, factors: DepthwiseFactors):
         raise ValidationError("separable absorb needs a convolution bottleneck")
     if factors.u.shape[0] != core.shape[0] or factors.v.shape[0] != core.shape[1]:
         raise DimensionError("separable factors do not match the core shape")
-    return layer.rebuilt(
-        layer.qa @ factors.u, factors.c.copy(), layer.qs @ factors.v, core_mode="diag"
-    )
+    return layer.rebuilt(layer.qa @ factors.u, factors.c.copy(), layer.qs @ factors.v)

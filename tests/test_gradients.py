@@ -58,8 +58,10 @@ def bottleneck_conv_net(rng, core_mode):
         core=core,
         qs=rng.standard_normal((3, rc)),
         bias=rng.standard_normal(3),
-        c_in=2, k=k, stride=2, padding=1, core_mode=core_mode,
+        c_in=2, k=k, stride=2, padding=1,
     )
+    # the mode is read off the core's rank
+    assert bottleneck.core_mode == core_mode
     return Network([
         ConvLayer(rng.standard_normal((9, 2)), rng.standard_normal(2), c_in=1, k=3, padding=1),
         ReluLayer(),

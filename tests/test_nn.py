@@ -222,7 +222,7 @@ def _conv_layers(rng, c_in, k, stride, padding):
         ),
         BottleneckConvLayer(
             rng.standard_normal((c_in, 2)), rng.standard_normal((kk, 2)),
-            rng.standard_normal((5, 2)), rng.standard_normal(5), core_mode="diag", **geometry,
+            rng.standard_normal((5, 2)), rng.standard_normal(5), **geometry,
         ),
     ]
 

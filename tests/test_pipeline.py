@@ -12,6 +12,7 @@ import pytest
 
 from kfeprune import accounting, checkpoint, cli, criteria, pipeline
 from kfeprune.config import (
+    STRATEGIES,
     RunConfig,
     parse_arch,
     parse_config,
@@ -166,6 +167,9 @@ def test_validate_config_errors():
         {"dim": 0},
         {"damping": -1.0},
         {"damping": float("nan")},
+        {"damping": float("inf")},
+        {"fisher_batches": -4},
+        {"rank": -3},
         {"lr": -0.5},
         {"lr": 0.0},
         {"lr": float("inf")},
@@ -491,6 +495,22 @@ def test_checkpoint_bad_codes_and_records_are_format_errors(tmp_path, capsys):
     config = write_config(tmp_path / "ev.cfg", checkpoint=str(path))
     assert cli.main(["eval", "--config", config, "--out", str(tmp_path / "e")]) == 2
     assert "dense bottleneck core_mode code 1" in capsys.readouterr().err
+    # a conv bottleneck reads its core mode off the core's rank, so the
+    # code must match it: with rank 1 either core reshaped to the other
+    # rank would otherwise load as the other mode
+    rng = np.random.default_rng(6)
+    for code, tag, core, other in ((0, b"\x02Wp", (1, 1, 9), (9, 1)), (1, b"\x01D", (9, 1), (1, 1, 9))):
+        rank_1 = BottleneckConvLayer(
+            rng.standard_normal((2, 1)), rng.standard_normal(core), rng.standard_normal((3, 1)),
+            rng.standard_normal(3), c_in=2, k=3, stride=1, padding=1,
+        )
+        assert rank_1.core_mode == ("full", "diag")[code]
+        blob_1 = checkpoint.network_bytes(Network([rank_1]))
+        dims = tag + struct.pack(f"<BB{len(core)}I", 0, len(core), *core)
+        assert dims in blob_1
+        bad = blob_1.replace(dims, tag + struct.pack(f"<BB{len(other)}I", 0, len(other), *other))
+        with pytest.raises(FormatError, match=f"core_mode code {code} does not match a {len(other)}-D core"):
+            checkpoint.network_from_bytes(resealed(bad))
     # a kernel size that disagrees with the weight rows
     with pytest.raises(FormatError, match="malformed layer record"):
         checkpoint.network_from_bytes(set_meta(blob, "k", 3, 4))
@@ -759,6 +779,44 @@ def test_prune_once_kron_obs_zeroes_filter_columns(mlp_run, kept):
     np.testing.assert_array_equal(net.layers[0].w[:, removed], 0.0)
     np.testing.assert_array_equal(net.layers[0].b[removed], 0.0)
     assert np.any(net.layers[0].w[:, kept(mask, 0, "filter")] != 0.0)
+
+
+@pytest.mark.parametrize(
+    "strategy,ratio,cap",
+    [(s, 0.5, 0.0) for s in STRATEGIES] + [("eigendamage", 1.0, 1.0)],
+)
+def test_failed_prune_once_leaves_network_unchanged(mlp_run, strategy, ratio, cap):
+    # cap 0 fails in select_mask, after every layer is scored; removing
+    # every eigenbasis direction fails in the rewrite itself
+    cfg, _ = mlp_run
+    net = checkpoint.load_network(os.path.join(cfg.out, CHECKPOINT_NAME))
+    before = checkpoint.network_bytes(net)
+    ds = build_dataset(cfg, "train")
+    with pytest.raises(ValidationError):
+        prune_once(net, ds, replace(cfg, strategy=strategy, ratio=ratio), cap=cap)
+    assert checkpoint.network_bytes(net) == before
+
+
+def test_cli_in_place_strategies_reject_rotated_checkpoint(mlp_run, tmp_path, capsys):
+    cfg, _ = mlp_run
+    out = tmp_path / "rotated"
+    config = write_config(
+        tmp_path / "ed.cfg", **MLP_SETTINGS, strategy="eigendamage", out=str(out),
+        checkpoint=os.path.join(cfg.out, CHECKPOINT_NAME),
+    )
+    assert cli.main(["prune", "--config", config]) == 0
+    capsys.readouterr()
+    files = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    # the pruned checkpoint in place: layer 0 is now a dense bottleneck
+    again = write_config(tmp_path / "again.cfg", **MLP_SETTINGS, out=str(out))
+    for strategy in STRATEGIES:
+        if strategy == "eigendamage":
+            continue
+        assert cli.main(["prune", "--config", again, "--strategy", strategy]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 0 is a bottleneck_dense layer")
+        assert "Traceback" not in err
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == files
 
 
 def importance_bytes(out_dir, tables):
@@ -1150,6 +1208,18 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["prune", "--config", ok, "--damping", "-1"]) == 2
     err = capsys.readouterr().err
     assert "damping must be non-negative" in err and "Traceback" not in err
+    # an infinite damping would fail factor inversion under obs and be
+    # ignored under eigendamage
+    assert cli.main(["prune", "--config", ok, "--damping", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "damping must be non-negative and finite" in err and "Traceback" not in err
+    # negative counts used to run as if they were 0
+    for key, value in (("fisher_batches", -4), ("rank", -3)):
+        neg = write_config(tmp_path / f"{key}.cfg", **{key: value}, out=str(tmp_path / key))
+        assert cli.main(["prune", "--config", neg]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be non-negative" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / key)
     # a negative learning rate would train by gradient ascent and exit 0
     ascent = write_config(tmp_path / "ascent.cfg", **{**MLP_SETTINGS, "lr": "-0.5"})
     assert cli.main(["train", "--config", ascent, "--out", str(tmp_path / "a")]) == 2
