@@ -12,12 +12,19 @@ def count_params(net: Network) -> int:
 
 def count_flops(net: Network, in_shape) -> int:
     """Forward multiply-add count for one sample, two ops per multiply-add."""
+    return flops_and_out_shape(net, in_shape)[0]
+
+
+def flops_and_out_shape(net: Network, in_shape) -> tuple:
+    """(count_flops, output sample shape) from one walk of in_shape through
+    every layer's out_shape; raises DimensionError where a layer cannot
+    take the shape it is handed."""
     total = 0
     cur = tuple(in_shape)
     for layer in net.layers:
         total += layer.flops(cur)
         cur = tuple(layer.out_shape(cur))
-    return total
+    return total, cur
 
 
 def reduction_percent(before: float, after: float) -> float:

@@ -17,6 +17,9 @@ a conv bottleneck's 1x1 projections multiply those rows.  Every layer
 accepts either layout and gives bitwise the same result for both;
 shapes, weights and flop counts do not depend on it.
 
+Each layer checks a sample shape once, in out_shape, which forward calls
+and accounting walks through a network: DimensionError if it cannot fit.
+
 Backward passes propagate per-sample, unscaled loss gradients (the
 gradient of each sample's own loss, not the batch mean).  Parameter
 gradients returned to the trainer are means over the batch.  The tape
@@ -139,7 +142,17 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.n
     return _channels_last(out, b, c, h, w)
 
 
-class DenseLayer:
+class _DenseGeometry:
+    """Input check shared by both dense kinds: a (fan_in,) sample in, a
+    (fan_out,) sample out."""
+
+    def out_shape(self, in_shape):
+        if tuple(in_shape) != (self.fan_in,):
+            raise DimensionError(f"{self.kind} expects ({self.fan_in},), got {tuple(in_shape)}")
+        return (self.fan_out,)
+
+
+class DenseLayer(_DenseGeometry):
     kind = "dense"
 
     def __init__(self, w: np.ndarray, bias: np.ndarray | None = None):
@@ -161,10 +174,7 @@ class DenseLayer:
         return self.w.shape[1]
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.fan_in:
-            raise DimensionError(
-                f"dense expects (B, {self.fan_in}), got {x.shape}"
-            )
+        self.out_shape(x.shape[1:])
         if tape is not None:
             tape["a"] = x
         return x @ self.w + self.b
@@ -181,9 +191,6 @@ class DenseLayer:
     def param_items(self):
         return [("w", self.w), ("b", self.b)]
 
-    def out_shape(self, in_shape):
-        return (self.fan_out,)
-
     def param_count(self) -> int:
         return self.w.size + self.b.size
 
@@ -193,7 +200,8 @@ class DenseLayer:
 
 class _ConvGeometry:
     """Geometry shared by both conv kinds: c_in input channels, a k x k
-    kernel, stride and zero padding."""
+    kernel, stride and zero padding.  out_shape rejects a wrong channel
+    count and an input too small to give any output."""
 
     def _set_geometry(self, c_in: int, k: int, stride: int, padding: int):
         self.c_in, self.k, self.stride, self.padding = int(c_in), int(k), int(stride), int(padding)
@@ -207,12 +215,14 @@ class _ConvGeometry:
         return {key: getattr(self, key) for key in CONV_GEOMETRY}
 
     def out_shape(self, in_shape):
+        if len(in_shape) != 3 or in_shape[0] != self.c_in:
+            raise DimensionError(f"{self.kind} expects ({self.c_in}, H, W), got {tuple(in_shape)}")
         _, h, w = in_shape
-        return (
-            self.c_out,
-            conv_out_size(h, self.k, self.stride, self.padding),
-            conv_out_size(w, self.k, self.stride, self.padding),
-        )
+        h_out = conv_out_size(h, self.k, self.stride, self.padding)
+        w_out = conv_out_size(w, self.k, self.stride, self.padding)
+        if h_out <= 0 or w_out <= 0:
+            raise DimensionError(f"{self.kind} output would be empty for input {h}x{w}")
+        return (self.c_out, h_out, w_out)
 
 
 class ConvLayer(_ConvGeometry):
@@ -248,16 +258,13 @@ class ConvLayer(_ConvGeometry):
         return self.w.shape[1]
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise DimensionError(
-                f"conv expects (B, {self.c_in}, H, W), got {x.shape}"
-            )
+        out_shape = self.out_shape(x.shape[1:])
         patches = im2col(x, self.k, self.stride, self.padding)
         y = patches @ self.w + self.b
         if tape is not None:
             tape["x_in"] = x
             tape["patches"] = patches
-        return _channels_last(y, x.shape[0], *self.out_shape(x.shape[1:]))
+        return _channels_last(y, x.shape[0], *out_shape)
 
     def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         x = tape["x_in"]
@@ -402,7 +409,7 @@ class Bottleneck:
         return self.qa.size + self.core.size + self.qs.size + self.b.size
 
 
-class BottleneckDenseLayer(Bottleneck):
+class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
     """Dense layer factored as qa @ core @ qs.T; core is a full (ra, rc)
     matrix."""
 
@@ -425,10 +432,7 @@ class BottleneckDenseLayer(Bottleneck):
         return self.qs.shape[0]
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.fan_in:
-            raise DimensionError(
-                f"bottleneck dense expects (B, {self.fan_in}), got {x.shape}"
-            )
+        self.out_shape(x.shape[1:])
         h1 = x @ self.qa
         h2 = h1 @ self.core
         if tape is not None:
@@ -452,9 +456,6 @@ class BottleneckDenseLayer(Bottleneck):
         if not input_grad:
             return None
         return dh1 @ self.qa.T
-
-    def out_shape(self, in_shape):
-        return (self.fan_out,)
 
     def flops(self, in_shape) -> int:
         return 2 * self.fan_in * self.ra + 2 * self.ra * self.rc + 2 * self.rc * self.fan_out
@@ -514,10 +515,7 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         return self.core.transpose(0, 2, 1).reshape(self.ra * self.k * self.k, self.rc)
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise DimensionError(
-                f"bottleneck conv expects (B, {self.c_in}, H, W), got {x.shape}"
-            )
+        out_shape = self.out_shape(x.shape[1:])
         batch, _, h, w = x.shape
         # an NCHW-order product, (ra, c_in) times each sample's (c_in, H*W)
         # pixel columns: a pixel-row GEMM rounds differently, and the loss
@@ -536,7 +534,7 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
             tape["core_pat"] = core_pat
             tape["h2"] = h2
         y = h2 @ _transposed(self.qs) + self.b
-        return _channels_last(y, batch, *self.out_shape(x.shape[1:]))
+        return _channels_last(y, batch, *out_shape)
 
     def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
         x = tape["x_in"]

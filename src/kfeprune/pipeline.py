@@ -1,9 +1,10 @@
 """End-to-end commands: train, prune, iterate, finetune, eval, decompose.
 
-Every command reads a RunConfig, works inside one output directory, and
-writes a schema-versioned metrics.json next to whatever else it
-produces (checkpoint.kfep, curve.csv, importance.csv).  All numbers in
-the metrics are reproducible for a fixed seed except wall_time_s.
+Every command reads a RunConfig, checks all of its inputs before it
+creates its output directory, and writes there a schema-versioned
+metrics.json next to whatever else it produces (checkpoint.kfep,
+curve.csv, importance.csv).  All numbers in the metrics are
+reproducible for a fixed seed except wall_time_s.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 import numpy as np
 
 from . import criteria, kfac, reparam
-from .accounting import count_flops, count_params, reduction_percent
+from .accounting import count_flops, count_params, flops_and_out_shape, reduction_percent
 from .checkpoint import (
     load_network,
     network_bytes,
@@ -26,7 +27,7 @@ from .checkpoint import (
 )
 from .config import RunConfig, parse_arch, parse_image, resolve_cap
 from .data import Dataset, load_idx, synth_dataset
-from .errors import FormatError, KfepruneError, ValidationError
+from .errors import DimensionError, FormatError, KfepruneError, ValidationError
 from .layers import ConvLayer, DenseLayer, FlattenLayer
 from .network import Network, build_cnn, build_mlp
 from .training import evaluate, train
@@ -115,11 +116,6 @@ def _plan(strategy: str, layer_id: int, layer, factors, damping: float):
 
         return tables, rewrite
 
-    if not isinstance(layer, (DenseLayer, ConvLayer)):
-        raise ValidationError(
-            f"layer {layer_id} is a {layer.kind} layer; {strategy} prunes plain "
-            "dense and conv layers only (prune a rotated checkpoint with eigendamage)"
-        )
     kf = kfac.damp(factors, damping)
     w, update = layer.w, None
     if strategy in ("obs", "c-obs"):
@@ -178,6 +174,12 @@ def prune_once(net, dataset, cfg: RunConfig, cap: float):
     ids = eligible_layer_ids(net, strategy)
     if not ids:
         raise ValidationError("no layers eligible for pruning under this strategy")
+    for i in ids:
+        if strategy != "eigendamage" and not isinstance(net.layers[i], (DenseLayer, ConvLayer)):
+            raise ValidationError(
+                f"layer {i} is a {net.layers[i].kind} layer; {strategy} prunes plain "
+                "dense and conv layers only (prune a rotated checkpoint with eigendamage)"
+            )
     factors = kfac.estimate_factors(
         net,
         dataset,
@@ -218,10 +220,6 @@ def per_layer_remaining(net: Network) -> list:
                 denom *= layer.k * layer.k
             fracs.append(float(layer.core.size) / denom)
     return fracs
-
-
-def _data_shape(cfg: RunConfig, dataset: Dataset):
-    return dataset.x.shape[1:] if dataset.x.ndim == 4 else (dataset.x.shape[1],)
 
 
 def _eval_metrics(net, ds_train, ds_test, batch_size):
@@ -273,38 +271,68 @@ def write_importance(out_dir: str, tables):
     return path
 
 
-def _base_record(cfg: RunConfig, command: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "strategy": cfg.strategy,
-        "seed": cfg.seed,
-    }
+def _open(cfg: RunConfig, fresh: bool = False) -> tuple:
+    """Read and check every input of a command, then create its output
+    directory.
 
-
-def _checkpoint_in(cfg: RunConfig) -> str:
-    return cfg.checkpoint or os.path.join(cfg.out, CHECKPOINT_NAME)
-
-
-def _prepare_out(cfg: RunConfig) -> str:
+    Loads the checkpoint (or, when fresh, builds a network for the train
+    split), builds both splits and walks their sample shape through the
+    network.  A network and data that do not fit raise FormatError before
+    the directory exists.  Returns (net, ds_train, ds_test, in_shape,
+    before), with before the network's (params, flops).
+    """
+    if not fresh:
+        net = load_network(cfg.checkpoint or os.path.join(cfg.out, CHECKPOINT_NAME))
+    ds_train = build_dataset(cfg, "train")
+    ds_test = build_dataset(cfg, "test")
+    if fresh:
+        net = build_network(cfg, ds_train.num_classes)
+    in_shape = ds_train.x.shape[1:]
+    if ds_test.x.shape[1:] != in_shape:
+        raise FormatError(f"train samples are {in_shape}, test samples {ds_test.x.shape[1:]}")
+    try:
+        flops, out_shape = flops_and_out_shape(net, in_shape)
+    except DimensionError as err:
+        raise FormatError(f"samples of shape {in_shape} do not fit the network: {err}") from None
+    # the test split counts its classes from its own labels on idx data
+    classes = ds_train.num_classes
+    if ds_test.num_classes > classes:
+        raise FormatError(
+            f"the test split has {ds_test.num_classes} classes, the train split {classes}"
+        )
+    if out_shape != (classes,):
+        raise FormatError(
+            f"the network gives {'x'.join(map(str, out_shape))} outputs per sample, "
+            f"but the data has {classes} classes"
+        )
     os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
-
-
-def _counts(net: Network, in_shape) -> tuple:
-    return count_params(net), count_flops(net, in_shape)
+    return net, ds_train, ds_test, in_shape, (count_params(net), flops)
 
 
 def _size_record(net: Network, in_shape, before=None) -> dict:
     """params, flops and per_layer_remaining of the network.  Given the
     (params, flops) it started from, also those as params_before and
     flops_before, and the two reduction percentages."""
-    params, flops = _counts(net, in_shape)
+    params, flops = count_params(net), count_flops(net, in_shape)
     record = {"params": params, "flops": flops, "per_layer_remaining": per_layer_remaining(net)}
     if before is not None:
         record["params_before"], record["flops_before"] = before
         record["weight_reduction_percent"] = reduction_percent(before[0], params)
         record["flop_reduction_percent"] = reduction_percent(before[1], flops)
+    return record
+
+
+def _record(cfg: RunConfig, command: str, net, ds_train, ds_test, in_shape, before=None) -> dict:
+    """Every command's record: what ran, the network's loss and accuracy
+    on both splits, and its _size_record."""
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "strategy": cfg.strategy,
+        "seed": cfg.seed,
+    }
+    record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
+    record.update(_size_record(net, in_shape, before))
     return record
 
 
@@ -318,58 +346,7 @@ def _finish(out_dir: str, record: dict, t0: float, net: Network | None = None) -
     return record
 
 
-def cmd_train(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out_dir = _prepare_out(cfg)
-    ds_train = build_dataset(cfg, "train")
-    ds_test = build_dataset(cfg, "test")
-    net = build_network(cfg, ds_train.num_classes)
-    pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
-    net, curve = train(
-        net,
-        ds_train,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-    )
-    record = _base_record(cfg, "train")
-    record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
-    record["train_loss_pre"] = pre_loss
-    record["train_loss_post"] = record["train_loss"]
-    record.update(_size_record(net, _data_shape(cfg, ds_train)))
-    write_curve(out_dir, curve)
-    return _finish(out_dir, record, t0, net)
-
-
-def cmd_prune(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out_dir = _prepare_out(cfg)
-    net = load_network(_checkpoint_in(cfg))
-    ds_train = build_dataset(cfg, "train")
-    ds_test = build_dataset(cfg, "test")
-    in_shape = _data_shape(cfg, ds_train)
-    pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
-    before = _counts(net, in_shape)
-    cap = resolve_cap(cfg, iterative=False)
-    tables, mask, info = prune_once(net, ds_train, cfg, cap)
-    record = _base_record(cfg, "prune")
-    record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
-    record["train_loss_pre"] = pre_loss
-    record["train_loss_post"] = record["train_loss"]
-    record["tau"] = mask.tau
-    record["ratio"] = cfg.ratio
-    record["cap"] = cap
-    record.update(_size_record(net, in_shape, before))
-    record.update(info)
-    write_importance(out_dir, tables)
-    return _finish(out_dir, record, t0, net)
-
-
 def _finetune(net, ds_train, cfg: RunConfig):
-    if cfg.finetune_epochs == 0:
-        return net, []
     return train(
         net,
         ds_train,
@@ -382,31 +359,59 @@ def _finetune(net, ds_train, cfg: RunConfig):
     )
 
 
-def cmd_finetune(cfg: RunConfig) -> dict:
+def _fit(cfg: RunConfig, command: str) -> dict:
+    """train fits a fresh network, finetune a loaded one."""
     t0 = time.perf_counter()
-    out_dir = _prepare_out(cfg)
-    net = load_network(_checkpoint_in(cfg))
-    ds_train = build_dataset(cfg, "train")
-    ds_test = build_dataset(cfg, "test")
+    fresh = command == "train"
+    net, ds_train, ds_test, in_shape, _ = _open(cfg, fresh)
     pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
-    net, curve = _finetune(net, ds_train, cfg)
-    record = _base_record(cfg, "finetune")
-    record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
+    if fresh:
+        net, curve = train(
+            net,
+            ds_train,
+            epochs=cfg.epochs,
+            lr=cfg.lr,
+            weight_decay=cfg.weight_decay,
+            batch_size=cfg.batch_size,
+            seed=cfg.seed,
+        )
+    else:
+        net, curve = _finetune(net, ds_train, cfg)
+    record = _record(cfg, command, net, ds_train, ds_test, in_shape)
     record["train_loss_pre"] = pre_loss
     record["train_loss_post"] = record["train_loss"]
-    record.update(_size_record(net, _data_shape(cfg, ds_train)))
-    write_curve(out_dir, curve)
-    return _finish(out_dir, record, t0, net)
+    write_curve(cfg.out, curve)
+    return _finish(cfg.out, record, t0, net)
+
+
+def cmd_train(cfg: RunConfig) -> dict:
+    return _fit(cfg, "train")
+
+
+def cmd_finetune(cfg: RunConfig) -> dict:
+    return _fit(cfg, "finetune")
+
+
+def cmd_prune(cfg: RunConfig) -> dict:
+    t0 = time.perf_counter()
+    net, ds_train, ds_test, in_shape, before = _open(cfg)
+    pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
+    cap = resolve_cap(cfg, iterative=False)
+    tables, mask, info = prune_once(net, ds_train, cfg, cap)
+    record = _record(cfg, "prune", net, ds_train, ds_test, in_shape, before)
+    record["train_loss_pre"] = pre_loss
+    record["train_loss_post"] = record["train_loss"]
+    record["tau"] = mask.tau
+    record["ratio"] = cfg.ratio
+    record["cap"] = cap
+    record.update(info)
+    write_importance(cfg.out, tables)
+    return _finish(cfg.out, record, t0, net)
 
 
 def cmd_iterate(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
-    out_dir = _prepare_out(cfg)
-    net = load_network(_checkpoint_in(cfg))
-    ds_train = build_dataset(cfg, "train")
-    ds_test = build_dataset(cfg, "test")
-    in_shape = _data_shape(cfg, ds_train)
-    before = _counts(net, in_shape)
+    net, ds_train, ds_test, in_shape, before = _open(cfg)
     cap = resolve_cap(cfg, iterative=True)
     rounds = []
     aborted = None
@@ -437,38 +442,26 @@ def cmd_iterate(cfg: RunConfig) -> dict:
         rec.update(info)
         rec["wall_time_s"] = time.perf_counter() - t_round
         rounds.append(rec)
-    record = _base_record(cfg, "iterate")
+    record = _record(cfg, "iterate", net, ds_train, ds_test, in_shape, before)
     record["cap"] = cap
     record["ratio"] = cfg.ratio
     record["rounds"] = rounds
     if aborted is not None:
         record["aborted"] = aborted
-    record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
-    record.update(_size_record(net, in_shape, before))
     if last_tables is not None:
-        write_importance(out_dir, last_tables)
-    return _finish(out_dir, record, t0, net)
+        write_importance(cfg.out, last_tables)
+    return _finish(cfg.out, record, t0, net)
 
 
 def cmd_eval(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
-    out_dir = _prepare_out(cfg)
-    net = load_network(_checkpoint_in(cfg))
-    ds_train = build_dataset(cfg, "train")
-    ds_test = build_dataset(cfg, "test")
-    record = _base_record(cfg, "eval")
-    record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
-    record.update(_size_record(net, _data_shape(cfg, ds_train)))
-    return _finish(out_dir, record, t0)
+    net, ds_train, ds_test, in_shape, _ = _open(cfg)
+    return _finish(cfg.out, _record(cfg, "eval", net, ds_train, ds_test, in_shape), t0)
 
 
 def cmd_decompose(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
-    out_dir = _prepare_out(cfg)
-    net = load_network(_checkpoint_in(cfg))
-    ds_train = build_dataset(cfg, "train")
-    in_shape = _data_shape(cfg, ds_train)
-    before = _counts(net, in_shape)
+    net, ds_train, ds_test, in_shape, before = _open(cfg)
     decomposed = []
     for i in net.parameterized_ids():
         layer = net.layers[i]
@@ -487,12 +480,9 @@ def cmd_decompose(cfg: RunConfig) -> dict:
             )
     if not decomposed:
         raise ValidationError("no full convolution bottleneck cores to decompose")
-    record = _base_record(cfg, "decompose")
-    ds_test = build_dataset(cfg, "test")
-    record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
+    record = _record(cfg, "decompose", net, ds_train, ds_test, in_shape, before)
     record["layers"] = decomposed
-    record.update(_size_record(net, in_shape, before))
-    return _finish(out_dir, record, t0, net)
+    return _finish(cfg.out, record, t0, net)
 
 
 def network_snapshot(net: Network) -> Network:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kfeprune import accounting, checkpoint, cli, criteria, pipeline
+from kfeprune import accounting, checkpoint, cli, criteria, kfac, pipeline
 from kfeprune.config import (
     STRATEGIES,
     RunConfig,
@@ -22,6 +22,7 @@ from kfeprune.config import (
 )
 from kfeprune.data import Dataset, load_idx, read_idx, synth_dataset
 from kfeprune.errors import (
+    DimensionError,
     FormatError,
     NumericError,
     SingularityError,
@@ -638,6 +639,30 @@ def test_count_flops_examples():
         [ConvLayer(np.zeros((2 * 9, 4)), None, c_in=2, k=3, stride=1, padding=1)]
     )
     assert accounting.count_flops(conv, (2, 8, 8)) == 9216
+    bottleneck_dense = Network(
+        [BottleneckDenseLayer(np.zeros((10, 3)), np.zeros((3, 2)), np.zeros((5, 2)))]
+    )
+    bottleneck_conv = Network(
+        [
+            BottleneckConvLayer(
+                np.zeros((2, 4)), np.zeros((4, 3, 9)), np.zeros((5, 3)), None,
+                c_in=2, k=3, stride=1, padding=0,
+            )
+        ]
+    )
+    # a sample shape a layer cannot take: wrong width or rank for the dense
+    # kinds; wrong channel count, rank, or an empty output for the conv kinds
+    for net, bad in (
+        (dense, (11,)), (dense, (2, 5)),
+        (bottleneck_dense, (9,)), (bottleneck_dense, (1, 10)),
+        (conv, (3, 8, 8)), (conv, (128,)),
+        (bottleneck_conv, (1, 8, 8)), (bottleneck_conv, (2, 2, 2)),
+    ):
+        with pytest.raises(DimensionError):
+            accounting.count_flops(net, bad)
+        # forward runs the same check
+        with pytest.raises(DimensionError):
+            net.forward(np.zeros((1,) + bad))
 
 
 def test_reduction_percent():
@@ -797,7 +822,7 @@ def test_failed_prune_once_leaves_network_unchanged(mlp_run, strategy, ratio, ca
     assert checkpoint.network_bytes(net) == before
 
 
-def test_cli_in_place_strategies_reject_rotated_checkpoint(mlp_run, tmp_path, capsys):
+def test_cli_in_place_strategies_reject_rotated_checkpoint(mlp_run, tmp_path, capsys, monkeypatch):
     cfg, _ = mlp_run
     out = tmp_path / "rotated"
     config = write_config(
@@ -807,6 +832,12 @@ def test_cli_in_place_strategies_reject_rotated_checkpoint(mlp_run, tmp_path, ca
     assert cli.main(["prune", "--config", config]) == 0
     capsys.readouterr()
     files = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    # the layer kinds are known before the factor pass, so it never runs
+    def no_factor_pass(*args, **kwargs):
+        raise AssertionError("estimate_factors ran")
+
+    monkeypatch.setattr(kfac, "estimate_factors", no_factor_pass)
     # the pruned checkpoint in place: layer 0 is now a dense bottleneck
     again = write_config(tmp_path / "again.cfg", **MLP_SETTINGS, out=str(out))
     for strategy in STRATEGIES:
@@ -817,6 +848,12 @@ def test_cli_in_place_strategies_reject_rotated_checkpoint(mlp_run, tmp_path, ca
         assert err.startswith("error: layer 0 is a bottleneck_dense layer")
         assert "Traceback" not in err
         assert {name: (out / name).read_bytes() for name in os.listdir(out)} == files
+    # iterate records the rejection as an aborted first round
+    record = cmd_iterate(replace(cfg, checkpoint=str(out / CHECKPOINT_NAME),
+                                 out=str(tmp_path / "iter"), strategy="obs"))
+    assert record["rounds"] == []
+    assert record["aborted"]["round"] == 1 and record["aborted"]["error"] == "ValidationError"
+    assert record["aborted"]["reason"].startswith("layer 0 is a bottleneck_dense layer")
 
 
 def importance_bytes(out_dir, tables):
@@ -1173,6 +1210,23 @@ def test_cli_idx_end_to_end(tmp_path, capsys):
     )
     assert cli.main(["train", "--config", config]) == 0
     capsys.readouterr()
+    # IDX splits carry their own image size and class count: a test split
+    # the trained network cannot take is a usage error before any output
+    wide = write_idx_images(tmp_path / "wide.idx", rng.integers(0, 256, (8, 5, 6)))
+    three = write_idx_labels(tmp_path / "three.idx", np.arange(8) % 3)
+    for key, path, message in (
+        ("test_images", wide, "train samples are (1, 5, 5), test samples (1, 5, 6)"),
+        ("test_labels", three, "the test split has 3 classes, the train split 2"),
+    ):
+        settings = dict(
+            dataset="idx", train_images=ip, train_labels=lp, test_images=ip, test_labels=lp,
+            arch="mlp:8", image="1x5x5", epochs=1, out=str(tmp_path / "bad"),
+        )
+        bad = write_config(tmp_path / "bad.cfg", **{**settings, key: path})
+        assert cli.main(["train", "--config", bad]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not os.path.exists(tmp_path / "bad")
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -1226,6 +1280,45 @@ def test_cli_usage_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "lr must be finite and positive" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "a")
+
+
+DEMO_SETTINGS = dict(
+    arch="cnn:4,8", image="1x8x8", dataset="blobs", classes=4, n_train=64, n_test=32,
+)
+
+
+@pytest.mark.parametrize("command", ["prune", "iterate", "finetune", "eval", "decompose"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"checkpoint": "ghost.kfep"}, "ghost.kfep"),
+        ({"classes": 3}, "the network gives 4 outputs per sample, but the data has 3 classes"),
+        ({"classes": 6}, "the network gives 4 outputs per sample, but the data has 6 classes"),
+        (
+            {"image": "1x12x12"},
+            "samples of shape (1, 12, 12) do not fit the network: "
+            "dense expects (32,), got (72,)",
+        ),
+        ({"image": "3x8x8"}, "conv expects (1, H, W), got (3, 8, 8)"),
+    ],
+)
+def test_cli_checkpoint_and_data_mismatch_is_usage_error(
+    tmp_path, capsys, command, setting, message
+):
+    """A checkpoint the data does not fit exits 2 before the output
+    directory is created."""
+    base = tmp_path / "demo.kfep"
+    checkpoint.save_network(str(base), build_network(RunConfig(**DEMO_SETTINGS), 4))
+    settings = {**DEMO_SETTINGS, "checkpoint": str(base), **setting}
+    if setting.get("checkpoint"):
+        settings["checkpoint"] = str(tmp_path / setting["checkpoint"])
+    config = write_config(tmp_path / "c.cfg", **settings)
+    out = tmp_path / "new"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_cli_numeric_failure_exit_code(tmp_path, capsys):
