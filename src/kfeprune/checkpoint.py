@@ -368,7 +368,6 @@ def load_factors(path) -> tuple:
                     lam_a=tensors["LA"],
                     qs=tensors["QS"],
                     lam_s=tensors["LS"],
-                    variant=factors[layer_id].variant,
                 )
         except KeyError as err:
             raise FormatError(f"factor record missing field {err}") from err

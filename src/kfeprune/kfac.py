@@ -53,18 +53,6 @@ class EigenFactors:
     lam_a: np.ndarray
     qs: np.ndarray
     lam_s: np.ndarray
-    variant: str
-
-
-def empty_factors(dim_a: int, dim_s: int, variant: str) -> KronFactors:
-    return KronFactors(
-        a=np.zeros((dim_a, dim_a)),
-        s=np.zeros((dim_s, dim_s)),
-        count=0,
-        a_locs=1,
-        s_locs=1,
-        variant=variant,
-    )
 
 
 def _stream_mean(mean: np.ndarray, eff: int, batch_sum: np.ndarray, batch_eff: int):
@@ -72,64 +60,58 @@ def _stream_mean(mean: np.ndarray, eff: int, batch_sum: np.ndarray, batch_eff: i
     return (mean * eff + batch_sum) / total
 
 
-def _accumulate(f: KronFactors, a_rows, a_locs, s_rows, s_locs, samples) -> KronFactors:
-    if f.count and (f.a_locs != a_locs or f.s_locs != s_locs):
+def _accumulate(f, variant: str, a_rows, a_locs, s_rows, s_locs, samples) -> KronFactors:
+    """Fold one batch of rows into f.  For a layer's first batch f is None,
+    and the factors start as zeros sized from the row widths."""
+    if f is None:
+        n, m = a_rows.shape[1], s_rows.shape[1]
+        f = KronFactors(np.zeros((n, n)), np.zeros((m, m)), 0, a_locs, s_locs, variant)
+    elif f.variant != variant:
+        raise ValidationError(f"cannot fold {variant} captures into {f.variant} factors")
+    elif f.a_locs != a_locs or f.s_locs != s_locs:
         raise DimensionError("location counts changed between accumulation batches")
-    a_sum = a_rows.T @ a_rows
-    s_sum = s_rows.T @ s_rows
     # A averages over samples only for conv_full (location sum is part of
     # the definition), over samples*pixels otherwise; S always averages
     # over samples*locations.
-    a_eff_old = f.count * (f.a_locs if f.variant == "conv_channel" else 1)
-    a_eff_new = samples * (a_locs if f.variant == "conv_channel" else 1)
-    s_eff_old = f.count * f.s_locs
-    s_eff_new = samples * s_locs
+    a_per = a_locs if variant == "conv_channel" else 1
     return replace(
         f,
-        a=_stream_mean(f.a, a_eff_old, a_sum, a_eff_new),
-        s=_stream_mean(f.s, s_eff_old, s_sum, s_eff_new),
+        a=_stream_mean(f.a, f.count * a_per, a_rows.T @ a_rows, samples * a_per),
+        s=_stream_mean(f.s, f.count * s_locs, s_rows.T @ s_rows, samples * s_locs),
         count=f.count + samples,
-        a_locs=a_locs,
-        s_locs=s_locs,
     )
 
 
-def accumulate_dense(f: KronFactors, a: np.ndarray, g: np.ndarray) -> KronFactors:
+def accumulate_dense(f: KronFactors | None, a: np.ndarray, g: np.ndarray) -> KronFactors:
     """Fold a batch of dense captures in: a (B, n), g (B, m) per-sample."""
-    if f.variant != "dense":
-        raise ValidationError("accumulate_dense needs dense-variant factors")
     if a.ndim != 2 or g.ndim != 2 or a.shape[0] != g.shape[0]:
         raise DimensionError("dense capture shapes disagree")
-    return _accumulate(f, a, 1, g, 1, a.shape[0])
+    return _accumulate(f, "dense", a, 1, g, 1, a.shape[0])
 
 
-def accumulate_conv(f: KronFactors, patches: np.ndarray, g: np.ndarray) -> KronFactors:
+def accumulate_conv(f: KronFactors | None, patches: np.ndarray, g: np.ndarray) -> KronFactors:
     """Fold conv captures in: patches (B, L, n), g (B, L, m)."""
-    if f.variant != "conv_full":
-        raise ValidationError("accumulate_conv needs conv_full-variant factors")
     if patches.ndim != 3 or g.ndim != 3 or patches.shape[:2] != g.shape[:2]:
         raise DimensionError("conv capture shapes disagree")
     b, locs, n = patches.shape
     return _accumulate(
-        f, patches.reshape(b * locs, n), locs, g.reshape(b * locs, -1), locs, b
+        f, "conv_full", patches.reshape(b * locs, n), locs, g.reshape(b * locs, -1), locs, b
     )
 
 
-def accumulate_conv_channel(f: KronFactors, x_in: np.ndarray, g: np.ndarray) -> KronFactors:
+def accumulate_conv_channel(f: KronFactors | None, x_in: np.ndarray, g: np.ndarray) -> KronFactors:
     """Fold channel-covariance captures in: x_in (B, C, H, W), g (B, L, m).
 
     The input factor is the covariance of per-pixel channel vectors, so a
     downstream basis rotation is a 1x1 convolution.
     """
-    if f.variant != "conv_channel":
-        raise ValidationError("accumulate_conv_channel needs conv_channel factors")
     if x_in.ndim != 4 or g.ndim != 3 or x_in.shape[0] != g.shape[0]:
         raise DimensionError("channel capture shapes disagree")
     b, c = x_in.shape[0], x_in.shape[1]
     pixels = x_in.shape[2] * x_in.shape[3]
     a_rows = x_in.transpose(0, 2, 3, 1).reshape(b * pixels, c)
     locs = g.shape[1]
-    return _accumulate(f, a_rows, pixels, g.reshape(b * locs, -1), locs, b)
+    return _accumulate(f, "conv_channel", a_rows, pixels, g.reshape(b * locs, -1), locs, b)
 
 
 def damp(f: KronFactors, lam: float = DEFAULT_DAMPING) -> KronFactors:
@@ -149,9 +131,7 @@ def damp(f: KronFactors, lam: float = DEFAULT_DAMPING) -> KronFactors:
 def eigenbasis(f: KronFactors) -> EigenFactors:
     ea = sym_eig(f.a)
     es = sym_eig(f.s)
-    return EigenFactors(
-        qa=ea.vectors, lam_a=ea.values, qs=es.vectors, lam_s=es.values, variant=f.variant
-    )
+    return EigenFactors(qa=ea.vectors, lam_a=ea.values, qs=es.vectors, lam_s=es.values)
 
 
 def inv_psd(m: np.ndarray) -> np.ndarray:
@@ -176,13 +156,13 @@ def _capture_arrays(layer, tape, conv_variant: str):
     """Map a layer's tape onto (accumulator, args) for its factor variant."""
     kind = layer.kind
     if kind == "dense" or kind == "bottleneck_dense":
-        return "dense", (tape["a"], tape["g"])
+        return accumulate_dense, (tape["a"], tape["g"])
     if kind == "conv":
         if conv_variant == "channel":
-            return "conv_channel", (tape["x_in"], tape["g"])
-        return "conv_full", (tape["patches"], tape["g"])
+            return accumulate_conv_channel, (tape["x_in"], tape["g"])
+        return accumulate_conv, (tape["patches"], tape["g"])
     if kind == "bottleneck_conv":
-        return "conv_channel", (tape["x1"], tape["g"])
+        return accumulate_conv_channel, (tape["x1"], tape["g"])
     raise ValidationError(f"layer kind {kind!r} has no factors")
 
 
@@ -206,34 +186,16 @@ def estimate_factors(
     if layer_ids is None:
         layer_ids = net.parameterized_ids()
     factors: dict = {}
-    n = dataset.n
-    done = 0
-    for start in range(0, n, batch_size):
-        if max_batches is not None and done >= max_batches:
-            break
+    stop = dataset.n if max_batches is None else min(dataset.n, max_batches * batch_size)
+    for start in range(0, stop, batch_size):
         xb = dataset.x[start : start + batch_size]
         yb = dataset.y[start : start + batch_size]
         logits = net.forward(xb, capture=True)
         net.backward(logits, yb)
         caps = net.captures()
         for lid in layer_ids:
-            layer = net.layers[lid]
-            variant, args = _capture_arrays(layer, caps[lid], conv_variant)
-            if lid not in factors:
-                if variant == "dense":
-                    dim_a, dim_s = args[0].shape[1], args[1].shape[1]
-                elif variant == "conv_full":
-                    dim_a, dim_s = args[0].shape[2], args[1].shape[2]
-                else:
-                    dim_a, dim_s = args[0].shape[1], args[1].shape[2]
-                factors[lid] = empty_factors(dim_a, dim_s, variant)
-            if variant == "dense":
-                factors[lid] = accumulate_dense(factors[lid], *args)
-            elif variant == "conv_full":
-                factors[lid] = accumulate_conv(factors[lid], *args)
-            else:
-                factors[lid] = accumulate_conv_channel(factors[lid], *args)
-        done += 1
+            fold, args = _capture_arrays(net.layers[lid], caps[lid], conv_variant)
+            factors[lid] = fold(factors.get(lid), *args)
     if not factors:
         raise StateError("no batches were processed during factor estimation")
     return factors

@@ -1,10 +1,11 @@
 """End-to-end commands: train, prune, iterate, finetune, eval, decompose.
 
-Every command reads a RunConfig, checks all of its inputs before it
-creates its output directory, and writes there a schema-versioned
-metrics.json next to whatever else it produces (checkpoint.kfep,
-curve.csv, importance.csv).  All numbers in the metrics are
-reproducible for a fixed seed except wall_time_s.
+Every command reads a RunConfig and checks all of its inputs, then does
+its work, and only then creates its output directory and writes there a
+schema-versioned metrics.json next to whatever else it produces
+(checkpoint.kfep, curve.csv, importance.csv).  A command that fails
+leaves no directory.  All numbers in the metrics are reproducible for a
+fixed seed except wall_time_s.
 """
 
 from __future__ import annotations
@@ -272,14 +273,13 @@ def write_importance(out_dir: str, tables):
 
 
 def _open(cfg: RunConfig, fresh: bool = False) -> tuple:
-    """Read and check every input of a command, then create its output
-    directory.
+    """Read and check every input of a command; writes nothing.
 
     Loads the checkpoint (or, when fresh, builds a network for the train
     split), builds both splits and walks their sample shape through the
-    network.  A network and data that do not fit raise FormatError before
-    the directory exists.  Returns (net, ds_train, ds_test, in_shape,
-    before), with before the network's (params, flops).
+    network.  A network and data that do not fit raise FormatError.
+    Returns (net, ds_train, ds_test, in_shape, before), with before the
+    network's (params, flops).
     """
     if not fresh:
         net = load_network(cfg.checkpoint or os.path.join(cfg.out, CHECKPOINT_NAME))
@@ -305,7 +305,6 @@ def _open(cfg: RunConfig, fresh: bool = False) -> tuple:
             f"the network gives {'x'.join(map(str, out_shape))} outputs per sample, "
             f"but the data has {classes} classes"
         )
-    os.makedirs(cfg.out, exist_ok=True)
     return net, ds_train, ds_test, in_shape, (count_params(net), flops)
 
 
@@ -336,9 +335,16 @@ def _record(cfg: RunConfig, command: str, net, ds_train, ds_test, in_shape, befo
     return record
 
 
-def _finish(out_dir: str, record: dict, t0: float, net: Network | None = None) -> dict:
-    """Save the network when one is given, stamp wall_time_s, write the
-    metrics.  Every command ends here."""
+def _finish(out_dir: str, record: dict, t0: float, net=None, curve=None, tables=None) -> dict:
+    """Create the output directory and write the command's artifacts: the
+    curve, importance table and network when given, then the metrics
+    stamped with wall_time_s.  Every command ends here, and nothing else
+    writes, so a command that fails leaves no directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    if curve is not None:
+        write_curve(out_dir, curve)
+    if tables is not None:
+        write_importance(out_dir, tables)
     if net is not None:
         save_network(os.path.join(out_dir, CHECKPOINT_NAME), net)
     record["wall_time_s"] = time.perf_counter() - t0
@@ -380,8 +386,7 @@ def _fit(cfg: RunConfig, command: str) -> dict:
     record = _record(cfg, command, net, ds_train, ds_test, in_shape)
     record["train_loss_pre"] = pre_loss
     record["train_loss_post"] = record["train_loss"]
-    write_curve(cfg.out, curve)
-    return _finish(cfg.out, record, t0, net)
+    return _finish(cfg.out, record, t0, net, curve=curve)
 
 
 def cmd_train(cfg: RunConfig) -> dict:
@@ -405,8 +410,7 @@ def cmd_prune(cfg: RunConfig) -> dict:
     record["ratio"] = cfg.ratio
     record["cap"] = cap
     record.update(info)
-    write_importance(cfg.out, tables)
-    return _finish(cfg.out, record, t0, net)
+    return _finish(cfg.out, record, t0, net, tables=tables)
 
 
 def cmd_iterate(cfg: RunConfig) -> dict:
@@ -448,9 +452,7 @@ def cmd_iterate(cfg: RunConfig) -> dict:
     record["rounds"] = rounds
     if aborted is not None:
         record["aborted"] = aborted
-    if last_tables is not None:
-        write_importance(cfg.out, last_tables)
-    return _finish(cfg.out, record, t0, net)
+    return _finish(cfg.out, record, t0, net, tables=last_tables)
 
 
 def cmd_eval(cfg: RunConfig) -> dict:

@@ -28,13 +28,12 @@ def random_orthonormal(rng, dim):
     return q
 
 
-def random_eigen(rng, n, m, variant="dense"):
+def random_eigen(rng, n, m):
     return EigenFactors(
         qa=random_orthonormal(rng, n),
         lam_a=np.sort(rng.uniform(0.1, 2.0, n))[::-1].copy(),
         qs=random_orthonormal(rng, m),
         lam_s=np.sort(rng.uniform(0.1, 2.0, m))[::-1].copy(),
-        variant=variant,
     )
 
 
@@ -101,7 +100,7 @@ def test_to_kfe_identity_factors_keep_weight_as_core():
     rng = np.random.default_rng(1)
     layer = DenseLayer(rng.standard_normal((3, 2)))
     ef = EigenFactors(
-        qa=np.eye(3), lam_a=np.ones(3), qs=np.eye(2), lam_s=np.ones(2), variant="dense"
+        qa=np.eye(3), lam_a=np.ones(3), qs=np.eye(2), lam_s=np.ones(2)
     )
     rot = to_kfe(layer, ef)
     np.testing.assert_allclose(rot.core, layer.w, atol=1e-15)
@@ -113,7 +112,7 @@ def test_to_kfe_conv_channel_preserves_function():
         rng.standard_normal((4 * 9, 6)), rng.standard_normal(6), c_in=4, k=3,
         stride=1, padding=1,
     )
-    ef = random_eigen(rng, 4, 6, variant="conv_channel")
+    ef = random_eigen(rng, 4, 6)
     rot = to_kfe(layer, ef)
     x = rng.standard_normal((2, 4, 5, 5))
     np.testing.assert_allclose(rot.forward(x), layer.forward(x), atol=1e-12)
@@ -250,10 +249,7 @@ def test_merge_bases_preserves_function_conv():
 
 def test_merge_bases_identity_is_noop():
     rng = np.random.default_rng(13)
-    ident = EigenFactors(
-        qa=np.eye(3 + 1), lam_a=np.ones(4), qs=np.eye(3), lam_s=np.ones(3),
-        variant="dense",
-    )
+    ident = EigenFactors(qa=np.eye(3 + 1), lam_a=np.ones(4), qs=np.eye(3), lam_s=np.ones(3))
     for kind in ("dense", "conv"):
         _, rot, _ = rotated(kind, rng, 4, 3)
         merged = merge_bases(rot, ident)

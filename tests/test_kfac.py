@@ -11,9 +11,11 @@ from kfeprune.errors import (
     StateError,
     ValidationError,
 )
-from kfeprune.layers import ConvLayer, DenseLayer
-from kfeprune.network import Network, build_mlp
+from kfeprune.config import STRATEGIES, RunConfig
+from kfeprune.layers import ConvLayer, DenseLayer, FlattenLayer, ReluLayer
+from kfeprune.network import Network, build_cnn, build_mlp
 from kfeprune.oracle import exact_fisher, fisher_vec, kron, vec
+from kfeprune.pipeline import prune_once
 
 
 def random_spd(rng, dim, floor=0.0):
@@ -52,10 +54,9 @@ def test_single_sample_kron_equals_exact_fisher():
 
 
 def test_constant_activation_rank_one_factor():
-    f = kfac.empty_factors(3, 2, "dense")
     a = np.tile(np.array([[1.0, 0.0, 0.0]]), (5, 1))
     g = np.random.default_rng(2).standard_normal((5, 2))
-    f = kfac.accumulate_dense(f, a, g)
+    f = kfac.accumulate_dense(None, a, g)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
     np.testing.assert_allclose(f.a, expected, atol=1e-14)
@@ -65,7 +66,7 @@ def test_dense_factor_matches_direct_mean():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 4))
     g = rng.standard_normal((3, 2))
-    f = kfac.accumulate_dense(kfac.empty_factors(4, 2, "dense"), a, g)
+    f = kfac.accumulate_dense(None, a, g)
     ref_a = sum(np.outer(a[i], a[i]) for i in range(3)) / 3
     ref_s = sum(np.outer(g[i], g[i]) for i in range(3)) / 3
     np.testing.assert_allclose(f.a, ref_a, atol=1e-14)
@@ -73,14 +74,39 @@ def test_dense_factor_matches_direct_mean():
 
 
 def test_estimate_factors_batch_invariant():
+    # an MLP, a CNN under both conv variants, and an eigendamage-pruned
+    # CNN holding a conv bottleneck and a dense bottleneck
     ds = synth_dataset("blobs", seed=4, n=30, classes=3, dim=5)
-    net = build_mlp(5, [4], 3, seed=0)
-    f_big = kfac.estimate_factors(net, ds, batch_size=30)
-    f_small = kfac.estimate_factors(net, ds, batch_size=7)
-    for lid in f_big:
-        np.testing.assert_allclose(f_small[lid].a, f_big[lid].a, atol=1e-13)
-        np.testing.assert_allclose(f_small[lid].s, f_big[lid].s, atol=1e-13)
-        assert f_small[lid].count == 30
+    images = synth_dataset("blobs", seed=4, n=30, classes=3, image_shape=(2, 6, 6))
+    rng = np.random.default_rng(4)
+    pruned = Network([
+        ConvLayer(rng.standard_normal((18, 3)), rng.standard_normal(3), c_in=2, k=3, stride=2),
+        ReluLayer(),
+        FlattenLayer(),
+        DenseLayer(rng.standard_normal((12, 5)), rng.standard_normal(5)),
+        ReluLayer(),
+        DenseLayer(rng.standard_normal((5, 3))),
+    ])
+    prune_once(pruned, images, RunConfig(strategy="eigendamage", ratio=0.3), cap=0.9)
+    assert [pruned.layers[i].kind for i in (0, 3)] == ["bottleneck_conv", "bottleneck_dense"]
+    cases = [
+        (build_mlp(5, [4], 3, seed=0), ds, "channel"),
+        (build_cnn((2, 6, 6), [3, 4], 3, seed=0), images, "channel"),
+        (build_cnn((2, 6, 6), [3, 4], 3, seed=0), images, "full"),
+        (pruned, images, "channel"),
+    ]
+    for net, data, conv_variant in cases:
+        f_big = kfac.estimate_factors(net, data, conv_variant=conv_variant, batch_size=30)
+        f_small = kfac.estimate_factors(net, data, conv_variant=conv_variant, batch_size=7)
+        assert list(f_small) == list(f_big) == net.parameterized_ids()
+        for lid, big in f_big.items():
+            small = f_small[lid]
+            np.testing.assert_allclose(small.a, big.a, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(small.s, big.s, rtol=1e-12, atol=1e-13)
+            assert small.count == 30
+            assert (small.a_locs, small.s_locs, small.variant) == (
+                big.a_locs, big.s_locs, big.variant
+            )
 
 
 def test_factors_symmetric_psd():
@@ -100,8 +126,6 @@ def conv_net_and_data(seed, h=4, w=4, c_in=2, c_out=3, k=3, n=2):
     )
     flat_dim = c_out * h * w
     dense = DenseLayer(rng.standard_normal((flat_dim, 2)) * 0.3)
-    from kfeprune.layers import FlattenLayer
-
     net = Network([conv, FlattenLayer(), dense])
     ds = Dataset(
         x=rng.standard_normal((n, c_in, h, w)),
@@ -144,12 +168,74 @@ def test_conv_channel_factor_matches_pixel_loop():
     np.testing.assert_allclose(factors[0].a, ref / (b * h * w), atol=1e-12)
 
 
+def conv_and_dense_twins(conv_variant, seed=0):
+    """A conv net and the dense net it equals, with (conv id, dense id)
+    pairs of matching layers.  "full": the kernel covers the whole 2x3x3
+    image (stride 1, no padding), so the conv is a dense layer over the
+    CHW-flattened input, whose order the canonical weight rows share.
+    "channel": a 1x1 conv on 4x1x1 images."""
+    rng = np.random.default_rng(seed)
+    c, side = (2, 3) if conv_variant == "full" else (4, 1)
+    w1 = rng.standard_normal((c * side * side, 5))
+    b1 = rng.standard_normal(5)
+    w2 = rng.standard_normal((5, 3))
+    conv = Network([
+        ConvLayer(w1.copy(), b1.copy(), c_in=c, k=side), ReluLayer(), FlattenLayer(),
+        DenseLayer(w2.copy()),
+    ])
+    dense = Network([FlattenLayer(), DenseLayer(w1, b1), ReluLayer(), DenseLayer(w2)])
+    ds = synth_dataset("blobs", seed=seed, n=40, classes=3, image_shape=(c, side, side))
+    return conv, dense, ds, [(0, 1), (3, 3)]
+
+
+@pytest.mark.parametrize("conv_variant", ["full", "channel"])
+def test_conv_identity_factors_equal_dense_factors(conv_variant):
+    conv, dense, ds, pairs = conv_and_dense_twins(conv_variant)
+    f_conv = kfac.estimate_factors(conv, ds, conv_variant=conv_variant, batch_size=16)
+    f_dense = kfac.estimate_factors(dense, ds, batch_size=16)
+    assert f_conv[0].variant == f"conv_{conv_variant}"
+    for i, j in pairs:
+        np.testing.assert_allclose(f_conv[i].a, f_dense[j].a, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(f_conv[i].s, f_dense[j].s, rtol=1e-13, atol=1e-14)
+        assert f_conv[i].count == f_dense[j].count == ds.n
+
+
+@pytest.mark.parametrize(
+    "conv_variant, strategy",
+    [("full", s) for s in STRATEGIES if s != "eigendamage"] + [("channel", "eigendamage")],
+)
+def test_conv_identity_prunes_like_dense(conv_variant, strategy):
+    """The in-place strategies score plain convs on conv_full factors, and
+    eigendamage on conv_channel ones, so each identity must give the
+    dense net's scores, mask and pruned function."""
+    conv, dense, ds, pairs = conv_and_dense_twins(conv_variant)
+    cfg = RunConfig(strategy=strategy, ratio=0.4, batch_size=16)
+    t_conv, m_conv, info_conv = prune_once(conv, ds, cfg, cap=0.9)
+    t_dense, m_dense, info_dense = prune_once(dense, ds, cfg, cap=0.9)
+    to_dense = dict(pairs)
+    assert len(t_conv) == len(t_dense)
+    by_key = {(t.layer_id, t.unit_kind): t for t in t_dense}
+    removed = 0
+    for t in t_conv:
+        j = to_dense[t.layer_id]
+        np.testing.assert_allclose(t.delta_l, by_key[j, t.unit_kind].delta_l, rtol=1e-11)
+        got = m_conv.removed(t.layer_id, t.unit_kind)
+        assert list(got) == list(m_dense.removed(j, t.unit_kind))
+        removed += len(got)
+    assert removed
+    if strategy == "eigendamage":
+        np.testing.assert_allclose(
+            info_conv["predicted_cost"], info_dense["predicted_cost"], rtol=1e-12
+        )
+    np.testing.assert_allclose(conv.forward(ds.x), dense.forward(ds.x), rtol=1e-12, atol=1e-13)
+
+
 def test_conv_channel_identical_channels_rank_one():
     rng = np.random.default_rng(8)
     base = rng.standard_normal((2, 1, 3, 3))
     x = np.concatenate([base, base], axis=1)
     g = rng.standard_normal((2, 9, 2))
-    f = kfac.accumulate_conv_channel(kfac.empty_factors(2, 2, "conv_channel"), x, g)
+    f = kfac.accumulate_conv_channel(None, x, g)
     eigs = np.sort(np.linalg.eigvalsh(f.a))
     assert eigs[0] <= 1e-10 * eigs[-1]
 
@@ -158,12 +244,8 @@ def test_one_by_one_conv_reduces_to_dense_accumulation():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 3, 1, 1))
     g = rng.standard_normal((4, 1, 2))
-    f_conv = kfac.accumulate_conv(
-        kfac.empty_factors(3, 2, "conv_full"), x.reshape(4, 1, 3), g
-    )
-    f_dense = kfac.accumulate_dense(
-        kfac.empty_factors(3, 2, "dense"), x.reshape(4, 3), g.reshape(4, 2)
-    )
+    f_conv = kfac.accumulate_conv(None, x.reshape(4, 1, 3), g)
+    f_dense = kfac.accumulate_dense(None, x.reshape(4, 3), g.reshape(4, 2))
     np.testing.assert_allclose(f_conv.a, f_dense.a, atol=1e-14)
     np.testing.assert_allclose(f_conv.s, f_dense.s, atol=1e-14)
 
@@ -171,20 +253,17 @@ def test_one_by_one_conv_reduces_to_dense_accumulation():
 def test_zero_gradients_give_zero_s():
     rng = np.random.default_rng(10)
     patches = rng.standard_normal((2, 4, 6))
-    f = kfac.accumulate_conv(
-        kfac.empty_factors(6, 3, "conv_full"), patches, np.zeros((2, 4, 3))
-    )
+    f = kfac.accumulate_conv(None, patches, np.zeros((2, 4, 3)))
     np.testing.assert_array_equal(f.s, np.zeros((3, 3)))
 
 
 def test_accumulate_validation():
-    f = kfac.empty_factors(3, 2, "dense")
+    f = kfac.accumulate_dense(None, np.zeros((1, 3)), np.zeros((1, 2)))
     with pytest.raises(ValidationError):
         kfac.accumulate_conv(f, np.zeros((1, 2, 3)), np.zeros((1, 2, 2)))
     with pytest.raises(DimensionError):
         kfac.accumulate_dense(f, np.zeros((2, 3)), np.zeros((3, 2)))
-    fc = kfac.empty_factors(6, 3, "conv_full")
-    fc = kfac.accumulate_conv(fc, np.zeros((1, 4, 6)), np.zeros((1, 4, 3)))
+    fc = kfac.accumulate_conv(None, np.zeros((1, 4, 6)), np.zeros((1, 4, 3)))
     with pytest.raises(DimensionError):
         kfac.accumulate_conv(fc, np.zeros((1, 9, 6)), np.zeros((1, 9, 3)))
     with pytest.raises(ValidationError):

@@ -358,13 +358,13 @@ def test_checkpoint_roundtrip_bottlenecks(tmp_path):
 
     dense = to_kfe(
         DenseLayer(rng.standard_normal((6, 5)), rng.standard_normal(5)),
-        EigenFactors(ortho(6), np.ones(6), ortho(5), np.ones(5), "dense"),
+        EigenFactors(ortho(6), np.ones(6), ortho(5), np.ones(5)),
     )
     dense = eigenprune(dense, [4], [0, 2])
     conv = to_kfe(
         ConvLayer(rng.standard_normal((3 * 9, 4)), None, c_in=3, k=3, stride=1,
                   padding=1),
-        EigenFactors(ortho(3), np.ones(3), ortho(4), np.ones(4), "conv_channel"),
+        EigenFactors(ortho(3), np.ones(3), ortho(4), np.ones(4)),
     )
     diag = absorb_depthwise(conv, depthwise_decompose(conv, rank=2, seed=0))
     for layer in (dense, conv, diag):
@@ -1315,6 +1315,29 @@ def test_cli_checkpoint_and_data_mismatch_is_usage_error(
     config = write_config(tmp_path / "c.cfg", **settings)
     out = tmp_path / "new"
     assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("decompose", {}, "no full convolution bottleneck cores to decompose"),
+        ("prune", {"ratio": 1.0, "cap": 1.0}, "cannot remove every"),
+    ],
+)
+def test_cli_failure_after_open_leaves_no_out(mlp_run, tmp_path, capsys, command, setting, message):
+    """A command that fails after its inputs are read, here in the work
+    itself, exits 1 and creates no output directory."""
+    cfg, _ = mlp_run
+    config = write_config(
+        tmp_path / "c.cfg", **{**MLP_SETTINGS, **setting},
+        checkpoint=os.path.join(cfg.out, CHECKPOINT_NAME),
+    )
+    out = tmp_path / "new"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
