@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, SingularityError, StateError, ValidationError
-from .network import Network
+from .network import Network, cross_entropy
 from .tensormath import sym_eig
 
 DEFAULT_DAMPING = 1e-6
@@ -173,29 +173,40 @@ def estimate_factors(
     batch_size: int = 64,
     max_batches: int | None = None,
     layer_ids=None,
-) -> dict:
-    """One deterministic capture pass over the dataset; returns factors per layer.
+) -> tuple:
+    """One deterministic pass over the dataset; returns (factors per
+    layer, mean loss).
 
     conv_variant picks the input factor for plain conv layers ("channel"
     or "full"); bottleneck layers are measured at their core boundary,
     conv bottlenecks always on the channel covariance of the projected
-    input.  Each batch is forwarded with capture=True.
+    input.  Every batch is forwarded in order, and the loss is the
+    split's mean loss, summed exactly as training.evaluate sums it.  The
+    first max_batches batches (all when None) are forwarded with
+    capture=True, backpropagated without parameter gradients, which the
+    factors never read, and folded into the factors.
     """
     if conv_variant not in ("channel", "full"):
         raise ValidationError(f"unknown conv variant {conv_variant!r}")
     if layer_ids is None:
         layer_ids = net.parameterized_ids()
+    n = dataset.n
+    stop = n if max_batches is None else min(n, max_batches * batch_size)
+    if stop <= 0 or not layer_ids:
+        raise StateError("factor estimation needs at least one batch and one layer")
     factors: dict = {}
-    stop = dataset.n if max_batches is None else min(dataset.n, max_batches * batch_size)
-    for start in range(0, stop, batch_size):
+    total_loss = 0.0
+    for start in range(0, n, batch_size):
         xb = dataset.x[start : start + batch_size]
         yb = dataset.y[start : start + batch_size]
-        logits = net.forward(xb, capture=True)
-        net.backward(logits, yb)
+        capture = start < stop
+        logits = net.forward(xb, capture=capture)
+        total_loss += cross_entropy(logits, yb) * xb.shape[0]
+        if not capture:
+            continue
+        net.backward(logits, yb, param_grads=False)
         caps = net.captures()
         for lid in layer_ids:
             fold, args = _capture_arrays(net.layers[lid], caps[lid], conv_variant)
             factors[lid] = fold(factors.get(lid), *args)
-    if not factors:
-        raise StateError("no batches were processed during factor estimation")
-    return factors
+    return factors, total_loss / n

@@ -22,11 +22,15 @@ and accounting walks through a network: DimensionError if it cannot fit.
 
 Backward passes propagate per-sample, unscaled loss gradients (the
 gradient of each sample's own loss, not the batch mean).  Parameter
-gradients returned to the trainer are means over the batch.  The tape
-dict a layer fills during forward/backward carries the capture tensors
-used for curvature estimation.  backward(dy, tape, input_grad=False)
-fills the tape the same way but returns None instead of the input
-gradient.
+gradients returned to the trainer are means over the batch, written to
+tape["grads"].  The tape dict a layer fills during forward/backward
+carries the capture tensors used for curvature estimation, among them
+the output-side gradient tape["g"].  backward(dy, tape, input_grad,
+param_grads) takes two switches, both on by default: input_grad=False
+returns None instead of the input gradient, and param_grads=False writes
+no tape["grads"] and skips the work that only the parameter gradients
+need, as the factor pass does.  Neither switch changes tape["g"] or the
+input gradient by a bit.
 """
 
 from __future__ import annotations
@@ -179,11 +183,13 @@ class DenseLayer(_DenseGeometry):
             tape["a"] = x
         return x @ self.w + self.b
 
-    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
-        a = tape["a"]
-        batch = a.shape[0]
+    def backward(
+        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
         tape["g"] = dy
-        tape["grads"] = {"w": a.T @ dy / batch, "b": dy.mean(axis=0)}
+        if param_grads:
+            a = tape["a"]
+            tape["grads"] = {"w": a.T @ dy / a.shape[0], "b": dy.mean(axis=0)}
         if not input_grad:
             return None
         return dy @ self.w.T
@@ -266,16 +272,18 @@ class ConvLayer(_ConvGeometry):
             tape["patches"] = patches
         return _channels_last(y, x.shape[0], *out_shape)
 
-    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
+    def backward(
+        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
         x = tape["x_in"]
-        patches = tape["patches"]
-        batch = x.shape[0]
         g = _pixel_rows(dy)
         tape["g"] = g
-        tape["grads"] = {
-            "w": patches.reshape(-1, self.w.shape[0]).T @ g.reshape(-1, self.c_out) / batch,
-            "b": _bias_grad(g),
-        }
+        if param_grads:
+            rows = tape["patches"].reshape(-1, self.w.shape[0])
+            tape["grads"] = {
+                "w": rows.T @ g.reshape(-1, self.c_out) / x.shape[0],
+                "b": _bias_grad(g),
+            }
         if not input_grad:
             return None
         dpatches = g @ self.w.T
@@ -300,7 +308,9 @@ class ReluLayer:
             tape["mask"] = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
+    def backward(
+        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
         if not input_grad:
             return None
         return dy * tape["mask"]
@@ -326,7 +336,9 @@ class FlattenLayer:
             tape["shape"] = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
+    def backward(
+        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
         if not input_grad:
             return None
         dx = dy.reshape(tape["shape"])
@@ -441,18 +453,23 @@ class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
             tape["h2"] = h2
         return h2 @ self.qs.T + self.b
 
-    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
-        x, h1, h2 = tape["x"], tape["a"], tape["h2"]
-        batch = x.shape[0]
+    def backward(
+        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
         dh2 = dy @ self.qs
         tape["g"] = dh2
+        if not (input_grad or param_grads):
+            return None
         dh1 = dh2 @ self.core.T
-        tape["grads"] = {
-            "qa": x.T @ dh1 / batch,
-            "core": h1.T @ dh2 / batch,
-            "qs": dy.T @ h2 / batch,
-            "b": dy.mean(axis=0),
-        }
+        if param_grads:
+            x, h1, h2 = tape["x"], tape["a"], tape["h2"]
+            batch = x.shape[0]
+            tape["grads"] = {
+                "qa": x.T @ dh1 / batch,
+                "core": h1.T @ dh2 / batch,
+                "qs": dy.T @ h2 / batch,
+                "b": dy.mean(axis=0),
+            }
         if not input_grad:
             return None
         return dh1 @ self.qa.T
@@ -536,31 +553,38 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         y = h2 @ _transposed(self.qs) + self.b
         return _channels_last(y, batch, *out_shape)
 
-    def backward(self, dy: np.ndarray, tape: dict, input_grad: bool = True) -> np.ndarray | None:
+    def backward(
+        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
         x = tape["x_in"]
         batch = x.shape[0]
         dy3 = _pixel_rows(dy)
-        h2 = tape["h2"]
-        dqs = dy3.reshape(-1, self.c_out).T @ h2.reshape(-1, self.rc) / batch
-        db = _bias_grad(dy3)
         dh2 = dy3 @ self.qs
         tape["g"] = dh2
+        # only dqa and the input gradient read the core's input gradient
+        if not (input_grad or param_grads):
+            return None
         core_pat = tape["core_pat"]
         kk = self.k * self.k
         if self.core_mode == "diag":
-            pr = core_pat.reshape(batch, -1, self.ra, kk)
-            dcore = np.einsum("blr,blrd->dr", dh2, pr) / batch
-            dpr = np.einsum("blr,dr->blrd", dh2, self.core)
-            dcore_pat = dpr.reshape(core_pat.shape)
+            dcore_pat = np.einsum("blr,dr->blrd", dh2, self.core).reshape(core_pat.shape)
         else:
-            dcore_mat = core_pat.reshape(-1, self.ra * kk).T @ dh2.reshape(-1, self.rc) / batch
-            dcore = dcore_mat.reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
             dcore_pat = dh2 @ _transposed(self.core_matrix())
-        x1 = tape["x1"]
-        dx1 = col2im(dcore_pat, x1.shape, self.k, self.stride, self.padding)
+        dx1 = col2im(dcore_pat, tape["x1"].shape, self.k, self.stride, self.padding)
         dx13 = _pixel_rows(dx1)
-        dqa = _pixel_rows(x).reshape(-1, self.c_in).T @ dx13.reshape(-1, self.ra) / batch
-        tape["grads"] = {"qa": dqa, "core": dcore, "qs": dqs, "b": db}
+        if param_grads:
+            if self.core_mode == "diag":
+                pr = core_pat.reshape(batch, -1, self.ra, kk)
+                dcore = np.einsum("blr,blrd->dr", dh2, pr) / batch
+            else:
+                dcore_mat = core_pat.reshape(-1, self.ra * kk).T @ dh2.reshape(-1, self.rc) / batch
+                dcore = dcore_mat.reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
+            tape["grads"] = {
+                "qa": _pixel_rows(x).reshape(-1, self.c_in).T @ dx13.reshape(-1, self.ra) / batch,
+                "core": dcore,
+                "qs": dy3.reshape(-1, self.c_out).T @ tape["h2"].reshape(-1, self.rc) / batch,
+                "b": _bias_grad(dy3),
+            }
         if not input_grad:
             return None
         return _channels_last(dx13 @ _transposed(self.qa), *x.shape)

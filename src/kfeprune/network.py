@@ -63,12 +63,16 @@ class Network:
         self._tapes, self._logits = (tapes, out) if capture else (None, None)
         return out
 
-    def backward(self, logits: np.ndarray, labels: np.ndarray) -> list:
+    def backward(self, logits: np.ndarray, labels: np.ndarray, param_grads: bool = True) -> list:
         """Backprop from the cached forward pass; returns per-layer grad dicts.
 
         Parameter gradients are gradients of the batch-mean loss.  The
         tapes additionally keep per-sample unscaled capture tensors.  The
-        first layer skips its input gradient, which nothing reads.
+        first layer skips its input gradient, which nothing reads.  With
+        param_grads=False no layer computes its parameter gradients and
+        every dict is empty; the capture tensors are bitwise the same.
+        The factor pass backpropagates this way, since the Kronecker
+        factors read only the captures.
         """
         if self._tapes is None:
             raise StateError("backward needs a preceding forward with capture=True")
@@ -76,7 +80,9 @@ class Network:
             raise StateError("backward called with logits from a different forward pass")
         delta = cross_entropy_grad(logits, labels)
         for i in reversed(range(len(self.layers))):
-            delta = self.layers[i].backward(delta, self._tapes[i], input_grad=i > 0)
+            delta = self.layers[i].backward(
+                delta, self._tapes[i], input_grad=i > 0, param_grads=param_grads
+            )
         return [t.get("grads", {}) for t in self._tapes]
 
     def captures(self) -> dict:

@@ -168,8 +168,11 @@ def prune_once(net, dataset, cfg: RunConfig, cap: float):
     """Estimate factors, plan every eligible layer, select one global
     mask, then apply every layer's rewrite.
 
-    Returns (tables, mask, info).  The network changes only once every
-    rewrite is built, so when this raises the network is as it was.
+    Returns (tables, mask, info).  info["train_loss_pre"] is the mean
+    loss over dataset before the prune, which the factor pass gives in
+    cfg.batch_size batches, as training.evaluate would.  The network
+    changes only once every rewrite is built, so when this raises the
+    network is as it was.
     """
     strategy = cfg.strategy
     ids = eligible_layer_ids(net, strategy)
@@ -181,7 +184,7 @@ def prune_once(net, dataset, cfg: RunConfig, cap: float):
                 f"layer {i} is a {net.layers[i].kind} layer; {strategy} prunes plain "
                 "dense and conv layers only (prune a rotated checkpoint with eigendamage)"
             )
-    factors = kfac.estimate_factors(
+    factors, pre_loss = kfac.estimate_factors(
         net,
         dataset,
         conv_variant=conv_variant_for(strategy),
@@ -196,7 +199,7 @@ def prune_once(net, dataset, cfg: RunConfig, cap: float):
         rewrites.append(rewrite)
     mask = criteria.select_mask(tables, cfg.ratio, cap)
     pruned = [rewrite(mask) for rewrite in rewrites]
-    info = {}
+    info = {"train_loss_pre": pre_loss}
     if strategy == "eigendamage":
         info["predicted_cost"] = sum(cost for _, cost in pruned)
     for i, (layer, _) in zip(ids, pruned):
@@ -400,11 +403,9 @@ def cmd_finetune(cfg: RunConfig) -> dict:
 def cmd_prune(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     net, ds_train, ds_test, in_shape, before = _open(cfg)
-    pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
     cap = resolve_cap(cfg, iterative=False)
     tables, mask, info = prune_once(net, ds_train, cfg, cap)
     record = _record(cfg, "prune", net, ds_train, ds_test, in_shape, before)
-    record["train_loss_pre"] = pre_loss
     record["train_loss_post"] = record["train_loss"]
     record["tau"] = mask.tau
     record["ratio"] = cfg.ratio
@@ -424,7 +425,6 @@ def cmd_iterate(cfg: RunConfig) -> dict:
         t_round = time.perf_counter()
         saved = network_snapshot(net)
         try:
-            pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
             tables, mask, info = prune_once(net, ds_train, cfg, cap)
             post_prune_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
             net, _ = _finetune(net, ds_train, cfg)
@@ -436,7 +436,6 @@ def cmd_iterate(cfg: RunConfig) -> dict:
         last_tables = tables
         rec = _eval_metrics(net, ds_train, ds_test, cfg.batch_size)
         rec["round"] = round_id
-        rec["train_loss_pre"] = pre_loss
         rec["train_loss_post_prune"] = post_prune_loss
         rec["train_loss_post"] = rec["train_loss"]
         rec["tau"] = mask.tau

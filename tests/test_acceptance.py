@@ -141,7 +141,7 @@ def test_criterion_03_single_sample_factored_fisher(capsys):
     net = build_mlp(5, [], 4, seed=3)
     ds = Dataset(x=rng.standard_normal((1, 5)), y=np.array([2]), num_classes=4)
     exact = oracle.exact_fisher(net, ds, flavor="empirical")
-    f = estimate_factors(net, ds, batch_size=1)[0]
+    f = estimate_factors(net, ds, batch_size=1)[0][0]
     gap = float(np.max(np.abs(np.kron(f.s, f.a) - exact)))
     if gap > 1e-12:
         problems.append(f"factored vs exact Fisher max gap {gap:.3g}")
@@ -175,7 +175,7 @@ def test_criterion_05_offdiagonal_mass_drops(capsys):
         net = build_mlp(2, [12, 8], 2, seed=seed)
         train(net, ds, epochs=8, lr=0.2, batch_size=32, seed=seed)
         fisher = oracle.exact_fisher(net, ds, flavor="empirical", layer_ids=[2])
-        ef = eigenbasis(estimate_factors(net, ds, layer_ids=[2])[2])
+        ef = eigenbasis(estimate_factors(net, ds, layer_ids=[2])[0][2])
         q = np.kron(ef.qs, ef.qa)
         r_param = offdiag_ratio(fisher)
         r_kfe = offdiag_ratio(q.T @ fisher @ q)
@@ -185,7 +185,7 @@ def test_criterion_05_offdiagonal_mass_drops(capsys):
 
 
 def _rotate_all(net, ds):
-    factors = estimate_factors(net, ds, conv_variant="channel")
+    factors, _ = estimate_factors(net, ds, conv_variant="channel")
     for lid in net.parameterized_ids():
         layer = net.layers[lid]
         net.layers[lid] = to_kfe(layer, eigenbasis(factors[lid]))
@@ -434,7 +434,7 @@ def test_criterion_12_iterative_rounds(capsys, cnn_baseline):
     probe = ds_train.x[:8]
     params_seq = [count_params(net)]
     for rnd in range(3):
-        factors = estimate_factors(
+        factors, _ = estimate_factors(
             net, ds_train, conv_variant="channel", batch_size=cfg.batch_size
         )
         xp = probe

@@ -1,5 +1,6 @@
 """Finite-difference checks of the conv and bottleneck backward passes,
-and of the first layer skipping its input gradient."""
+of the first layer skipping its input gradient, and of backward without
+parameter gradients."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from kfeprune.layers import (
     FlattenLayer,
     ReluLayer,
 )
+from kfeprune.config import RunConfig
+from kfeprune.data import Dataset
 from kfeprune.network import Network, build_cnn, cross_entropy_grad
+from kfeprune.pipeline import prune_once
 
 REL_TOL = 1e-6
 
@@ -170,6 +174,74 @@ def test_first_layer_skips_input_gradient(monkeypatch):
     dy = net.layers[0].forward(x, tape)
     assert net.layers[0].backward(dy, tape, input_grad=False) is None
     assert "grads" in tape
+
+    # eigendamage rewrites both convs as bottlenecks.  Layer 0's col2im
+    # feeds only its qa gradient, so the factor pass, which builds no
+    # parameter gradients, scatters for layer 2's input gradient alone.
+    prune_once(net, Dataset(x=x, y=y, num_classes=3), RunConfig(ratio=0.3), cap=0.9)
+    assert [net.layers[i].kind for i in (0, 2)] == ["bottleneck_conv", "bottleneck_conv"]
+    x1_shapes = {}
+    for param_grads in (True, False):
+        calls.clear()
+        net.backward(net.forward(x, capture=True), y, param_grads=param_grads)
+        x1_shapes[param_grads] = [net.captures()[i]["x1"].shape for i in (2, 0)]
+        assert calls == (x1_shapes[True] if param_grads else x1_shapes[True][:1])
+    assert x1_shapes[True] == x1_shapes[False]
+    assert x1_shapes[True][0] != x1_shapes[True][1]
+
+
+def layer_case(kind, rng):
+    """(layer, input batch) for each parameterized kind and core mode."""
+    if kind == "dense":
+        layer = DenseLayer(rng.standard_normal((6, 5)), rng.standard_normal(5))
+        return layer, rng.standard_normal((4, 6))
+    if kind == "conv":
+        w, b = rng.standard_normal((18, 3)), rng.standard_normal(3)
+        return ConvLayer(w, b, c_in=2, k=3, stride=2, padding=1), rng.standard_normal((4, 2, 5, 5))
+    if kind == "bottleneck_dense":
+        return bottleneck_dense_net(rng).layers[2], rng.standard_normal((4, 5))
+    layer = bottleneck_conv_net(rng, kind[len("bottleneck_conv_"):]).layers[2]
+    return layer, rng.standard_normal((4, 2, 5, 5))
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize(
+    "kind", ["dense", "conv", "bottleneck_dense", "bottleneck_conv_full", "bottleneck_conv_diag"]
+)
+def test_backward_without_param_grads_keeps_captures(kind, input_grad):
+    """param_grads=False writes no gradients and leaves the output-side
+    capture and the input gradient bitwise unchanged."""
+    layer, x = layer_case(kind, np.random.default_rng(3))
+    full, lean = {}, {}
+    y = layer.forward(x, full)
+    layer.forward(x, lean)
+    dy = np.random.default_rng(4).standard_normal(y.shape)
+    dx_full = layer.backward(dy, full, input_grad=input_grad)
+    dx_lean = layer.backward(dy, lean, input_grad=input_grad, param_grads=False)
+    assert "grads" in full and "grads" not in lean
+    assert full.keys() - {"grads"} == lean.keys()
+    np.testing.assert_array_equal(lean["g"], full["g"])
+    if input_grad:
+        assert dx_lean.shape == x.shape
+        np.testing.assert_array_equal(dx_lean, dx_full)
+        assert dx_lean.strides == dx_full.strides
+    else:
+        assert dx_lean is None and dx_full is None
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_network_backward_without_param_grads(case):
+    """Network.backward(param_grads=False) returns empty dicts and the same
+    capture tensors as a full backward."""
+    net, x, y = CASES[case](0)
+    net.backward(net.forward(x, capture=True), y)
+    full = {i: tape["g"] for i, tape in net.captures().items()}
+    grads = net.backward(net.forward(x, capture=True), y, param_grads=False)
+    assert grads == [{} for _ in net.layers]
+    lean = net.captures()
+    assert lean.keys() == full.keys()
+    for i, g in full.items():
+        np.testing.assert_array_equal(lean[i]["g"], g)
 
 
 def test_blas_contractions_match_einsum_reference():

@@ -1,9 +1,11 @@
 """Tests for Kronecker factor estimation, damping, and eigenbases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kfeprune import kfac
+from kfeprune import checkpoint, kfac, pipeline
 from kfeprune.data import Dataset, synth_dataset
 from kfeprune.errors import (
     DimensionError,
@@ -16,6 +18,7 @@ from kfeprune.layers import ConvLayer, DenseLayer, FlattenLayer, ReluLayer
 from kfeprune.network import Network, build_cnn, build_mlp
 from kfeprune.oracle import exact_fisher, fisher_vec, kron, vec
 from kfeprune.pipeline import prune_once
+from kfeprune.training import evaluate
 
 
 def random_spd(rng, dim, floor=0.0):
@@ -32,7 +35,7 @@ def single_sample_factors(seed):
         num_classes=4,
         name="one",
     )
-    factors = kfac.estimate_factors(net, ds, batch_size=1)
+    factors, _ = kfac.estimate_factors(net, ds, batch_size=1)
     return net, ds, factors[0]
 
 
@@ -78,17 +81,7 @@ def test_estimate_factors_batch_invariant():
     # CNN holding a conv bottleneck and a dense bottleneck
     ds = synth_dataset("blobs", seed=4, n=30, classes=3, dim=5)
     images = synth_dataset("blobs", seed=4, n=30, classes=3, image_shape=(2, 6, 6))
-    rng = np.random.default_rng(4)
-    pruned = Network([
-        ConvLayer(rng.standard_normal((18, 3)), rng.standard_normal(3), c_in=2, k=3, stride=2),
-        ReluLayer(),
-        FlattenLayer(),
-        DenseLayer(rng.standard_normal((12, 5)), rng.standard_normal(5)),
-        ReluLayer(),
-        DenseLayer(rng.standard_normal((5, 3))),
-    ])
-    prune_once(pruned, images, RunConfig(strategy="eigendamage", ratio=0.3), cap=0.9)
-    assert [pruned.layers[i].kind for i in (0, 3)] == ["bottleneck_conv", "bottleneck_dense"]
+    pruned = eigendamage_pruned_cnn(images)
     cases = [
         (build_mlp(5, [4], 3, seed=0), ds, "channel"),
         (build_cnn((2, 6, 6), [3, 4], 3, seed=0), images, "channel"),
@@ -96,8 +89,8 @@ def test_estimate_factors_batch_invariant():
         (pruned, images, "channel"),
     ]
     for net, data, conv_variant in cases:
-        f_big = kfac.estimate_factors(net, data, conv_variant=conv_variant, batch_size=30)
-        f_small = kfac.estimate_factors(net, data, conv_variant=conv_variant, batch_size=7)
+        f_big, _ = kfac.estimate_factors(net, data, conv_variant=conv_variant, batch_size=30)
+        f_small, _ = kfac.estimate_factors(net, data, conv_variant=conv_variant, batch_size=7)
         assert list(f_small) == list(f_big) == net.parameterized_ids()
         for lid, big in f_big.items():
             small = f_small[lid]
@@ -112,7 +105,7 @@ def test_estimate_factors_batch_invariant():
 def test_factors_symmetric_psd():
     ds = synth_dataset("blobs", seed=5, n=24, classes=2, dim=3)
     net = build_mlp(3, [5], 2, seed=1)
-    for kf in kfac.estimate_factors(net, ds, batch_size=8).values():
+    for kf in kfac.estimate_factors(net, ds, batch_size=8)[0].values():
         for m in (kf.a, kf.s):
             np.testing.assert_allclose(m, m.T, atol=1e-10)
             eigs = np.linalg.eigvalsh(m)
@@ -138,7 +131,7 @@ def conv_net_and_data(seed, h=4, w=4, c_in=2, c_out=3, k=3, n=2):
 
 def test_conv_full_factors_match_location_loops():
     net, ds = conv_net_and_data(6)
-    factors = kfac.estimate_factors(net, ds, conv_variant="full", batch_size=2)
+    factors, _ = kfac.estimate_factors(net, ds, conv_variant="full", batch_size=2)
     logits = net.forward(ds.x, capture=True)
     net.backward(logits, ds.y)
     tape = net.captures()[0]
@@ -157,7 +150,7 @@ def test_conv_full_factors_match_location_loops():
 
 def test_conv_channel_factor_matches_pixel_loop():
     net, ds = conv_net_and_data(7)
-    factors = kfac.estimate_factors(net, ds, conv_variant="channel", batch_size=2)
+    factors, _ = kfac.estimate_factors(net, ds, conv_variant="channel", batch_size=2)
     x = ds.x
     b, c, h, w = x.shape
     ref = np.zeros((c, c))
@@ -191,8 +184,8 @@ def conv_and_dense_twins(conv_variant, seed=0):
 @pytest.mark.parametrize("conv_variant", ["full", "channel"])
 def test_conv_identity_factors_equal_dense_factors(conv_variant):
     conv, dense, ds, pairs = conv_and_dense_twins(conv_variant)
-    f_conv = kfac.estimate_factors(conv, ds, conv_variant=conv_variant, batch_size=16)
-    f_dense = kfac.estimate_factors(dense, ds, batch_size=16)
+    f_conv, _ = kfac.estimate_factors(conv, ds, conv_variant=conv_variant, batch_size=16)
+    f_dense, _ = kfac.estimate_factors(dense, ds, batch_size=16)
     assert f_conv[0].variant == f"conv_{conv_variant}"
     for i, j in pairs:
         np.testing.assert_allclose(f_conv[i].a, f_dense[j].a, rtol=1e-13, atol=1e-14)
@@ -228,6 +221,51 @@ def test_conv_identity_prunes_like_dense(conv_variant, strategy):
             info_conv["predicted_cost"], info_dense["predicted_cost"], rtol=1e-12
         )
     np.testing.assert_allclose(conv.forward(ds.x), dense.forward(ds.x), rtol=1e-12, atol=1e-13)
+
+
+def test_conv_identity_iterates_like_dense(tmp_path, monkeypatch):
+    """Two eigendamage rounds of iterate on the 1x1 conv and its dense
+    twin.  Round 2 prunes a bottleneck_conv and a bottleneck_dense, so its
+    factor pass runs both bottleneck backwards without parameter
+    gradients, and finetuning runs them with."""
+    conv, dense, _, pairs = conv_and_dense_twins("channel")
+    cfg = RunConfig(
+        dataset="blobs", image="4x1x1", classes=3, n_train=40, n_test=20, batch_size=16,
+        strategy="eigendamage", ratio=0.4, cap=0.9, iterations=2, finetune_epochs=2,
+    )
+    prunes, real = [], pipeline.prune_once
+
+    def recording(*args, **kwargs):
+        prunes.append(real(*args, **kwargs))
+        return prunes[-1]
+
+    monkeypatch.setattr(pipeline, "prune_once", recording)
+    records, outs = [], []
+    for name, net in (("conv", conv), ("dense", dense)):
+        checkpoint.save_network(str(tmp_path / f"{name}.kfep"), net)
+        outs.append(tmp_path / name)
+        run = replace(cfg, checkpoint=str(tmp_path / f"{name}.kfep"), out=str(outs[-1]))
+        records.append(pipeline.cmd_iterate(run))
+    assert len(prunes) == 4
+    to_dense = dict(pairs)
+    for (t_conv, m_conv, _), (t_dense, m_dense, _) in zip(prunes[:2], prunes[2:]):
+        by_key = {(t.layer_id, t.unit_kind): t for t in t_dense}
+        assert len(t_conv) == len(t_dense)
+        for t in t_conv:
+            j = to_dense[t.layer_id]
+            np.testing.assert_allclose(t.delta_l, by_key[j, t.unit_kind].delta_l, rtol=1e-11)
+            assert list(m_conv.removed(t.layer_id, t.unit_kind)) == list(
+                m_dense.removed(j, t.unit_kind)
+            )
+    conv_rec, dense_rec = records
+    assert "aborted" not in conv_rec and "aborted" not in dense_rec
+    assert [r["params"] for r in conv_rec["rounds"]] == [r["params"] for r in dense_rec["rounds"]]
+    assert conv_rec["params"] < conv_rec["params_before"]
+    kinds = [checkpoint.load_network(str(out / "checkpoint.kfep")) for out in outs]
+    assert [kinds[0].layers[i].kind for i, _ in pairs] == ["bottleneck_conv", "dense"]
+    assert [kinds[1].layers[j].kind for _, j in pairs] == ["bottleneck_dense", "dense"]
+    x = pipeline.build_dataset(cfg, "train").x
+    np.testing.assert_allclose(kinds[0].forward(x), kinds[1].forward(x), rtol=1e-12, atol=1e-13)
 
 
 def test_conv_channel_identical_channels_rank_one():
@@ -360,14 +398,118 @@ def test_offdiag_ratio():
     )
 
 
-def test_estimate_factors_options():
+def test_estimate_factors_options(monkeypatch):
     ds = synth_dataset("blobs", seed=17, n=20, classes=2, dim=3)
     net = build_mlp(3, [4], 2, seed=0)
-    subset = kfac.estimate_factors(net, ds, layer_ids=[2], batch_size=5)
+    subset, _ = kfac.estimate_factors(net, ds, layer_ids=[2], batch_size=5)
     assert list(subset) == [2]
-    limited = kfac.estimate_factors(net, ds, batch_size=5, max_batches=2)
+    # two of four batches are folded in, and the loss still covers all 20
+    limited, loss = kfac.estimate_factors(net, ds, batch_size=5, max_batches=2)
     assert limited[0].count == 10
+    assert loss == evaluate(net, ds.x, ds.y, 5)[0]
     with pytest.raises(ValidationError):
         kfac.estimate_factors(net, ds, conv_variant="bogus")
+    forwards = []
+    original = Network.forward
+
+    def counting_forward(self, *args, **kwargs):
+        forwards.append(kwargs.get("capture", False))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", counting_forward)
     with pytest.raises(StateError):
         kfac.estimate_factors(net, ds, max_batches=0)
+    assert forwards == []
+    kfac.estimate_factors(net, ds, batch_size=5, max_batches=2)
+    assert forwards == [True, True, False, False]
+
+
+def full_gradient_factors(net, dataset, conv_variant, batch_size, max_batches=None):
+    """Reference factor pass: captures from a backward that also builds
+    every parameter gradient, folded with the public accumulators."""
+    layer_ids = net.parameterized_ids()
+    factors = {}
+    stop = dataset.n if max_batches is None else max_batches * batch_size
+    for start in range(0, min(stop, dataset.n), batch_size):
+        xb = dataset.x[start : start + batch_size]
+        yb = dataset.y[start : start + batch_size]
+        grads = net.backward(net.forward(xb, capture=True), yb)
+        assert all(grads[i] for i in layer_ids)
+        caps = net.captures()
+        for lid in layer_ids:
+            tape, kind = caps[lid], net.layers[lid].kind
+            if kind in ("dense", "bottleneck_dense"):
+                f = kfac.accumulate_dense(factors.get(lid), tape["a"], tape["g"])
+            elif kind == "bottleneck_conv":
+                f = kfac.accumulate_conv_channel(factors.get(lid), tape["x1"], tape["g"])
+            elif conv_variant == "channel":
+                f = kfac.accumulate_conv_channel(factors.get(lid), tape["x_in"], tape["g"])
+            else:
+                f = kfac.accumulate_conv(factors.get(lid), tape["patches"], tape["g"])
+            factors[lid] = f
+    return factors
+
+
+def eigendamage_pruned_cnn(images, seed=4):
+    """A CNN whose conv and hidden dense layers eigendamage has rewritten
+    as a bottleneck_conv and a bottleneck_dense."""
+    rng = np.random.default_rng(seed)
+    net = Network([
+        ConvLayer(rng.standard_normal((18, 3)), rng.standard_normal(3), c_in=2, k=3, stride=2),
+        ReluLayer(),
+        FlattenLayer(),
+        DenseLayer(rng.standard_normal((12, 5)), rng.standard_normal(5)),
+        ReluLayer(),
+        DenseLayer(rng.standard_normal((5, 3))),
+    ])
+    prune_once(net, images, RunConfig(strategy="eigendamage", ratio=0.3), cap=0.9)
+    assert [net.layers[i].kind for i in (0, 3)] == ["bottleneck_conv", "bottleneck_dense"]
+    return net
+
+
+FACTOR_PASS_CASES = ["dense", "conv_full", "conv_channel", "bottleneck"]
+
+
+def factor_pass_case(name):
+    """(net, data, conv_variant) for one factor variant, 23 samples so the
+    last batch of 5 is ragged."""
+    if name == "dense":
+        ds = synth_dataset("blobs", seed=4, n=23, classes=3, dim=5)
+        return build_mlp(5, [4, 6], 3, seed=0), ds, "channel"
+    images = synth_dataset("blobs", seed=4, n=23, classes=3, image_shape=(2, 6, 6))
+    if name == "bottleneck":
+        return eigendamage_pruned_cnn(images), images, "channel"
+    return build_cnn((2, 6, 6), [3, 4], 3, seed=0), images, name[len("conv_"):]
+
+
+@pytest.mark.parametrize("max_batches", [None, 2])
+@pytest.mark.parametrize("name", FACTOR_PASS_CASES)
+def test_factor_pass_matches_full_gradient_reference(name, max_batches):
+    """The pass backpropagates without parameter gradients; its factors
+    must be bitwise those of a full-gradient backward."""
+    net, data, conv_variant = factor_pass_case(name)
+    got, _ = kfac.estimate_factors(
+        net, data, conv_variant=conv_variant, batch_size=5, max_batches=max_batches
+    )
+    want = full_gradient_factors(net, data, conv_variant, 5, max_batches)
+    assert list(got) == list(want) == net.parameterized_ids()
+    for lid, f in want.items():
+        np.testing.assert_array_equal(got[lid].a, f.a)
+        np.testing.assert_array_equal(got[lid].s, f.s)
+        assert (got[lid].count, got[lid].a_locs, got[lid].s_locs, got[lid].variant) == (
+            f.count, f.a_locs, f.s_locs, f.variant
+        )
+    assert want[net.parameterized_ids()[0]].count == (23 if max_batches is None else 10)
+
+
+@pytest.mark.parametrize("max_batches", [None, 1, 2, 5, 9])
+@pytest.mark.parametrize("name", FACTOR_PASS_CASES)
+def test_factor_pass_loss_equals_evaluate(name, max_batches):
+    """The loss covers the whole split, however few batches are folded
+    in, and is bitwise training.evaluate's at the same batch size."""
+    net, data, conv_variant = factor_pass_case(name)
+    for batch_size in (5, 23, 64):
+        _, loss = kfac.estimate_factors(
+            net, data, conv_variant=conv_variant, batch_size=batch_size, max_batches=max_batches
+        )
+        assert loss == evaluate(net, data.x, data.y, batch_size)[0]

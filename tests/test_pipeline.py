@@ -39,6 +39,7 @@ from kfeprune.layers import (
     ReluLayer,
 )
 from kfeprune.network import Network, build_cnn, build_mlp
+from kfeprune.training import evaluate
 from kfeprune.pipeline import (
     CHECKPOINT_NAME,
     build_dataset,
@@ -995,6 +996,33 @@ def test_cmd_iterate_single_round_composes(mlp_run, tmp_path):
     assert len(it["rounds"]) == 1
     assert it["rounds"][0]["params"] == ft["params"]
     assert it["test_loss"] == ft["test_loss"]
+
+
+@pytest.mark.parametrize("fisher_batches", [0, 1])
+def test_cmd_prune_train_loss_pre_is_checkpoint_loss(mlp_run, tmp_path, fisher_batches):
+    """The factor pass gives the pre-prune loss over the whole train split,
+    however few batches it folds in.  Batches of 48 leave a ragged last
+    batch of 16 samples."""
+    cfg, _ = mlp_run
+    run = derived(cfg, tmp_path / "p", fisher_batches=fisher_batches, batch_size=48)
+    record = cmd_prune(run)
+    net = checkpoint.load_network(run.checkpoint)
+    ds = build_dataset(run, "train")
+    assert record["train_loss_pre"] == evaluate(net, ds.x, ds.y, 48)[0]
+    assert read_metrics(run.out)["train_loss_pre"] == record["train_loss_pre"]
+
+
+def test_cmd_iterate_round_losses_chain(mlp_run, tmp_path):
+    """Each round's pre-prune loss is the loss the network ended the
+    previous round with; round 1's is the input checkpoint's."""
+    cfg, train_record = mlp_run
+    record = cmd_iterate(
+        derived(cfg, tmp_path / "it", strategy="eigendamage", ratio=0.3, cap=0.5,
+                iterations=2, finetune_epochs=1)
+    )
+    first, second = record["rounds"]
+    assert first["train_loss_pre"] == train_record["train_loss"]
+    assert second["train_loss_pre"] == first["train_loss"]
 
 
 def test_cmd_iterate_monotone_params(mlp_run, tmp_path):
