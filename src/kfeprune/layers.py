@@ -45,6 +45,11 @@ from .errors import DimensionError, ValidationError
 # Constructor arguments that fix a convolution's geometry, in record order.
 CONV_GEOMETRY = ("c_in", "k", "stride", "padding")
 
+# Most patch-table entries col2im scatters per bincount call.  Small tables
+# are grouped up to this size, so a batch of tiny patches costs one call
+# instead of one per sample; a table over half this size goes alone.
+COL2IM_BLOCK = 2**13
+
 
 def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
@@ -129,8 +134,12 @@ def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
 def col2im(cols: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.ndarray:
     """Scatter-add patches back onto the input grid; adjoint of im2col.
 
-    Each input pixel sums its contributions in (di, dj) order, the order
-    of the patch index table.  The result is channels-last in memory.
+    One bincount scatters a group of samples: the patch index table is
+    tiled with an offset of c*h*w + 1 per sample, so each sample owns its
+    own bins and its own padding sentinel.  A group holds at most
+    COL2IM_BLOCK table entries, or one sample when a single table is
+    larger.  Each input pixel sums its contributions in (di, dj) order,
+    the order of the table.  The result is channels-last in memory.
     """
     b, c, h, w = x_shape
     table = _patch_index(c, h, w, k, stride, padding)
@@ -139,10 +148,19 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.n
         raise DimensionError(
             f"col2im expects cols of shape {want} for input {tuple(x_shape)}, got {cols.shape}"
         )
+    size = c * h * w + 1
+    group = max(1, min(b, COL2IM_BLOCK // table.size))
     index = table.ravel()
-    out = np.empty((b, c * h * w), dtype=np.float64)
-    for i in range(b):
-        out[i] = np.bincount(index, weights=cols[i].T.ravel(), minlength=c * h * w + 1)[:-1]
+    if group > 1:
+        # a group of one scatters through the cached table itself: a fresh
+        # copy per call moved a conv run's peak RSS from about 72 to 75-80 MB
+        index = (index + size * np.arange(group)[:, None]).ravel()
+    out = np.empty((b, size - 1), dtype=np.float64)
+    for i in range(0, b, group):
+        m = min(group, b - i)
+        weights = cols[i : i + m].transpose(0, 2, 1).ravel()
+        sums = np.bincount(index[: m * table.size], weights=weights, minlength=m * size)
+        out[i : i + m] = sums.reshape(m, size)[:, :-1]
     return _channels_last(out, b, c, h, w)
 
 

@@ -192,6 +192,7 @@ def depthwise_decompose(
         raise ValidationError(
             f"rank must lie in [1, {min(ra, rc)}] for core shape {t.shape}"
         )
+    targets = [_unfold(t, mode).T for mode in range(3)]
     last_err = None
     for attempt in range(ALS_RESTARTS + 1):
         rng = np.random.default_rng(seed + attempt)
@@ -201,10 +202,11 @@ def depthwise_decompose(
             u, v, c = _normalize_columns(u, v, c)
             trace = [_objective(t, u, v, c)]
             for _ in range(max_iter):
-                prev = (u.copy(), v.copy(), c.copy())
-                u = lstsq(khatri_rao(c, v), _unfold(t, 0).T).T
-                v = lstsq(khatri_rao(c, u), _unfold(t, 1).T).T
-                c = lstsq(khatri_rao(v, u), _unfold(t, 2).T).T
+                # each step rebinds u, v and c and never writes them in place
+                prev = (u, v, c)
+                u = lstsq(khatri_rao(c, v), targets[0]).T
+                v = lstsq(khatri_rao(c, u), targets[1]).T
+                c = lstsq(khatri_rao(v, u), targets[2]).T
                 u, v, c = _normalize_columns(u, v, c)
                 obj = _objective(t, u, v, c)
                 if obj > trace[-1]:

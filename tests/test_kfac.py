@@ -1,5 +1,6 @@
 """Tests for Kronecker factor estimation, damping, and eigenbases."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +267,59 @@ def test_conv_identity_iterates_like_dense(tmp_path, monkeypatch):
     assert [kinds[1].layers[j].kind for _, j in pairs] == ["bottleneck_dense", "dense"]
     x = pipeline.build_dataset(cfg, "train").x
     np.testing.assert_allclose(kinds[0].forward(x), kinds[1].forward(x), rtol=1e-12, atol=1e-13)
+
+
+def unit_grids(net, table, mask):
+    """table's scores and mask's removals, each in the shape of the units:
+    the (fan_in, fan_out) weight matrix for weight units (ids in
+    column-major order), one entry per output unit for filter units."""
+    hit = np.zeros(table.delta_l.size, dtype=bool)
+    hit[mask.removed(table.layer_id, table.unit_kind)] = True
+    if table.unit_kind == "weight":
+        shape = net.layers[table.layer_id].w.shape
+        return table.delta_l.reshape(shape, order="F"), hit.reshape(shape, order="F")
+    return table.delta_l, hit
+
+
+@pytest.mark.parametrize("layer_id", [0, 2])
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "eigendamage"])
+def test_in_place_scores_permute_with_hidden_units(strategy, layer_id):
+    """Reordering a hidden layer's units (the columns of its weight and
+    bias, the rows of the next layer's weight) gives the same network, so
+    every in-place strategy's scores and removals move with the units.
+    Eigendamage is left out: its eigenvectors' signs and order under
+    degenerate eigenvalues need not follow."""
+    ds = synth_dataset("blobs", seed=8, n=48, classes=3, dim=6)
+    net = build_mlp(6, [16, 8], 3, seed=2)
+    net.layers[0].b = np.random.default_rng(9).standard_normal(16) * 0.1
+    perm = np.random.default_rng(layer_id).permutation(net.layers[layer_id].fan_out)
+    assert np.any(perm != np.arange(perm.size))
+    permuted = Network([copy.copy(layer) for layer in net.layers])
+    first, second = permuted.layers[layer_id], permuted.layers[layer_id + 2]
+    first.w, first.b, second.w = first.w[:, perm], first.b[perm], second.w[perm]
+    np.testing.assert_allclose(permuted.forward(ds.x), net.forward(ds.x), rtol=1e-12)
+
+    def move(t, grid):
+        if t.layer_id == layer_id:
+            return grid[..., perm]
+        if t.layer_id == layer_id + 2 and grid.ndim == 2:
+            return grid[perm]
+        return grid
+
+    cfg = RunConfig(strategy=strategy, ratio=0.4, batch_size=16)
+    tables, mask, _ = prune_once(net, ds, cfg, cap=0.9)
+    p_tables, p_mask, _ = prune_once(permuted, ds, cfg, cap=0.9)
+    assert [(t.layer_id, t.unit_kind) for t in p_tables] == [
+        (t.layer_id, t.unit_kind) for t in tables
+    ]
+    removed = 0
+    for t, p in zip(tables, p_tables):
+        scores, hit = (move(t, grid) for grid in unit_grids(net, t, mask))
+        p_scores, p_hit = unit_grids(permuted, p, p_mask)
+        np.testing.assert_allclose(p_scores, scores, rtol=1e-10)
+        assert np.array_equal(p_hit, hit)
+        removed += int(hit.sum())
+    assert removed
 
 
 def test_conv_channel_identical_channels_rank_one():

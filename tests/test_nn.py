@@ -12,6 +12,7 @@ from kfeprune.errors import (
     ValidationError,
 )
 from kfeprune.layers import (
+    COL2IM_BLOCK,
     BottleneckConvLayer,
     ConvLayer,
     DenseLayer,
@@ -184,6 +185,48 @@ def test_col2im_matches_loop_reference(k, stride, padding):
             got = col2im(cols, shape, k, stride, padding)
             assert got.shape == shape
             assert np.array_equal(got, _col2im_loop(cols, shape, k, stride, padding))
+
+
+# (input shape, k, stride, padding, entries per bincount call); a patch
+# table holds c*k*k*L entries
+COL2IM_GROUPS = [
+    # 1,152-entry tables: groups of 7 samples, then a last group of 2
+    ((37, 8, 4, 4), 3, 1, 1, [7 * 1152] * 5 + [2 * 1152]),
+    # 9,216-entry tables, larger than COL2IM_BLOCK: one sample per group
+    ((3, 4, 16, 16), 3, 1, 1, [9216] * 3),
+]
+
+
+@pytest.mark.parametrize("shape,k,stride,padding,calls", COL2IM_GROUPS)
+def test_col2im_groups_match_single_samples(shape, k, stride, padding, calls, monkeypatch):
+    # bitwise: a group's samples own disjoint bins, so grouping changes no
+    # pixel's order of contributions
+    assert COL2IM_BLOCK == 2**13
+    sizes, real = [], np.bincount
+
+    def counting(index, *args, **kwargs):
+        sizes.append(index.size)
+        return real(index, *args, **kwargs)
+
+    rng = np.random.default_rng(35)
+    b, c = shape[:2]
+    length = conv_out_size(shape[2], k, stride, padding) * conv_out_size(
+        shape[3], k, stride, padding
+    )
+    n = c * k * k
+    for cols in (
+        rng.standard_normal((b, length, n)),
+        rng.standard_normal((b, n, length)).transpose(0, 2, 1),
+    ):
+        monkeypatch.setattr(np, "bincount", counting)
+        got = col2im(cols, shape, k, stride, padding)
+        monkeypatch.undo()
+        assert sizes == calls
+        sizes.clear()
+        assert _is_channels_last(got)
+        assert np.array_equal(got, _col2im_loop(cols, shape, k, stride, padding))
+        single = [col2im(cols[i : i + 1], (1,) + shape[1:], k, stride, padding) for i in range(b)]
+        assert np.array_equal(got, np.concatenate(single))
 
 
 def test_im2col_col2im_adjoint():
