@@ -199,7 +199,9 @@ class DenseLayer(_DenseGeometry):
         self.out_shape(x.shape[1:])
         if tape is not None:
             tape["a"] = x
-        return x @ self.w + self.b
+        y = x @ self.w
+        y += self.b
+        return y
 
     def backward(
         self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
@@ -207,7 +209,9 @@ class DenseLayer(_DenseGeometry):
         tape["g"] = dy
         if param_grads:
             a = tape["a"]
-            tape["grads"] = {"w": a.T @ dy / a.shape[0], "b": dy.mean(axis=0)}
+            gw = a.T @ dy
+            gw /= a.shape[0]
+            tape["grads"] = {"w": gw, "b": dy.mean(axis=0)}
         if not input_grad:
             return None
         return dy @ self.w.T
@@ -284,7 +288,8 @@ class ConvLayer(_ConvGeometry):
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         out_shape = self.out_shape(x.shape[1:])
         patches = im2col(x, self.k, self.stride, self.padding)
-        y = patches @ self.w + self.b
+        y = patches @ self.w
+        y += self.b
         if tape is not None:
             tape["x_in"] = x
             tape["patches"] = patches
@@ -298,10 +303,9 @@ class ConvLayer(_ConvGeometry):
         tape["g"] = g
         if param_grads:
             rows = tape["patches"].reshape(-1, self.w.shape[0])
-            tape["grads"] = {
-                "w": rows.T @ g.reshape(-1, self.c_out) / x.shape[0],
-                "b": _bias_grad(g),
-            }
+            gw = rows.T @ g.reshape(-1, self.c_out)
+            gw /= x.shape[0]
+            tape["grads"] = {"w": gw, "b": _bias_grad(g)}
         if not input_grad:
             return None
         dpatches = g @ self.w.T
@@ -469,7 +473,9 @@ class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
             tape["x"] = x
             tape["a"] = h1
             tape["h2"] = h2
-        return h2 @ self.qs.T + self.b
+        y = h2 @ self.qs.T
+        y += self.b
+        return y
 
     def backward(
         self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
@@ -481,13 +487,10 @@ class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
         dh1 = dh2 @ self.core.T
         if param_grads:
             x, h1, h2 = tape["x"], tape["a"], tape["h2"]
-            batch = x.shape[0]
-            tape["grads"] = {
-                "qa": x.T @ dh1 / batch,
-                "core": h1.T @ dh2 / batch,
-                "qs": dy.T @ h2 / batch,
-                "b": dy.mean(axis=0),
-            }
+            grads = {"qa": x.T @ dh1, "core": h1.T @ dh2, "qs": dy.T @ h2}
+            for gw in grads.values():
+                gw /= x.shape[0]
+            tape["grads"] = {**grads, "b": dy.mean(axis=0)}
         if not input_grad:
             return None
         return dh1 @ self.qa.T
@@ -568,7 +571,8 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
             tape["x1"] = x1
             tape["core_pat"] = core_pat
             tape["h2"] = h2
-        y = h2 @ _transposed(self.qs) + self.b
+        y = h2 @ _transposed(self.qs)
+        y += self.b
         return _channels_last(y, batch, *out_shape)
 
     def backward(
@@ -593,16 +597,18 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         if param_grads:
             if self.core_mode == "diag":
                 pr = core_pat.reshape(batch, -1, self.ra, kk)
-                dcore = np.einsum("blr,blrd->dr", dh2, pr) / batch
+                dcore = np.einsum("blr,blrd->dr", dh2, pr)
             else:
-                dcore_mat = core_pat.reshape(-1, self.ra * kk).T @ dh2.reshape(-1, self.rc) / batch
+                dcore_mat = core_pat.reshape(-1, self.ra * kk).T @ dh2.reshape(-1, self.rc)
                 dcore = dcore_mat.reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
-            tape["grads"] = {
-                "qa": _pixel_rows(x).reshape(-1, self.c_in).T @ dx13.reshape(-1, self.ra) / batch,
+            grads = {
+                "qa": _pixel_rows(x).reshape(-1, self.c_in).T @ dx13.reshape(-1, self.ra),
                 "core": dcore,
-                "qs": dy3.reshape(-1, self.c_out).T @ tape["h2"].reshape(-1, self.rc) / batch,
-                "b": _bias_grad(dy3),
+                "qs": dy3.reshape(-1, self.c_out).T @ tape["h2"].reshape(-1, self.rc),
             }
+            for gw in grads.values():
+                gw /= batch
+            tape["grads"] = {**grads, "b": _bias_grad(dy3)}
         if not input_grad:
             return None
         return _channels_last(dx13 @ _transposed(self.qa), *x.shape)

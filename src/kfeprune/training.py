@@ -29,10 +29,19 @@ def lr_at_epoch(epoch: int, total_epochs: int, lr0: float) -> float:
 
 
 def sgd_step(params, grads, lr: float, weight_decay: float = 0.0):
-    """In-place update p <- p - lr * (g + wd * p) for matching name lists."""
+    """In-place update p <- p - lr * (g + wd * p) for matching name lists.
+
+    At wd == 0 the decay term is skipped and the update is p -= lr * g,
+    one temporary instead of three.  For finite p that is bitwise equal to
+    p -= lr * (g + 0.0 * p), signed zeros included; a weight already at
+    +-inf stays +-inf instead of becoming NaN through 0.0 * inf.
+    """
     for (name, p), (gname, g) in zip(params, grads):
         assert name == gname
-        p -= lr * (g + weight_decay * p)
+        if weight_decay == 0.0:
+            p -= lr * g
+        else:
+            p -= lr * (g + weight_decay * p)
 
 
 def zero_masks(net: Network) -> dict:
@@ -42,6 +51,8 @@ def zero_masks(net: Network) -> dict:
     these entries keeps pruning decisions intact through finetuning.
     Bias entries are frozen only when the whole matching output column is
     zero.  Bottleneck layers prune structurally and need no masks.
+    train(freeze_zeros=True) turns these masks into uint64 keep patterns
+    once per call (see keep_patterns).
     """
     masks = {}
     for i in net.parameterized_ids():
@@ -51,6 +62,25 @@ def zero_masks(net: Network) -> dict:
         dead_units = np.all(layer.w == 0.0, axis=0)
         masks[i] = {"w": layer.w == 0.0, "b": dead_units & (layer.b == 0.0)}
     return masks
+
+
+def keep_patterns(masks: dict) -> dict:
+    """Per layer and parameter name, a uint64 pattern that is all ones
+    where the entry trains and zero where it is frozen.  A parameter whose
+    mask freezes nothing gets no pattern and is not masked."""
+    ones = np.uint64(np.iinfo(np.uint64).max)
+    return {
+        i: {name: np.where(m, np.uint64(0), ones) for name, m in layer_masks.items() if m.any()}
+        for i, layer_masks in masks.items()
+    }
+
+
+def mask_grad(g: np.ndarray, keep: np.ndarray) -> None:
+    """Zero g's frozen entries in place: one AND on the float64 bits,
+    bitwise equal to np.where(mask, 0.0, g) for every value, NaN, +-inf,
+    -0.0 and subnormals included."""
+    bits = g.view(np.uint64)
+    np.bitwise_and(bits, keep, out=bits)
 
 
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 256):
@@ -81,9 +111,12 @@ def train(
 
     Curve rows are (epoch, lr, train_loss, train_accuracy) where loss and
     accuracy are measured on the shuffled stream as it is consumed.
+    freeze_zeros keeps every exactly-zero weight of a plain layer (see
+    zero_masks) at zero: each step ANDs the gradient's bits with the keep
+    patterns built once here, in place, since the step owns its gradients.
     """
     rng = np.random.default_rng(seed)
-    masks = zero_masks(net) if freeze_zeros else None
+    keeps = keep_patterns(zero_masks(net)) if freeze_zeros else {}
     curve = []
     n = dataset.n
     for epoch in range(1, epochs + 1):
@@ -105,15 +138,9 @@ def train(
             correct += int((logits.argmax(axis=1) == yb).sum())
             grads = net.backward(logits, yb)
             for i in net.parameterized_ids():
-                layer = net.layers[i]
-                gdict = grads[i]
-                layer_masks = masks.get(i, {}) if masks is not None else {}
-                items = []
-                for name, arr in layer.param_items():
-                    g = gdict[name]
-                    if name in layer_masks:
-                        g = np.where(layer_masks[name], 0.0, g)
-                    items.append((name, g))
-                sgd_step(layer.param_items(), items, lr_e, weight_decay)
+                params = net.layers[i].param_items()
+                for name, keep in keeps.get(i, {}).items():
+                    mask_grad(grads[i][name], keep)
+                sgd_step(params, [(name, grads[i][name]) for name, _ in params], lr_e, weight_decay)
         curve.append((epoch, lr_e, epoch_loss / n, correct / n))
     return net, curve

@@ -269,6 +269,15 @@ def test_conv_identity_iterates_like_dense(tmp_path, monkeypatch):
     np.testing.assert_allclose(kinds[0].forward(x), kinds[1].forward(x), rtol=1e-12, atol=1e-13)
 
 
+def permuted_hidden(net, layer_id, perm):
+    """net with hidden layer layer_id's units reordered by perm: the
+    columns of its weight and bias, the rows of the next weight."""
+    permuted = Network([copy.copy(layer) for layer in net.layers])
+    first, second = permuted.layers[layer_id], permuted.layers[layer_id + 2]
+    first.w, first.b, second.w = first.w[:, perm], first.b[perm], second.w[perm]
+    return permuted
+
+
 def unit_grids(net, table, mask):
     """table's scores and mask's removals, each in the shape of the units:
     the (fan_in, fan_out) weight matrix for weight units (ids in
@@ -287,16 +296,14 @@ def test_in_place_scores_permute_with_hidden_units(strategy, layer_id):
     """Reordering a hidden layer's units (the columns of its weight and
     bias, the rows of the next layer's weight) gives the same network, so
     every in-place strategy's scores and removals move with the units.
-    Eigendamage is left out: its eigenvectors' signs and order under
-    degenerate eigenvalues need not follow."""
+    Eigendamage scores eigen-directions, not units; its invariance is the
+    next test."""
     ds = synth_dataset("blobs", seed=8, n=48, classes=3, dim=6)
     net = build_mlp(6, [16, 8], 3, seed=2)
     net.layers[0].b = np.random.default_rng(9).standard_normal(16) * 0.1
     perm = np.random.default_rng(layer_id).permutation(net.layers[layer_id].fan_out)
     assert np.any(perm != np.arange(perm.size))
-    permuted = Network([copy.copy(layer) for layer in net.layers])
-    first, second = permuted.layers[layer_id], permuted.layers[layer_id + 2]
-    first.w, first.b, second.w = first.w[:, perm], first.b[perm], second.w[perm]
+    permuted = permuted_hidden(net, layer_id, perm)
     np.testing.assert_allclose(permuted.forward(ds.x), net.forward(ds.x), rtol=1e-12)
 
     def move(t, grid):
@@ -320,6 +327,29 @@ def test_in_place_scores_permute_with_hidden_units(strategy, layer_id):
         assert np.array_equal(p_hit, hit)
         removed += int(hit.sum())
     assert removed
+
+
+@pytest.mark.parametrize("layer_id", [0, 2])
+def test_eigendamage_scores_invariant_under_hidden_permutation(layer_id):
+    """Reordering a hidden layer's units conjugates A or S by a
+    permutation, which moves eigenvectors but keeps eigenvalues and the
+    core's energies, so each layer's sorted KFE scores stay the same."""
+    ds = synth_dataset("blobs", seed=8, n=48, classes=3, dim=6)
+    net = build_mlp(6, [16, 8], 3, seed=2)
+    net.layers[0].b = np.random.default_rng(9).standard_normal(16) * 0.1
+    perm = np.random.default_rng(layer_id).permutation(net.layers[layer_id].fan_out)
+    permuted = permuted_hidden(net, layer_id, perm)
+    np.testing.assert_allclose(permuted.forward(ds.x), net.forward(ds.x), rtol=1e-12)
+    cfg = RunConfig(strategy="eigendamage", ratio=0.4, batch_size=16)
+    tables, mask, _ = prune_once(net, ds, cfg, cap=0.9)
+    p_tables, p_mask, _ = prune_once(permuted, ds, cfg, cap=0.9)
+    keys = [(t.layer_id, t.unit_kind) for t in tables]
+    assert [(t.layer_id, t.unit_kind) for t in p_tables] == keys
+    assert {kind for _, kind in keys} == {"kfe_row", "kfe_col"}
+    for t, p, key in zip(tables, p_tables, keys):
+        np.testing.assert_allclose(np.sort(p.delta_l), np.sort(t.delta_l), rtol=1e-10)
+        assert len(p_mask.removed(*key)) == len(mask.removed(*key))
+    assert sum(len(mask.removed(*key)) for key in keys)
 
 
 def test_conv_channel_identical_channels_rank_one():

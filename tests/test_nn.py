@@ -1,9 +1,13 @@
 """Tests for layers, the network container, and the training loop."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from kfeprune import pipeline
 from kfeprune.checkpoint import network_bytes
+from kfeprune.config import RunConfig
 from kfeprune.data import Dataset, synth_dataset
 from kfeprune.errors import (
     DimensionError,
@@ -31,7 +35,15 @@ from kfeprune.network import (
     kaiming_uniform,
     softmax,
 )
-from kfeprune.training import evaluate, lr_at_epoch, sgd_step, train, zero_masks
+from kfeprune.training import (
+    evaluate,
+    keep_patterns,
+    lr_at_epoch,
+    mask_grad,
+    sgd_step,
+    train,
+    zero_masks,
+)
 
 
 def kernel4d(layer):
@@ -501,6 +513,20 @@ def test_sgd_step_rules():
     p = np.array([2.0])
     sgd_step([("w", p)], [("w", np.array([0.0]))], lr=0.5, weight_decay=1.0)
     np.testing.assert_array_equal(p, [1.0])
+    # at zero decay the step is p -= lr * g, bitwise the old formula
+    # p -= lr * (g + 0.0 * p) for finite p, signed zeros included
+    tiny = np.finfo(np.float64).smallest_subnormal
+    values = np.array([0.0, -0.0, tiny, -tiny, 1e-300, -2.5, 3.0, 1e300, -1e300])
+    p_grid, g_grid = (a.ravel() for a in np.meshgrid(values, values))
+    for lr in (0.0, 1e-3, 0.5, 1.0):
+        got, want = p_grid.copy(), p_grid.copy()
+        sgd_step([("w", got)], [("w", g_grid.copy())], lr=lr)
+        want -= lr * (g_grid + 0.0 * want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a weight already at +-inf stays there, where 0.0 * inf made NaN
+    p = np.array([np.inf, -np.inf])
+    sgd_step([("w", p)], [("w", np.array([1.0, 1.0]))], lr=0.1)
+    np.testing.assert_array_equal(p, [np.inf, -np.inf])
 
 
 def test_sgd_converges_on_quadratic():
@@ -557,6 +583,78 @@ def test_freeze_zeros_preserves_pruning():
     assert net.layers[2].b[1] == 0.0
     # untouched entries did move
     assert np.any(net.layers[0].w[0, :2] != 0.0)
+
+
+def test_mask_grad_matches_where_bitwise():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    nan_payload = np.array([0x7FF8_0000_0000_0123, 0xFFF4_0000_0000_0001], dtype=np.uint64)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 1e-310, 1.5, -2.0]
+    values = np.concatenate([specials, nan_payload.view(np.float64)])
+    g = np.tile(values, 2)
+    mask = np.repeat([True, False], values.size)
+    want = np.where(mask, 0.0, g)
+    keep = keep_patterns({0: {"w": mask}})[0]["w"]
+    assert keep.dtype == np.uint64
+    mask_grad(g, keep)
+    assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+
+
+def test_keep_patterns_skip_masks_that_freeze_nothing():
+    masks = {
+        0: {"w": np.zeros((3, 2), dtype=bool), "b": np.array([True, False])},
+        2: {"w": np.zeros(4, dtype=bool)},
+    }
+    keeps = keep_patterns(masks)
+    assert set(keeps) == {0, 2} and list(keeps[0]) == ["b"] and keeps[2] == {}
+    assert keeps[0]["b"].tolist() == [0, 2**64 - 1]
+
+
+def reference_finetune(net, ds, epochs, lr, weight_decay, batch_size, seed):
+    """The frozen-weight finetune as first written: an np.where mask on
+    every gradient, then p -= lr * (g + wd * p)."""
+    rng = np.random.default_rng(seed)
+    masks = zero_masks(net)
+    for epoch in range(1, epochs + 1):
+        lr_e = lr_at_epoch(epoch, epochs, lr)
+        perm = rng.permutation(ds.n)
+        for start in range(0, ds.n, batch_size):
+            idx = perm[start : start + batch_size]
+            grads = net.backward(net.forward(ds.x[idx], capture=True), ds.y[idx])
+            for i in net.parameterized_ids():
+                layer_masks = masks.get(i, {})
+                for name, p in net.layers[i].param_items():
+                    g = grads[i][name]
+                    if name in layer_masks:
+                        g = np.where(layer_masks[name], 0.0, g)
+                    p -= lr_e * (g + weight_decay * p)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize(
+    "arch, image, strategy", [("mlp:32,16", "1x4x4", "obs"), ("cnn:4,8", "1x8x8", "c-obs")]
+)
+def test_freeze_zeros_matches_where_reference(arch, image, strategy, weight_decay):
+    """train(freeze_zeros=True) after an in-place prune gives bitwise the
+    parameters of the np.where reference loop, and frozen entries stay 0."""
+    cfg = RunConfig(
+        arch=arch, image=image, dataset="blobs", classes=3, n_train=96, sigma=1.0,
+        strategy=strategy, ratio=0.5, batch_size=16,
+    )
+    ds = pipeline.build_dataset(cfg, "train")
+    net = pipeline.build_network(cfg, ds.num_classes)
+    train(net, ds, epochs=2, lr=0.1, batch_size=16, seed=0)
+    pipeline.prune_once(net, ds, cfg, cap=0.9)
+    masks = zero_masks(net)
+    assert any(m["w"].any() for m in masks.values())
+    before, ref = copy.deepcopy(net), copy.deepcopy(net)
+    run = dict(epochs=2, lr=0.05, weight_decay=weight_decay, batch_size=16, seed=3)
+    train(net, ds, freeze_zeros=True, **run)
+    reference_finetune(ref, ds, **run)
+    assert network_bytes(net) != network_bytes(before)
+    for i in net.parameterized_ids():
+        for (name, got), (_, want) in zip(net.layers[i].param_items(), ref.layers[i].param_items()):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (i, name)
+            assert np.all(got[masks[i][name]] == 0.0)
 
 
 def test_evaluate_batch_invariant():
