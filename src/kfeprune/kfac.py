@@ -162,7 +162,7 @@ def _capture_arrays(layer, tape, conv_variant: str):
             return accumulate_conv_channel, (tape["x_in"], tape["g"])
         return accumulate_conv, (tape["patches"], tape["g"])
     if kind == "bottleneck_conv":
-        return accumulate_conv_channel, (tape["x1"], tape["g"])
+        return accumulate_conv_channel, (layer.projected(tape["x_in"]), tape["g"])
     raise ValidationError(f"layer kind {kind!r} has no factors")
 
 

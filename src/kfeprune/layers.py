@@ -11,9 +11,9 @@ Conv activations keep their logical (B, C, H, W) shape but are
 channels-last in memory, as PyTorch's channels_last format: each is a
 (B, C, H, W) view of a contiguous (B, H, W, C) array, which is the conv
 GEMM's (B, L, C) output reshaped.  So conv, ReLU, col2im and flatten's
-backward hand each other arrays of one layout, the channel-covariance
-factor of a plain conv reads its input's pixel rows without a copy, and
-a conv bottleneck's 1x1 projections multiply those rows.  Every layer
+backward hand each other arrays of one layout, and the channel-covariance
+factor of a plain conv reads its input's pixel rows without a copy.  A
+conv bottleneck runs as a conv against its effective kernel.  Every layer
 accepts either layout and gives bitwise the same result for both;
 shapes, weights and flop counts do not depend on it.
 
@@ -508,6 +508,12 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     the core becomes a (k*k, r) array of per-offset diagonals, the only
     factored bottleneck core.  core_mode, "full" or "diag", is read off
     the core's rank.
+
+    Both core modes run one path, as a plain conv over patches of the
+    input against the effective kernel W of kernel(): h2 = patches @ W,
+    then y = h2 @ qs.T + b.  The tape holds x_in, patches, h2 and w_eff
+    (that W).  Backward splits W's gradient into qa's and the core's, and
+    scatters a col2im only for the input gradient.
     """
 
     kind = "bottleneck_conv"
@@ -548,32 +554,45 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     def c_out(self) -> int:
         return self.qs.shape[0]
 
-    def core_matrix(self) -> np.ndarray:
-        """Full core as a (ra*k*k, rc) matrix matching the patch row layout."""
-        return self.core.transpose(0, 2, 1).reshape(self.ra * self.k * self.k, self.rc)
+    def kernel(self) -> np.ndarray:
+        """(qa kron I_kk) @ core as a (c_in*k*k, rc) matrix in the patch row
+        layout: entry ((c, d), j) is qa[c] . core[:, j, d], or
+        qa[c, j] * core[d, j] for a depthwise core."""
+        kk = self.k * self.k
+        if self.core_mode == "diag":
+            return (self.qa[:, None, :] * self.core).reshape(-1, self.rc)
+        core = self.core.transpose(0, 2, 1).reshape(self.ra, kk * self.rc)
+        return (self.qa @ core).reshape(-1, self.rc)
+
+    def _kernel_grads(self, gw: np.ndarray) -> tuple:
+        """(qa, core) gradients from the gradient gw of kernel()."""
+        kk = self.k * self.k
+        g3 = gw.reshape(self.c_in, kk, self.rc)
+        if self.core_mode == "diag":
+            return (g3 * self.core).sum(axis=1), (g3 * self.qa[:, None, :]).sum(axis=0)
+        g2, core = g3.reshape(self.c_in, -1), self.core.transpose(0, 2, 1).reshape(self.ra, -1)
+        return g2 @ core.T, (self.qa.T @ g2).reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
+
+    def projected(self, x: np.ndarray) -> np.ndarray:
+        """qa.T x as (B, ra, H, W), the input of the bottleneck's factor: an
+        NCHW-order product, (ra, c_in) times each sample's (c_in, H*W) pixel
+        columns, which the factors are pinned to bit for bit."""
+        batch, _, h, w = x.shape
+        return (self.qa.T @ _pixel_rows(x).transpose(0, 2, 1)).reshape(batch, self.ra, h, w)
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         out_shape = self.out_shape(x.shape[1:])
-        batch, _, h, w = x.shape
-        # an NCHW-order product, (ra, c_in) times each sample's (c_in, H*W)
-        # pixel columns: a pixel-row GEMM rounds differently, and the loss
-        # recorded right after a rewrite would move in its last bit
-        x1 = (self.qa.T @ _pixel_rows(x).transpose(0, 2, 1)).reshape(batch, self.ra, h, w)
-        core_pat = im2col(x1, self.k, self.stride, self.padding)
-        if self.core_mode == "diag":
-            kk = self.k * self.k
-            pr = core_pat.reshape(batch, -1, self.ra, kk)
-            h2 = np.einsum("blrd,dr->blr", pr, self.core)
-        else:
-            h2 = core_pat @ self.core_matrix()
+        patches = im2col(x, self.k, self.stride, self.padding)
+        w = self.kernel()
+        h2 = patches @ w
         if tape is not None:
             tape["x_in"] = x
-            tape["x1"] = x1
-            tape["core_pat"] = core_pat
+            tape["patches"] = patches
             tape["h2"] = h2
+            tape["w_eff"] = w
         y = h2 @ _transposed(self.qs)
         y += self.b
-        return _channels_last(y, batch, *out_shape)
+        return _channels_last(y, x.shape[0], *out_shape)
 
     def backward(
         self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
@@ -583,43 +602,24 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         dy3 = _pixel_rows(dy)
         dh2 = dy3 @ self.qs
         tape["g"] = dh2
-        # only dqa and the input gradient read the core's input gradient
-        if not (input_grad or param_grads):
-            return None
-        core_pat = tape["core_pat"]
-        kk = self.k * self.k
-        if self.core_mode == "diag":
-            dcore_pat = np.einsum("blr,dr->blrd", dh2, self.core).reshape(core_pat.shape)
-        else:
-            dcore_pat = dh2 @ _transposed(self.core_matrix())
-        dx1 = col2im(dcore_pat, tape["x1"].shape, self.k, self.stride, self.padding)
-        dx13 = _pixel_rows(dx1)
         if param_grads:
-            if self.core_mode == "diag":
-                pr = core_pat.reshape(batch, -1, self.ra, kk)
-                dcore = np.einsum("blr,blrd->dr", dh2, pr)
-            else:
-                dcore_mat = core_pat.reshape(-1, self.ra * kk).T @ dh2.reshape(-1, self.rc)
-                dcore = dcore_mat.reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
-            grads = {
-                "qa": _pixel_rows(x).reshape(-1, self.c_in).T @ dx13.reshape(-1, self.ra),
-                "core": dcore,
-                "qs": dy3.reshape(-1, self.c_out).T @ tape["h2"].reshape(-1, self.rc),
-            }
-            for gw in grads.values():
-                gw /= batch
-            tape["grads"] = {**grads, "b": _bias_grad(dy3)}
+            # per-sample products from the patches' contiguous (B, n, L)
+            # storage: a (B*L, n) row view would copy every patch
+            gw = (tape["patches"].transpose(0, 2, 1) @ dh2).sum(axis=0)
+            gw /= batch
+            gqa, gcore = self._kernel_grads(gw)
+            gqs = dy3.reshape(-1, self.c_out).T @ tape["h2"].reshape(-1, self.rc)
+            gqs /= batch
+            tape["grads"] = {"qa": gqa, "core": gcore, "qs": gqs, "b": _bias_grad(dy3)}
         if not input_grad:
             return None
-        return _channels_last(dx13 @ _transposed(self.qa), *x.shape)
+        dpatches = dh2 @ _transposed(tape["w_eff"])
+        return col2im(dpatches, x.shape, self.k, self.stride, self.padding)
 
     def flops(self, in_shape) -> int:
+        """The factored layer's count, qa at input resolution and the core
+        and qs at every output location, not that of the forward's GEMMs."""
         _, h, w = in_shape
         _, h_out, w_out = self.out_shape(in_shape)
-        proj = 2 * self.c_in * self.ra * h * w
-        if self.core_mode == "diag":
-            core = 2 * self.k * self.k * self.ra * h_out * w_out
-        else:
-            core = 2 * self.k * self.k * self.ra * self.rc * h_out * w_out
-        back = 2 * self.rc * self.c_out * h_out * w_out
-        return proj + core + back
+        per_loc = self.core.size + self.rc * self.c_out
+        return 2 * self.c_in * self.ra * h * w + 2 * per_loc * h_out * w_out

@@ -175,19 +175,17 @@ def test_first_layer_skips_input_gradient(monkeypatch):
     assert net.layers[0].backward(dy, tape, input_grad=False) is None
     assert "grads" in tape
 
-    # eigendamage rewrites both convs as bottlenecks.  Layer 0's col2im
-    # feeds only its qa gradient, so the factor pass, which builds no
-    # parameter gradients, scatters for layer 2's input gradient alone.
+    # eigendamage rewrites both convs as bottlenecks.  A bottleneck's only
+    # col2im is its input gradient, so layer 0 scatters none, in training
+    # or in the factor pass, which builds no parameter gradients.
     prune_once(net, Dataset(x=x, y=y, num_classes=3), RunConfig(ratio=0.3), cap=0.9)
     assert [net.layers[i].kind for i in (0, 2)] == ["bottleneck_conv", "bottleneck_conv"]
-    x1_shapes = {}
     for param_grads in (True, False):
         calls.clear()
         net.backward(net.forward(x, capture=True), y, param_grads=param_grads)
-        x1_shapes[param_grads] = [net.captures()[i]["x1"].shape for i in (2, 0)]
-        assert calls == (x1_shapes[True] if param_grads else x1_shapes[True][:1])
-    assert x1_shapes[True] == x1_shapes[False]
-    assert x1_shapes[True][0] != x1_shapes[True][1]
+        caps = net.captures()
+        assert calls == [caps[2]["x_in"].shape]
+        assert caps[2]["x_in"].shape != caps[0]["x_in"].shape
 
 
 def layer_case(kind, rng):
@@ -259,20 +257,26 @@ def test_blas_contractions_match_einsum_reference():
     conv.backward(dy, tape)
     close(tape["grads"]["w"], np.einsum("bln,blm->nm", tape["patches"], tape["g"]) / 3)
 
-    net = bottleneck_conv_net(rng, "full")
-    layer = net.layers[2]
+    # the bottleneck's effective-kernel GEMMs against the three-stage einsum
+    # chain: projection, im2col of the projected input, core, qs
+    layer = bottleneck_conv_net(rng, "full").layers[2]
     x = rng.standard_normal((3, 2, 5, 5))
     tape = {}
     y = layer.forward(x, tape)
-    close(tape["x1"], np.einsum("ca,bchw->bahw", layer.qa, x))
     dy = rng.standard_normal(y.shape)
     dx = layer.backward(dy, tape)
+    x1 = np.einsum("ca,bchw->bahw", layer.qa, x)
+    core_pat = layers_mod.im2col(x1, 3, 2, 1).reshape(3, -1, layer.ra, 9)
+    h2 = np.einsum("blad,acd->blc", core_pat, layer.core)
     dy3 = dy.reshape(3, layer.c_out, -1).transpose(0, 2, 1)
-    close(tape["grads"]["qs"], np.einsum("blo,blr->or", dy3, tape["h2"]) / 3)
-    dcore_mat = np.einsum("bln,blc->nc", tape["core_pat"], tape["g"]) / 3
-    close(tape["grads"]["core"], dcore_mat.reshape(layer.ra, 9, layer.rc).transpose(0, 2, 1))
-    dcore_pat = tape["g"] @ layer.core_matrix().T
-    dx1 = layers_mod.col2im(dcore_pat, tape["x1"].shape, 3, 2, 1)
+    close(tape["h2"], h2)
+    close(y, np.einsum("blc,oc->bol", h2, layer.qs).reshape(y.shape) + layer.b[:, None, None])
+    dh2 = np.einsum("blo,oc->blc", dy3, layer.qs)
+    close(tape["g"], dh2)
+    close(tape["grads"]["qs"], np.einsum("blo,blc->oc", dy3, h2) / 3)
+    close(tape["grads"]["core"], np.einsum("blad,blc->acd", core_pat, dh2) / 3)
+    dcore_pat = np.einsum("blc,acd->blad", dh2, layer.core).reshape(3, -1, layer.ra * 9)
+    dx1 = layers_mod.col2im(dcore_pat, x1.shape, 3, 2, 1)
     close(tape["grads"]["qa"], np.einsum("bchw,bahw->ca", x, dx1) / 3)
     close(dx, np.einsum("ca,bahw->bchw", layer.qa, dx1))
 

@@ -15,7 +15,7 @@ from kfeprune.errors import (
     ValidationError,
 )
 from kfeprune.config import STRATEGIES, RunConfig
-from kfeprune.layers import ConvLayer, DenseLayer, FlattenLayer, ReluLayer
+from kfeprune.layers import BottleneckConvLayer, ConvLayer, DenseLayer, FlattenLayer, ReluLayer
 from kfeprune.network import Network, build_cnn, build_mlp
 from kfeprune.oracle import exact_fisher, fisher_vec, kron, vec
 from kfeprune.pipeline import prune_once
@@ -525,7 +525,8 @@ def full_gradient_factors(net, dataset, conv_variant, batch_size, max_batches=No
             if kind in ("dense", "bottleneck_dense"):
                 f = kfac.accumulate_dense(factors.get(lid), tape["a"], tape["g"])
             elif kind == "bottleneck_conv":
-                f = kfac.accumulate_conv_channel(factors.get(lid), tape["x1"], tape["g"])
+                x1 = net.layers[lid].projected(tape["x_in"])
+                f = kfac.accumulate_conv_channel(factors.get(lid), x1, tape["g"])
             elif conv_variant == "channel":
                 f = kfac.accumulate_conv_channel(factors.get(lid), tape["x_in"], tape["g"])
             else:
@@ -584,6 +585,42 @@ def test_factor_pass_matches_full_gradient_reference(name, max_batches):
             f.count, f.a_locs, f.s_locs, f.variant
         )
     assert want[net.parameterized_ids()[0]].count == (23 if max_batches is None else 10)
+
+
+def test_bottleneck_input_factor_is_nchw_projection():
+    """A conv bottleneck's input factor is bitwise the channel covariance
+    of qa.T times each sample's (c_in, H*W) pixel columns, so training
+    through the effective kernel moves decisions only through the weights.
+    Layer 0 reads the NCHW data, layer 2 a channels-last activation.  With
+    32 and 24 input channels a pixel-row GEMM rounds differently; at a few
+    channels the two products can agree bit for bit."""
+    rng = np.random.default_rng(6)
+
+    def bottleneck(c_in, ra, rc, c_out, stride):
+        return BottleneckConvLayer(
+            rng.standard_normal((c_in, ra)) / np.sqrt(c_in), rng.standard_normal((ra, rc, 9)) / 9,
+            rng.standard_normal((c_out, rc)), rng.standard_normal(c_out), c_in, 3, stride, 1,
+        )
+
+    net = Network([
+        bottleneck(32, 20, 6, 24, 1), ReluLayer(), bottleneck(24, 20, 5, 8, 2), ReluLayer(),
+        FlattenLayer(), DenseLayer(rng.standard_normal((72, 3)) / 8),
+    ])
+    images = synth_dataset("blobs", seed=4, n=13, classes=3, image_shape=(32, 6, 6))
+    got, _ = kfac.estimate_factors(net, images, batch_size=5)
+    want = {}
+    for start in range(0, images.n, 5):
+        net.backward(net.forward(images.x[start : start + 5], capture=True),
+                     images.y[start : start + 5], param_grads=False)
+        for lid in (0, 2):
+            tape, qa = net.captures()[lid], net.layers[lid].qa
+            b, c, h, w = tape["x_in"].shape
+            rows = np.ascontiguousarray(tape["x_in"].transpose(0, 2, 3, 1)).reshape(b, h * w, c)
+            x1 = (qa.T @ rows.transpose(0, 2, 1)).reshape(b, qa.shape[1], h, w)
+            want[lid] = kfac.accumulate_conv_channel(want.get(lid), x1, tape["g"])
+    for lid, f in want.items():
+        np.testing.assert_array_equal(got[lid].a, f.a)
+        np.testing.assert_array_equal(got[lid].s, f.s)
 
 
 @pytest.mark.parametrize("max_batches", [None, 1, 2, 5, 9])

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from kfeprune import pipeline
+from kfeprune import oracle, pipeline
 from kfeprune.checkpoint import network_bytes
 from kfeprune.config import RunConfig
 from kfeprune.data import Dataset, synth_dataset
@@ -348,6 +348,67 @@ def test_conv_backward_matches_nchw_reference(k, stride, padding):
         bottleneck.backward(dy, tape)
         nchw = np.ascontiguousarray(dy).reshape(shape[0], bottleneck.c_out, -1)
         assert np.array_equal(tape["grads"]["b"], nchw.transpose(0, 2, 1).sum(axis=1).mean(axis=0))
+
+
+def _three_stage_bottleneck(layer, x, dy):
+    """A conv bottleneck's output, tape["g"], input gradient and batch-mean
+    parameter gradients through its three stages: the 1x1 projection qa,
+    the core over patches of the projected input, the 1x1 projection qs."""
+    b, kk = x.shape[0], layer.k * layer.k
+    geometry = (layer.k, layer.stride, layer.padding)
+    x1 = np.einsum("ca,bchw->bahw", layer.qa, x)
+    pat = im2col(x1, *geometry).reshape(b, -1, layer.ra, kk)
+    dyr = dy.reshape(b, layer.c_out, -1)
+    dh2 = np.einsum("bol,oc->blc", dyr, layer.qs)
+    if layer.core_mode == "diag":
+        h2 = np.einsum("blad,da->bla", pat, layer.core)
+        gcore = np.einsum("blad,bla->da", pat, dh2)
+        dpat = np.einsum("bla,da->blad", dh2, layer.core)
+    else:
+        h2 = np.einsum("blad,acd->blc", pat, layer.core)
+        gcore = np.einsum("blad,blc->acd", pat, dh2)
+        dpat = np.einsum("blc,acd->blad", dh2, layer.core)
+    y = np.einsum("blc,oc->bol", h2, layer.qs) + layer.b[:, None]
+    dx1 = col2im(dpat.reshape(b, -1, layer.ra * kk), x1.shape, *geometry)
+    grads = {
+        "qa": np.einsum("bchw,bahw->ca", x, dx1) / b,
+        "core": gcore / b,
+        "qs": np.einsum("bol,blc->oc", dyr, h2) / b,
+        "b": dyr.sum(axis=(0, 2)) / b,
+    }
+    return y.reshape(dy.shape), dh2, np.einsum("ca,bahw->bchw", layer.qa, dx1), grads
+
+
+@pytest.mark.parametrize("core_mode", ["full", "diag"])
+@pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
+def test_bottleneck_conv_matches_three_stage_reference(k, stride, padding, core_mode):
+    # one GEMM over input patches against the effective kernel rounds
+    # differently from the three stages, so the check is to float64
+    # rounding, relative to each array's largest entry
+    rng = np.random.default_rng(36)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    for shape in INPUT_SHAPES:
+        _, full, diag = _conv_layers(rng, shape[1], k, stride, padding)
+        layer = full if core_mode == "full" else diag
+        x = rng.standard_normal(shape)
+        tape = {}
+        y = layer.forward(x, tape)
+        dy = rng.standard_normal(y.shape)
+        dx = layer.backward(dy, tape)
+        want_y, want_g, want_dx, want_grads = _three_stage_bottleneck(layer, x, dy)
+        close(y, want_y)
+        close(tape["g"], want_g)
+        close(dx, want_dx)
+        assert tape["grads"].keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert tape["grads"][name].shape == want.shape, name
+            close(tape["grads"][name], want)
+        if core_mode == "full":
+            plain = ConvLayer(oracle.effective_weight(layer), layer.b, **layer.geometry())
+            close(y, plain.forward(x))
 
 
 def test_col2im_rejects_mismatched_cols():
