@@ -12,10 +12,12 @@ channels-last in memory, as PyTorch's channels_last format: each is a
 (B, C, H, W) view of a contiguous (B, H, W, C) array, which is the conv
 GEMM's (B, L, C) output reshaped.  So conv, ReLU, col2im and flatten's
 backward hand each other arrays of one layout, and the channel-covariance
-factor of a plain conv reads its input's pixel rows without a copy.  A
-conv bottleneck runs as a conv against its effective kernel.  Every layer
-accepts either layout and gives bitwise the same result for both;
-shapes, weights and flop counts do not depend on it.
+factor of a plain conv reads its input's pixel rows without a copy.  Both
+conv kinds run one conv path, _ConvGeometry's patch GEMM im2col(x) @ K,
+its kernel gradient and its input gradient: K is w for a plain conv and
+the effective kernel() for a bottleneck.  Every layer accepts either
+layout and gives bitwise the same result for both; shapes, weights and
+flop counts do not depend on it.
 
 Each layer checks a sample shape once, in out_shape, which forward calls
 and accounting walks through a network: DimensionError if it cannot fit.
@@ -227,9 +229,11 @@ class DenseLayer(_DenseGeometry):
 
 
 class _ConvGeometry:
-    """Geometry shared by both conv kinds: c_in input channels, a k x k
-    kernel, stride and zero padding.  out_shape rejects a wrong channel
-    count and an input too small to give any output."""
+    """Geometry and the one conv path shared by both conv kinds: c_in input
+    channels, a k x k kernel, stride and zero padding.  out_shape rejects a
+    wrong channel count and an input too small to give any output.  A conv
+    is the patch GEMM im2col(x) @ K against a (c_in*k*k, m) kernel K, run
+    with its kernel and input gradients by the methods below."""
 
     def _set_geometry(self, c_in: int, k: int, stride: int, padding: int):
         self.c_in, self.k, self.stride, self.padding = int(c_in), int(k), int(stride), int(padding)
@@ -251,6 +255,29 @@ class _ConvGeometry:
         if h_out <= 0 or w_out <= 0:
             raise DimensionError(f"{self.kind} output would be empty for input {h}x{w}")
         return (self.c_out, h_out, w_out)
+
+    def _patch_gemm(self, x: np.ndarray, kernel: np.ndarray, tape: dict | None) -> np.ndarray:
+        """(B, L, m) product of x's patches and kernel; the tape keeps x_in
+        and the patches."""
+        patches = im2col(x, self.k, self.stride, self.padding)
+        if tape is not None:
+            tape["x_in"] = x
+            tape["patches"] = patches
+        return patches @ kernel
+
+    def _kernel_grad(self, tape: dict, g: np.ndarray) -> np.ndarray:
+        """Batch-mean gradient of the patch GEMM's kernel from its (B, L, m)
+        output gradients: per-sample products over the patches' contiguous
+        (B, n, L) storage, summed over the batch.  A (B*L, n) row view of
+        the patches would copy every patch."""
+        gw = (tape["patches"].transpose(0, 2, 1) @ g).sum(axis=0)
+        gw /= g.shape[0]
+        return gw
+
+    def _input_grad(self, tape: dict, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+        """Input gradient of the patch GEMM: col2im(g @ kernel.T)."""
+        dpatches = g @ _transposed(kernel)
+        return col2im(dpatches, tape["x_in"].shape, self.k, self.stride, self.padding)
 
 
 class ConvLayer(_ConvGeometry):
@@ -287,29 +314,18 @@ class ConvLayer(_ConvGeometry):
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         out_shape = self.out_shape(x.shape[1:])
-        patches = im2col(x, self.k, self.stride, self.padding)
-        y = patches @ self.w
+        y = self._patch_gemm(x, self.w, tape)
         y += self.b
-        if tape is not None:
-            tape["x_in"] = x
-            tape["patches"] = patches
         return _channels_last(y, x.shape[0], *out_shape)
 
     def backward(
         self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
     ) -> np.ndarray | None:
-        x = tape["x_in"]
         g = _pixel_rows(dy)
         tape["g"] = g
         if param_grads:
-            rows = tape["patches"].reshape(-1, self.w.shape[0])
-            gw = rows.T @ g.reshape(-1, self.c_out)
-            gw /= x.shape[0]
-            tape["grads"] = {"w": gw, "b": _bias_grad(g)}
-        if not input_grad:
-            return None
-        dpatches = g @ self.w.T
-        return col2im(dpatches, x.shape, self.k, self.stride, self.padding)
+            tape["grads"] = {"w": self._kernel_grad(tape, g), "b": _bias_grad(g)}
+        return self._input_grad(tape, g, self.w) if input_grad else None
 
     def param_items(self):
         return [("w", self.w), ("b", self.b)]
@@ -509,11 +525,13 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     factored bottleneck core.  core_mode, "full" or "diag", is read off
     the core's rank.
 
-    Both core modes run one path, as a plain conv over patches of the
-    input against the effective kernel W of kernel(): h2 = patches @ W,
+    Both core modes run the plain conv's path against the effective
+    kernel W of kernel(): h2 = patches @ W through the shared patch GEMM,
     then y = h2 @ qs.T + b.  The tape holds x_in, patches, h2 and w_eff
-    (that W).  Backward splits W's gradient into qa's and the core's, and
-    scatters a col2im only for the input gradient.
+    (that W).  Backward takes W's gradient from the shared contraction and
+    splits it into qa's and the core's, and takes the input gradient from
+    the shared col2im product.  With qa = I, qs = I and a core laid out
+    from a plain conv's w, the layer is bitwise that conv.
     """
 
     kind = "bottleneck_conv"
@@ -564,7 +582,7 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         core = self.core.transpose(0, 2, 1).reshape(self.ra, kk * self.rc)
         return (self.qa @ core).reshape(-1, self.rc)
 
-    def _kernel_grads(self, gw: np.ndarray) -> tuple:
+    def _split_kernel_grad(self, gw: np.ndarray) -> tuple:
         """(qa, core) gradients from the gradient gw of kernel()."""
         kk = self.k * self.k
         g3 = gw.reshape(self.c_in, kk, self.rc)
@@ -582,12 +600,9 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         out_shape = self.out_shape(x.shape[1:])
-        patches = im2col(x, self.k, self.stride, self.padding)
         w = self.kernel()
-        h2 = patches @ w
+        h2 = self._patch_gemm(x, w, tape)
         if tape is not None:
-            tape["x_in"] = x
-            tape["patches"] = patches
             tape["h2"] = h2
             tape["w_eff"] = w
         y = h2 @ _transposed(self.qs)
@@ -597,24 +612,15 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     def backward(
         self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
     ) -> np.ndarray | None:
-        x = tape["x_in"]
-        batch = x.shape[0]
         dy3 = _pixel_rows(dy)
         dh2 = dy3 @ self.qs
         tape["g"] = dh2
         if param_grads:
-            # per-sample products from the patches' contiguous (B, n, L)
-            # storage: a (B*L, n) row view would copy every patch
-            gw = (tape["patches"].transpose(0, 2, 1) @ dh2).sum(axis=0)
-            gw /= batch
-            gqa, gcore = self._kernel_grads(gw)
+            gqa, gcore = self._split_kernel_grad(self._kernel_grad(tape, dh2))
             gqs = dy3.reshape(-1, self.c_out).T @ tape["h2"].reshape(-1, self.rc)
-            gqs /= batch
+            gqs /= dy3.shape[0]
             tape["grads"] = {"qa": gqa, "core": gcore, "qs": gqs, "b": _bias_grad(dy3)}
-        if not input_grad:
-            return None
-        dpatches = dh2 @ _transposed(tape["w_eff"])
-        return col2im(dpatches, x.shape, self.k, self.stride, self.padding)
+        return self._input_grad(tape, dh2, tape["w_eff"]) if input_grad else None
 
     def flops(self, in_shape) -> int:
         """The factored layer's count, qa at input resolution and the core

@@ -98,9 +98,6 @@ class Network:
             out[i] = tape
         return out
 
-    def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
-        return cross_entropy(self.forward(x), labels)
-
 
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)

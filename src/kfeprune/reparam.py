@@ -24,11 +24,18 @@ ALS_RESTARTS = 3
 COLLAPSE_TOL = 1e-12
 
 
-def _check_square_basis(q: np.ndarray, dim: int, name: str):
-    if q.shape != (dim, dim):
-        raise DimensionError(
-            f"{name} basis shape {q.shape} does not match layer dimension {dim}"
-        )
+def _rotate(core: np.ndarray, ef: EigenFactors) -> np.ndarray:
+    """ef.qa.T @ core @ ef.qs, per kernel offset for a (ra, rc, k*k) conv
+    core: the one core rotation of to_kfe and merge_bases."""
+    for q, n, name in ((ef.qa, core.shape[0], "input"), (ef.qs, core.shape[1], "output")):
+        if q.shape != (n, n):
+            raise DimensionError(f"{name} basis shape {q.shape} does not match layer dimension {n}")
+    if core.ndim == 2:
+        return ef.qa.T @ core @ ef.qs
+    out = np.empty(core.shape)
+    for delta in range(core.shape[2]):
+        out[:, :, delta] = ef.qa.T @ core[:, :, delta] @ ef.qs
+    return out
 
 
 def to_kfe(layer, ef: EigenFactors):
@@ -40,23 +47,14 @@ def to_kfe(layer, ef: EigenFactors):
     factor), and the outer bases are orthonormal.
     """
     if isinstance(layer, DenseLayer):
-        n, m = layer.w.shape
-        _check_square_basis(ef.qa, n, "input")
-        _check_square_basis(ef.qs, m, "output")
-        core = ef.qa.T @ layer.w @ ef.qs
         return BottleneckDenseLayer(
-            qa=ef.qa.copy(), core=core, qs=ef.qs.copy(), bias=layer.b.copy()
+            qa=ef.qa.copy(), core=_rotate(layer.w, ef), qs=ef.qs.copy(), bias=layer.b.copy()
         )
     if isinstance(layer, ConvLayer):
-        kk = layer.k * layer.k
-        c_out = layer.w.shape[1]
-        _check_square_basis(ef.qa, layer.c_in, "input channel")
-        _check_square_basis(ef.qs, c_out, "output")
-        core = np.empty((layer.c_in, c_out, kk))
-        for delta in range(kk):
-            core[:, :, delta] = ef.qa.T @ layer.w[delta::kk, :] @ ef.qs
+        # w's rows are (channel, offset) pairs: core[:, :, d] is w[d::k*k]
+        core = layer.w.reshape(layer.c_in, layer.k * layer.k, layer.c_out).transpose(0, 2, 1)
         return BottleneckConvLayer(
-            ef.qa.copy(), core, ef.qs.copy(), layer.b.copy(), **layer.geometry()
+            ef.qa.copy(), _rotate(core, ef), ef.qs.copy(), layer.b.copy(), **layer.geometry()
         )
     raise ValidationError(f"cannot rotate layer of type {type(layer).__name__}")
 
@@ -111,13 +109,7 @@ def merge_bases(layer, ef: EigenFactors):
     new bases are orthonormal.  The kept-index lists restart, since the
     new basis directions mix the old ones.
     """
-    core = _full_core(layer, "merge into")
-    _check_square_basis(ef.qa, core.shape[0], "input")
-    _check_square_basis(ef.qs, core.shape[1], "output")
-    if core.ndim == 2:
-        core = ef.qa.T @ core @ ef.qs
-    else:
-        core = np.einsum("ar,abk,bc->rck", ef.qa, core, ef.qs)
+    core = _rotate(_full_core(layer, "merge into"), ef)
     return layer.rebuilt(layer.qa @ ef.qa, core, layer.qs @ ef.qs)
 
 
@@ -141,7 +133,7 @@ class DepthwiseFactors:
 
 
 def _objective(t: np.ndarray, u, v, c) -> float:
-    resid = t - np.einsum("ir,jr,dr->ijd", u, v, c)
+    resid = t - (khatri_rao(u, v) @ c.T).reshape(t.shape)
     return 0.5 * float(np.sum(resid * resid))
 
 
@@ -157,7 +149,7 @@ def _svd_init(t: np.ndarray, rank: int, rng, jitter: float):
     if jitter > 0.0:
         u += jitter * rng.standard_normal(u.shape)
         v += jitter * rng.standard_normal(v.shape)
-    c = np.einsum("ir,ijd,jr->dr", u, t, v)
+    c = _unfold(t, 2) @ khatri_rao(v, u)
     return u, v, c
 
 

@@ -316,6 +316,23 @@ def test_depthwise_trace_monotone_across_seeds():
         )
 
 
+@pytest.mark.parametrize("ra,rc", [(5, 4), (4, 4)])
+def test_depthwise_init_and_objective_match_einsum_reference(ra, rc):
+    # max_iter=0 returns the SVD initialisation and its objective, which
+    # must match their einsum forms
+    rng = np.random.default_rng(19)
+    core = rng.standard_normal((ra, rc, 9))
+    layer = BottleneckConvLayer(
+        qa=np.eye(ra), core=core, qs=np.eye(rc), bias=None, c_in=ra, k=3,
+        stride=1, padding=1,
+    )
+    factors = depthwise_decompose(layer, rank=2, seed=0, max_iter=0)
+    want_c = np.einsum("ir,ijd,jr->dr", factors.u, core, factors.v)
+    np.testing.assert_allclose(factors.c, want_c, rtol=0, atol=1e-12)
+    resid = core - reconstruct(factors)
+    assert factors.trace == pytest.approx([0.5 * np.sum(resid * resid)], rel=1e-12)
+
+
 def test_depthwise_single_offset_matches_svd():
     # one kernel offset reduces the fit to a matrix low-rank problem, so
     # the objective must land on the truncated-SVD error

@@ -933,6 +933,29 @@ def test_cmd_prune_then_eval_agree(mlp_run, tmp_path):
         assert eval_rec[key] == prune_rec[key]
 
 
+# the README's Quick start config
+README_DEMO = dict(
+    arch="cnn:8,16", image="1x8x8", dataset="blobs", classes=4, n_train=256, n_test=128,
+    sigma=1.0, epochs=10, lr=0.1, strategy="eigendamage", ratio=0.5,
+)
+
+
+def test_readme_demo_figures(tmp_path):
+    """The README's figures at seed 0: one-shot 1508 -> 804 params at 99.2%
+    after the finetune, and iterate 1508 -> 961 -> 515 -> 386."""
+    cfg = RunConfig(seed=0, out=str(tmp_path / "demo"), **README_DEMO)
+    trained = cmd_train(cfg)
+    assert (trained["params"], trained["test_accuracy"]) == (1508, 1.0)
+    assert cmd_prune(derived(cfg, cfg.out))["params"] == 804
+    finetuned = cmd_finetune(derived(cfg, cfg.out))
+    assert (finetuned["params"], finetuned["test_accuracy"]) == (804, 0.9921875)
+    cfg = replace(cfg, out=str(tmp_path / "iter"))
+    cmd_train(cfg)
+    it = cmd_iterate(derived(cfg, cfg.out, iterations=3, cap=0.5))
+    assert [r["params"] for r in it["rounds"]] == [961, 515, 386]
+    assert it["test_accuracy"] == 0.9921875
+
+
 def test_cmd_finetune_zero_epochs_is_passthrough(mlp_run, tmp_path):
     cfg, record = mlp_run
     out = tmp_path / "ft0"
