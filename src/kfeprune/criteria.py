@@ -23,6 +23,10 @@ SCORE_FLOOR = -1e-8
 # Removals per triangular solve and GEMM in obs_sequential_update.
 OBS_BLOCK = 64
 
+# Entries of an OBS_BLOCK-square block that np.tril would zero.
+_OBS_UPPER = np.triu(np.ones((OBS_BLOCK, OBS_BLOCK), dtype=bool), 1)
+_OBS_UPPER.flags.writeable = False
+
 UNIT_KINDS = ("weight", "filter", "kfe_row", "kfe_col")
 
 
@@ -112,19 +116,24 @@ def obs_sequential_update(
     Removal k sees earlier steps only through [H^-1]_{q_k q_j}, so the step
     sizes solve a forward substitution with tril([H^-1]_QQ).  It runs in
     blocks of OBS_BLOCK removals: one triangular solve for a block's step
-    sizes, then one GEMM to apply them.
+    sizes, then one GEMM to apply them.  Columns a_inv[:, r] are read as
+    rows of one transposed copy, a contiguous gather per block.
     """
     out = np.array(w, dtype=np.float64)
-    a_inv = np.asarray(a_inv, dtype=np.float64)
+    a_inv_t = np.ascontiguousarray(np.asarray(a_inv, dtype=np.float64).T)
     s_inv = np.asarray(s_inv, dtype=np.float64)
     order = np.asarray(order, dtype=np.intp)
     rows, cols = order % out.shape[0], order // out.shape[0]
     for start in range(0, rows.size, OBS_BLOCK):
         r = rows[start : start + OBS_BLOCK]
         c = cols[start : start + OBS_BLOCK]
-        tri = np.tril(a_inv[np.ix_(r, r)] * s_inv[np.ix_(c, c)].T)
+        # tril of [H^-1]_QQ: entry (i, j) is a_inv[r_i, r_j] * s_inv[c_j, c_i]
+        tri = a_inv_t[r, r[:, None]] * s_inv[c, c[:, None]]
+        tri[_OBS_UPPER[: r.size, : r.size]] = 0.0
         alpha = np.linalg.solve(tri, out[r, c])
-        out -= a_inv[:, r] @ (alpha[:, None] * s_inv[c, :])
+        steps = s_inv[c, :]
+        steps *= alpha[:, None]
+        out -= a_inv_t[r].T @ steps
     out[rows, cols] = 0.0
     return out
 

@@ -55,14 +55,18 @@ class EigenFactors:
     lam_s: np.ndarray
 
 
-def _stream_mean(mean: np.ndarray, eff: int, batch_sum: np.ndarray, batch_eff: int):
-    total = eff + batch_eff
-    return (mean * eff + batch_sum) / total
+def _fold_mean(mean: np.ndarray, eff: int, batch_sum: np.ndarray, batch_eff: int) -> None:
+    """mean <- (mean * eff + batch_sum) / (eff + batch_eff), in place: the
+    same three roundings as the allocating form, with no temporaries."""
+    mean *= eff
+    mean += batch_sum
+    mean /= eff + batch_eff
 
 
 def _accumulate(f, variant: str, a_rows, a_locs, s_rows, s_locs, samples) -> KronFactors:
-    """Fold one batch of rows into f.  For a layer's first batch f is None,
-    and the factors start as zeros sized from the row widths."""
+    """Fold one batch of rows into f in place and return it.  For a
+    layer's first batch f is None, and the factors start as zeros sized
+    from the row widths."""
     if f is None:
         n, m = a_rows.shape[1], s_rows.shape[1]
         f = KronFactors(np.zeros((n, n)), np.zeros((m, m)), 0, a_locs, s_locs, variant)
@@ -74,23 +78,23 @@ def _accumulate(f, variant: str, a_rows, a_locs, s_rows, s_locs, samples) -> Kro
     # the definition), over samples*pixels otherwise; S always averages
     # over samples*locations.
     a_per = a_locs if variant == "conv_channel" else 1
-    return replace(
-        f,
-        a=_stream_mean(f.a, f.count * a_per, a_rows.T @ a_rows, samples * a_per),
-        s=_stream_mean(f.s, f.count * s_locs, s_rows.T @ s_rows, samples * s_locs),
-        count=f.count + samples,
-    )
+    _fold_mean(f.a, f.count * a_per, a_rows.T @ a_rows, samples * a_per)
+    _fold_mean(f.s, f.count * s_locs, s_rows.T @ s_rows, samples * s_locs)
+    f.count += samples
+    return f
 
 
 def accumulate_dense(f: KronFactors | None, a: np.ndarray, g: np.ndarray) -> KronFactors:
-    """Fold a batch of dense captures in: a (B, n), g (B, m) per-sample."""
+    """Fold a batch of dense captures, a (B, n) and g (B, m) per-sample,
+    into f's arrays in place and return f (new factors when f is None)."""
     if a.ndim != 2 or g.ndim != 2 or a.shape[0] != g.shape[0]:
         raise DimensionError("dense capture shapes disagree")
     return _accumulate(f, "dense", a, 1, g, 1, a.shape[0])
 
 
 def accumulate_conv(f: KronFactors | None, patches: np.ndarray, g: np.ndarray) -> KronFactors:
-    """Fold conv captures in: patches (B, L, n), g (B, L, m)."""
+    """Fold conv captures, patches (B, L, n) and g (B, L, m), into f's
+    arrays in place and return f (new factors when f is None)."""
     if patches.ndim != 3 or g.ndim != 3 or patches.shape[:2] != g.shape[:2]:
         raise DimensionError("conv capture shapes disagree")
     b, locs, n = patches.shape
@@ -100,7 +104,8 @@ def accumulate_conv(f: KronFactors | None, patches: np.ndarray, g: np.ndarray) -
 
 
 def accumulate_conv_channel(f: KronFactors | None, x_in: np.ndarray, g: np.ndarray) -> KronFactors:
-    """Fold channel-covariance captures in: x_in (B, C, H, W), g (B, L, m).
+    """Fold channel-covariance captures, x_in (B, C, H, W) and g (B, L, m),
+    into f's arrays in place and return f (new factors when f is None).
 
     The input factor is the covariance of per-pixel channel vectors, so a
     downstream basis rotation is a 1x1 convolution.

@@ -33,6 +33,11 @@ returns None instead of the input gradient, and param_grads=False writes
 no tape["grads"] and skips the work that only the parameter gradients
 need, as the factor pass does.  Neither switch changes tape["g"] or the
 input gradient by a bit.
+
+Ownership: backward may overwrite the dy it is handed (ReLU masks it in
+place), so the caller must not read dy again.  No input gradient a layer
+returns is held by a tape, and no layer writes into an array once a tape
+holds it.
 """
 
 from __future__ import annotations
@@ -101,13 +106,21 @@ def _transposed(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m.T)
 
 
+def _batch_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean over the leading axis as a sum, then an in-place division:
+    bitwise rows.mean(axis=0), without numpy's Python-level wrapper."""
+    out = rows.sum(axis=0)
+    out /= rows.shape[0]
+    return out
+
+
 def _bias_grad(g: np.ndarray) -> np.ndarray:
     """Batch-mean bias gradient from (B, L, C) output gradients.
 
     numpy sums pairwise only along a contiguous axis, so the location sum
     runs over a (B, C, L) copy: the order does not depend on g's layout.
     """
-    return np.ascontiguousarray(g.transpose(0, 2, 1)).sum(axis=2).mean(axis=0)
+    return _batch_mean(np.ascontiguousarray(g.transpose(0, 2, 1)).sum(axis=2))
 
 
 def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
@@ -213,7 +226,7 @@ class DenseLayer(_DenseGeometry):
             a = tape["a"]
             gw = a.T @ dy
             gw /= a.shape[0]
-            tape["grads"] = {"w": gw, "b": dy.mean(axis=0)}
+            tape["grads"] = {"w": gw, "b": _batch_mean(dy)}
         if not input_grad:
             return None
         return dy @ self.w.T
@@ -349,9 +362,11 @@ class ReluLayer:
     def backward(
         self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
     ) -> np.ndarray | None:
+        """dy masked in place: backward may overwrite the dy it is handed."""
         if not input_grad:
             return None
-        return dy * tape["mask"]
+        dy *= tape["mask"]
+        return dy
 
     def param_items(self):
         return []
@@ -506,7 +521,7 @@ class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
             grads = {"qa": x.T @ dh1, "core": h1.T @ dh2, "qs": dy.T @ h2}
             for gw in grads.values():
                 gw /= x.shape[0]
-            tape["grads"] = {**grads, "b": dy.mean(axis=0)}
+            tape["grads"] = {**grads, "b": _batch_mean(dy)}
         if not input_grad:
             return None
         return dh1 @ self.qa.T

@@ -25,7 +25,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     z = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     picked = z[np.arange(z.shape[0]), labels]
-    return float((lse - picked).mean())
+    # sum, then divide: bitwise numpy's mean, without its Python wrapper
+    return float((lse - picked).sum() / z.shape[0])
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

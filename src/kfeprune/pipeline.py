@@ -226,15 +226,14 @@ def per_layer_remaining(net: Network) -> list:
     return fracs
 
 
+EVAL_FIELDS = ("train_loss", "train_accuracy", "test_loss", "test_accuracy")
+
+
 def _eval_metrics(net, ds_train, ds_test, batch_size):
-    train_loss, train_acc = evaluate(net, ds_train.x, ds_train.y, batch_size)
-    test_loss, test_acc = evaluate(net, ds_test.x, ds_test.y, batch_size)
-    return {
-        "train_loss": train_loss,
-        "train_accuracy": train_acc,
-        "test_loss": test_loss,
-        "test_accuracy": test_acc,
-    }
+    """The EVAL_FIELDS of net: loss and accuracy on both splits."""
+    train = evaluate(net, ds_train.x, ds_train.y, batch_size)
+    test = evaluate(net, ds_test.x, ds_test.y, batch_size)
+    return dict(zip(EVAL_FIELDS, train + test))
 
 
 def _jsonable(obj):
@@ -324,16 +323,22 @@ def _size_record(net: Network, in_shape, before=None) -> dict:
     return record
 
 
-def _record(cfg: RunConfig, command: str, net, ds_train, ds_test, in_shape, before=None) -> dict:
+def _record(
+    cfg: RunConfig, command: str, net, ds_train, ds_test, in_shape, before=None, evals=None
+) -> dict:
     """Every command's record: what ran, the network's loss and accuracy
-    on both splits, and its _size_record."""
+    on both splits, and its _size_record.  evals, when given, are
+    _eval_metrics already computed on this very network, and are used
+    instead of evaluating it again."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "strategy": cfg.strategy,
         "seed": cfg.seed,
     }
-    record.update(_eval_metrics(net, ds_train, ds_test, cfg.batch_size))
+    if evals is None:
+        evals = _eval_metrics(net, ds_train, ds_test, cfg.batch_size)
+    record.update(evals)
     record.update(_size_record(net, in_shape, before))
     return record
 
@@ -445,7 +450,10 @@ def cmd_iterate(cfg: RunConfig) -> dict:
         rec.update(info)
         rec["wall_time_s"] = time.perf_counter() - t_round
         rounds.append(rec)
-    record = _record(cfg, "iterate", net, ds_train, ds_test, in_shape, before)
+    # the last completed round evaluated this network; after a failed
+    # round, net is a serialized snapshot of it, bitwise the same
+    evals = {key: rounds[-1][key] for key in EVAL_FIELDS} if rounds else None
+    record = _record(cfg, "iterate", net, ds_train, ds_test, in_shape, before, evals)
     record["cap"] = cap
     record["ratio"] = cfg.ratio
     record["rounds"] = rounds

@@ -31,17 +31,19 @@ def lr_at_epoch(epoch: int, total_epochs: int, lr0: float) -> float:
 def sgd_step(params, grads, lr: float, weight_decay: float = 0.0):
     """In-place update p <- p - lr * (g + wd * p) for matching name lists.
 
-    At wd == 0 the decay term is skipped and the update is p -= lr * g,
-    one temporary instead of three.  For finite p that is bitwise equal to
-    p -= lr * (g + 0.0 * p), signed zeros included; a weight already at
-    +-inf stays +-inf instead of becoming NaN through 0.0 * inf.
+    The step consumes its gradients: each g is overwritten with the step
+    lr * (g + wd * p) and then subtracted, bitwise the allocating form.
+    At wd == 0 the decay term is skipped and the step is lr * g.  For
+    finite p that is bitwise equal to lr * (g + 0.0 * p), signed zeros
+    included; a weight already at +-inf stays +-inf instead of becoming
+    NaN through 0.0 * inf.
     """
     for (name, p), (gname, g) in zip(params, grads):
         assert name == gname
-        if weight_decay == 0.0:
-            p -= lr * g
-        else:
-            p -= lr * (g + weight_decay * p)
+        if weight_decay != 0.0:
+            g += weight_decay * p
+        g *= lr
+        p -= g
 
 
 def zero_masks(net: Network) -> dict:
@@ -117,6 +119,8 @@ def train(
     """
     rng = np.random.default_rng(seed)
     keeps = keep_patterns(zero_masks(net)) if freeze_zeros else {}
+    # per layer, the parameters sgd_step updates in place and their keep patterns
+    steps = [(i, net.layers[i].param_items(), keeps.get(i, {})) for i in net.parameterized_ids()]
     curve = []
     n = dataset.n
     for epoch in range(1, epochs + 1):
@@ -137,9 +141,8 @@ def train(
             epoch_loss += loss * xb.shape[0]
             correct += int((logits.argmax(axis=1) == yb).sum())
             grads = net.backward(logits, yb)
-            for i in net.parameterized_ids():
-                params = net.layers[i].param_items()
-                for name, keep in keeps.get(i, {}).items():
+            for i, params, layer_keeps in steps:
+                for name, keep in layer_keeps.items():
                     mask_grad(grads[i][name], keep)
                 sgd_step(params, [(name, grads[i][name]) for name, _ in params], lr_e, weight_decay)
         curve.append((epoch, lr_e, epoch_loss / n, correct / n))

@@ -242,6 +242,41 @@ def test_obs_sequential_update_matches_rank1_loop(obs_loop, count, cond):
     assert_matches_loop(got, ref, removed)
 
 
+def obs_block_allocating(w, a_inv, s_inv, order):
+    """obs_sequential_update as first blocked: each block gathers
+    tril([H^-1]_QQ) through np.ix_ and np.tril, its a_inv columns by a
+    strided gather, and scales a fresh copy of its s_inv rows."""
+    out = np.array(w, dtype=np.float64)
+    order = np.asarray(order, dtype=np.intp)
+    rows, cols = order % out.shape[0], order // out.shape[0]
+    for start in range(0, rows.size, BLOCK):
+        r = rows[start : start + BLOCK]
+        c = cols[start : start + BLOCK]
+        tri = np.tril(a_inv[np.ix_(r, r)] * s_inv[np.ix_(c, c)].T)
+        alpha = np.linalg.solve(tri, out[r, c])
+        out -= a_inv[:, r] @ (alpha[:, None] * s_inv[c, :])
+    out[rows, cols] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("count", [BLOCK - 1, 2 * BLOCK + 22])
+def test_obs_sequential_update_is_bitwise_the_allocating_block(count):
+    """The broadcast gathers, the strict-upper mask, the transposed copy
+    of a_inv and the in-place row scaling change no bit.  The inverses
+    come from a solve, so they are not exactly symmetric, and a gather
+    that read a_inv transposed would show."""
+    rng = np.random.default_rng(count)
+    n, m = 24, 30
+    a_inv = np.linalg.solve(spd_with_condition(rng, n, 1e3), np.eye(n))
+    s_inv = np.linalg.solve(spd_with_condition(rng, m, 1e3), np.eye(m))
+    assert not np.array_equal(a_inv, a_inv.T) and not np.array_equal(s_inv, s_inv.T)
+    w = rng.standard_normal((n, m))
+    order = rng.permutation(n * m)[:count]
+    got = criteria.obs_sequential_update(w, a_inv, s_inv, order)
+    want = obs_block_allocating(w, a_inv, s_inv, order)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_obs_sequential_update_single_removal_matches_obs_update():
     # one removal is the textbook OBS step on H^-1 = S^-1 (x) A^-1
     rng = np.random.default_rng(22)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kfeprune import checkpoint, kfac, pipeline
+from kfeprune.accounting import count_params
 from kfeprune.data import Dataset, synth_dataset
 from kfeprune.errors import (
     DimensionError,
@@ -19,7 +20,7 @@ from kfeprune.layers import BottleneckConvLayer, ConvLayer, DenseLayer, FlattenL
 from kfeprune.network import Network, build_cnn, build_mlp
 from kfeprune.oracle import exact_fisher, fisher_vec, kron, vec
 from kfeprune.pipeline import prune_once
-from kfeprune.training import evaluate
+from kfeprune.training import evaluate, train
 
 
 def random_spd(rng, dim, floor=0.0):
@@ -352,6 +353,63 @@ def test_eigendamage_scores_invariant_under_hidden_permutation(layer_id):
     assert sum(len(mask.removed(*key)) for key in keys)
 
 
+def dead_unit_case(name):
+    """(net, data) whose first hidden layer has units (dense) or channels
+    (conv) with zero weights and bias, trained: ReLU keeps them dead, so
+    that layer's S and the next layer's A have a zero eigenvalue of
+    multiplicity len(DEAD)."""
+    if name == "dense":
+        ds = synth_dataset("blobs", seed=8, n=96, classes=3, dim=6)
+        net = build_mlp(6, [16, 8], 3, seed=2)
+    else:
+        ds = synth_dataset("blobs", seed=8, n=96, classes=3, image_shape=(2, 6, 6))
+        net = build_cnn((2, 6, 6), [8, 6], 3, seed=2)
+    net.layers[0].w[:, DEAD] = 0.0
+    net.layers[0].b[DEAD] = 0.0
+    train(net, ds, epochs=3, lr=0.1, batch_size=16, seed=0)
+    return net, ds
+
+
+DEAD = [1, 3, 6]
+
+
+@pytest.mark.parametrize("name", ["dense", "conv"])
+def test_eigendamage_ignores_the_basis_of_a_dead_eigenspace(name, monkeypatch):
+    """Inside a repeated eigenvalue any orthonormal basis is an eigenbasis.
+    Turning the zero eigenspaces that dead units leave by random rotations
+    must not change the removed units, the parameter count or the
+    predicted cost."""
+    net, ds = dead_unit_case(name)
+    cfg = RunConfig(strategy="eigendamage", ratio=0.5, batch_size=16)
+    real = kfac.eigenbasis
+
+    def prune(rng=None):
+        sizes = []
+
+        def rotated(f):
+            ef = real(f)
+            for q, lam in ((ef.qa, ef.lam_a), (ef.qs, ef.lam_s)):
+                dead = np.flatnonzero(lam <= 1e-12 * lam[0])
+                sizes.append(dead.size)
+                turn, _ = np.linalg.qr(rng.standard_normal((dead.size, dead.size)))
+                q[:, dead] = q[:, dead] @ turn
+            return ef
+
+        pruned = copy.deepcopy(net)
+        monkeypatch.setattr(kfac, "eigenbasis", real if rng is None else rotated)
+        _, mask, info = prune_once(pruned, ds, cfg, cap=0.9)
+        return mask.groups, count_params(pruned), info["predicted_cost"], sizes
+
+    groups, params, cost, _ = prune()
+    assert any(group["removed"] for group in groups.values())
+    for seed in range(3):
+        got_groups, got_params, got_cost, sizes = prune(np.random.default_rng(seed))
+        # layer 0's S and layer 2's A carry the dead units
+        assert sizes == [0, len(DEAD), len(DEAD), 0]
+        assert got_groups == groups and got_params == params
+        assert got_cost == pytest.approx(cost, rel=1e-12)
+
+
 def test_conv_channel_identical_channels_rank_one():
     rng = np.random.default_rng(8)
     base = rng.standard_normal((2, 1, 3, 3))
@@ -585,6 +643,26 @@ def test_factor_pass_matches_full_gradient_reference(name, max_batches):
             f.count, f.a_locs, f.s_locs, f.variant
         )
     assert want[net.parameterized_ids()[0]].count == (23 if max_batches is None else 10)
+
+
+def _fold_mean_allocating(mean, eff, batch_sum, batch_eff):
+    """The stream mean as first written, (mean * eff + sum) / total in
+    fresh temporaries, stored back into the factor."""
+    mean[...] = (mean * eff + batch_sum) / (eff + batch_eff)
+
+
+@pytest.mark.parametrize("name", FACTOR_PASS_CASES)
+def test_factor_pass_is_bitwise_the_allocating_stream_mean(name, monkeypatch):
+    """Folding each batch into the factors in place changes no bit: five
+    batches of 5, the last one ragged, against the allocating mean."""
+    net, data, conv_variant = factor_pass_case(name)
+    got, _ = kfac.estimate_factors(net, data, conv_variant=conv_variant, batch_size=5)
+    monkeypatch.setattr(kfac, "_fold_mean", _fold_mean_allocating)
+    want, _ = kfac.estimate_factors(net, data, conv_variant=conv_variant, batch_size=5)
+    for lid, f in want.items():
+        for mine, ref in ((got[lid].a, f.a), (got[lid].s, f.s)):
+            assert np.array_equal(mine.view(np.uint64), ref.view(np.uint64)), lid
+        assert got[lid].count == f.count == 23
 
 
 def test_bottleneck_input_factor_is_nchw_projection():

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from kfeprune import oracle, pipeline
+from kfeprune import kfac, layers, oracle, pipeline
 from kfeprune.checkpoint import network_bytes
 from kfeprune.config import RunConfig
 from kfeprune.data import Dataset, synth_dataset
@@ -698,24 +698,60 @@ def test_keep_patterns_skip_masks_that_freeze_nothing():
     assert keeps[0]["b"].tolist() == [0, 2**64 - 1]
 
 
-def reference_finetune(net, ds, epochs, lr, weight_decay, batch_size, seed):
-    """The frozen-weight finetune as first written: an np.where mask on
-    every gradient, then p -= lr * (g + wd * p)."""
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _cross_entropy_mean(logits, labels):
+    """network.cross_entropy as first written, through numpy's mean."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    return float((lse - z[np.arange(z.shape[0]), labels]).mean())
+
+
+def _relu_backward_allocating(self, dy, tape, input_grad=True, param_grads=True):
+    return dy * tape["mask"] if input_grad else None
+
+
+def reference_finetune(net, ds, epochs, lr, weight_decay, batch_size, seed, freeze_zeros=True):
+    """train as first written; returns its curve.  Losses and bias
+    gradients go through numpy's mean, ReLU's backward allocates dy * mask,
+    each frozen gradient is an np.where copy, and the step allocates
+    p -= lr * g, or p -= lr * (g + wd * p) under weight decay."""
     rng = np.random.default_rng(seed)
-    masks = zero_masks(net)
-    for epoch in range(1, epochs + 1):
-        lr_e = lr_at_epoch(epoch, epochs, lr)
-        perm = rng.permutation(ds.n)
-        for start in range(0, ds.n, batch_size):
-            idx = perm[start : start + batch_size]
-            grads = net.backward(net.forward(ds.x[idx], capture=True), ds.y[idx])
-            for i in net.parameterized_ids():
-                layer_masks = masks.get(i, {})
-                for name, p in net.layers[i].param_items():
-                    g = grads[i][name]
-                    if name in layer_masks:
-                        g = np.where(layer_masks[name], 0.0, g)
-                    p -= lr_e * (g + weight_decay * p)
+    masks = zero_masks(net) if freeze_zeros else {}
+    curve = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReluLayer, "backward", _relu_backward_allocating)
+        mp.setattr(layers, "_batch_mean", lambda rows: rows.mean(axis=0))
+        for epoch in range(1, epochs + 1):
+            lr_e = lr_at_epoch(epoch, epochs, lr)
+            perm = rng.permutation(ds.n)
+            epoch_loss, correct = 0.0, 0
+            for start in range(0, ds.n, batch_size):
+                idx = perm[start : start + batch_size]
+                logits = net.forward(ds.x[idx], capture=True)
+                epoch_loss += _cross_entropy_mean(logits, ds.y[idx]) * idx.size
+                correct += int((logits.argmax(axis=1) == ds.y[idx]).sum())
+                grads = net.backward(logits, ds.y[idx])
+                for i in net.parameterized_ids():
+                    layer_masks = masks.get(i, {})
+                    for name, p in net.layers[i].param_items():
+                        g = grads[i][name]
+                        if name in layer_masks:
+                            g = np.where(layer_masks[name], 0.0, g)
+                        if weight_decay == 0.0:
+                            p -= lr_e * g
+                        else:
+                            p -= lr_e * (g + weight_decay * p)
+            curve.append((epoch, lr_e, epoch_loss / ds.n, correct / ds.n))
+    return curve
+
+
+def assert_same_params(net, ref):
+    for i in net.parameterized_ids():
+        for (name, got), (_, want) in zip(net.layers[i].param_items(), ref.layers[i].param_items()):
+            assert same_bits(got, want), (i, name)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
@@ -724,7 +760,8 @@ def reference_finetune(net, ds, epochs, lr, weight_decay, batch_size, seed):
 )
 def test_freeze_zeros_matches_where_reference(arch, image, strategy, weight_decay):
     """train(freeze_zeros=True) after an in-place prune gives bitwise the
-    parameters of the np.where reference loop, and frozen entries stay 0."""
+    parameters and curve of the np.where reference loop, and frozen
+    entries stay 0."""
     cfg = RunConfig(
         arch=arch, image=image, dataset="blobs", classes=3, n_train=96, sigma=1.0,
         strategy=strategy, ratio=0.5, batch_size=16,
@@ -737,13 +774,124 @@ def test_freeze_zeros_matches_where_reference(arch, image, strategy, weight_deca
     assert any(m["w"].any() for m in masks.values())
     before, ref = copy.deepcopy(net), copy.deepcopy(net)
     run = dict(epochs=2, lr=0.05, weight_decay=weight_decay, batch_size=16, seed=3)
-    train(net, ds, freeze_zeros=True, **run)
-    reference_finetune(ref, ds, **run)
+    _, curve = train(net, ds, freeze_zeros=True, **run)
+    assert curve == reference_finetune(ref, ds, **run)
     assert network_bytes(net) != network_bytes(before)
+    assert_same_params(net, ref)
     for i in net.parameterized_ids():
-        for (name, got), (_, want) in zip(net.layers[i].param_items(), ref.layers[i].param_items()):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (i, name)
+        for name, got in net.layers[i].param_items():
             assert np.all(got[masks[i][name]] == 0.0)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize("arch, image", [("mlp:32,16", "1x4x4"), ("cnn:4,8", "1x8x8")])
+def test_train_matches_allocating_reference(arch, image, weight_decay):
+    """Plain training, with no frozen weights, from a fresh network and
+    then from an eigendamage-pruned one (bottleneck layers): bitwise the
+    parameters and curve of the allocating reference loop.  The ragged
+    last batch of 6 samples divides by its own size."""
+    cfg = RunConfig(
+        arch=arch, image=image, dataset="blobs", classes=3, n_train=70, sigma=1.0,
+        strategy="eigendamage", ratio=0.4, batch_size=16,
+    )
+    ds = pipeline.build_dataset(cfg, "train")
+    net = pipeline.build_network(cfg, ds.num_classes)
+    run = dict(epochs=3, lr=0.1, weight_decay=weight_decay, batch_size=16, seed=1)
+    for step in range(2):
+        if step:
+            pipeline.prune_once(net, ds, cfg, cap=0.9)
+            assert {l.kind for l in net.layers} & {"bottleneck_dense", "bottleneck_conv"}
+        ref = copy.deepcopy(net)
+        _, curve = train(net, ds, **run)
+        assert curve == reference_finetune(ref, ds, freeze_zeros=False, **run)
+        assert_same_params(net, ref)
+
+
+def test_sum_then_divide_is_bitwise_numpy_mean():
+    """The loss and the bias gradients sum, then divide in place by the
+    batch size: bitwise numpy's mean at every batch size up to 70."""
+    rng = np.random.default_rng(4)
+    for b in range(1, 71):
+        logits = rng.standard_normal((b, 5)) * 3.0
+        labels = rng.integers(0, 5, size=b)
+        assert cross_entropy(logits, labels) == _cross_entropy_mean(logits, labels)
+        rows = rng.standard_normal((b, 7))
+        assert same_bits(layers._batch_mean(rows), rows.mean(axis=0))
+
+
+def test_relu_backward_in_place_is_bitwise_the_product():
+    """ReLU masks dy in place and hands it back: bitwise dy * mask for
+    NaN, +-inf, -0.0 and subnormals, in either memory layout."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 1.5, -2.0, 3.0])
+    rng = np.random.default_rng(5)
+    x = rng.choice(values, size=(4, 3, 5, 5))
+    dy = rng.choice(values, size=x.shape)
+    relu = ReluLayer()
+    for layout in (lambda a: a, _channels_last_copy):
+        tape = {}
+        relu.forward(layout(x), tape)
+        handed = layout(dy)
+        with np.errstate(invalid="ignore"):
+            want = dy * tape["mask"]
+            got = relu.backward(handed, tape)
+        assert got is handed
+        assert same_bits(got, want)
+
+
+def _tape_arrays(tape):
+    return {k: v.copy() for k, v in tape.items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("arch, image", [("mlp:12,8", "1x4x4"), ("cnn:4,8", "2x8x8")])
+def test_steps_leave_every_tape_capture_intact(arch, image):
+    """Backward may overwrite the dy it is handed, sgd_step consumes its
+    gradients and the factor folds write into the factors: none of them
+    touches a tape capture.  Each capture (a, g, patches, x_in, the ReLU
+    masks, a bottleneck's h2 and effective kernel) is copied as its layer
+    writes it and must be unchanged after one train step and after one
+    factor pass, on a fresh network and on an eigendamage-pruned one."""
+    cfg = RunConfig(
+        arch=arch, image=image, dataset="blobs", classes=3, n_train=32, sigma=1.0,
+        strategy="eigendamage", ratio=0.4, batch_size=32,
+    )
+    ds = pipeline.build_dataset(cfg, "train")
+    net = pipeline.build_network(cfg, ds.num_classes)
+    for step in range(2):
+        if step:
+            pipeline.prune_once(net, ds, cfg, cap=0.9)
+        written = {}
+        for i, layer in enumerate(net.layers):
+
+            def forward(x, tape=None, _i=i, _f=layer.forward):
+                out = _f(x, tape)
+                if tape is not None:
+                    written[_i] = _tape_arrays(tape)
+                return out
+
+            def backward(dy, tape, *args, _i=i, _b=layer.backward, **kwargs):
+                out = _b(dy, tape, *args, **kwargs)
+                if "g" in tape:
+                    written[_i]["g"] = tape["g"].copy()
+                return out
+
+            layer.forward, layer.backward = forward, backward
+        for run in (
+            lambda: train(net, ds, epochs=1, lr=0.1, batch_size=32, seed=0),
+            lambda: kfac.estimate_factors(net, ds, batch_size=32),
+        ):
+            written.clear()
+            run()
+            kinds = set()
+            for i, want in written.items():
+                kinds.update(want)
+                for key, value in want.items():
+                    assert same_bits(net._tapes[i][key], value), (step, i, key)
+            assert {"a", "g", "mask"} <= kinds
+            if arch.startswith("cnn"):
+                assert {"patches", "x_in"} <= kinds
+        for layer in net.layers:
+            del layer.forward, layer.backward
 
 
 def test_evaluate_batch_invariant():

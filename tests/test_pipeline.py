@@ -42,6 +42,7 @@ from kfeprune.network import Network, build_cnn, build_mlp
 from kfeprune.training import evaluate
 from kfeprune.pipeline import (
     CHECKPOINT_NAME,
+    EVAL_FIELDS,
     build_dataset,
     build_network,
     cmd_decompose,
@@ -1129,6 +1130,48 @@ def test_cmd_iterate_rolls_back_on_any_library_error(mlp_run, tmp_path, monkeypa
     assert (tmp_path / "two" / "importance.csv").read_bytes() == (
         tmp_path / "one" / "importance.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("fail_round, evaluations", [(None, 6), (2, 3), (1, 2)])
+def test_cmd_iterate_top_record_is_the_last_round_evaluation(
+    mlp_run, tmp_path, monkeypatch, fail_round, evaluations
+):
+    """The top record takes its losses and accuracies from the last
+    completed round, whose network it saves; after a failed round that is
+    the restored snapshot.  Each round evaluates three times (the train
+    split after pruning, both splits after the finetune); only a run
+    whose first round fails evaluates again, both splits for the top
+    record.  Either way the figures are those of the saved checkpoint."""
+    cfg, _ = mlp_run
+    real_prune, real_evaluate = pipeline.prune_once, pipeline.evaluate
+    prunes, evaluated = [], []
+
+    def prune(*args, **kwargs):
+        prunes.append(len(prunes) + 1)
+        if prunes[-1] == fail_round:
+            raise NumericError("injected failure")
+        return real_prune(*args, **kwargs)
+
+    def counted_evaluate(*args):
+        evaluated.append(args)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(pipeline, "prune_once", prune)
+    monkeypatch.setattr(pipeline, "evaluate", counted_evaluate)
+    run = derived(cfg, tmp_path / "it", strategy="eigendamage", ratio=0.3, cap=0.5,
+                  iterations=2, finetune_epochs=1)
+    record = cmd_iterate(run)
+    assert len(evaluated) == evaluations
+    assert len(record["rounds"]) == (2 if fail_round is None else fail_round - 1)
+    assert ("aborted" in record) == (fail_round is not None)
+    net = checkpoint.load_network(os.path.join(run.out, CHECKPOINT_NAME))
+    splits = [build_dataset(run, split) for split in ("train", "test")]
+    figures = sum((real_evaluate(net, ds.x, ds.y, run.batch_size) for ds in splits), ())
+    want = dict(zip(EVAL_FIELDS, figures))
+    assert {key: record[key] for key in EVAL_FIELDS} == want
+    assert {key: read_metrics(run.out)[key] for key in EVAL_FIELDS} == want
+    if record["rounds"]:
+        assert {key: record["rounds"][-1][key] for key in EVAL_FIELDS} == want
 
 
 def test_cmd_decompose_on_pruned_cnn(cnn_baseline, tmp_path):
