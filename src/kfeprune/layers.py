@@ -12,12 +12,20 @@ channels-last in memory, as PyTorch's channels_last format: each is a
 (B, C, H, W) view of a contiguous (B, H, W, C) array, which is the conv
 GEMM's (B, L, C) output reshaped.  So conv, ReLU, col2im and flatten's
 backward hand each other arrays of one layout, and the channel-covariance
-factor of a plain conv reads its input's pixel rows without a copy.  Both
-conv kinds run one conv path, _ConvGeometry's patch GEMM im2col(x) @ K,
-its kernel gradient and its input gradient: K is w for a plain conv and
-the effective kernel() for a bottleneck.  Every layer accepts either
-layout and gives bitwise the same result for both; shapes, weights and
-flop counts do not depend on it.
+factor of a plain conv reads its input's pixel rows without a copy.  Every
+layer accepts either layout and gives bitwise the same result for both;
+shapes, weights and flop counts do not depend on it.
+
+The four parameterized kinds split along two axes.  The geometry,
+_DenseGeometry or _ConvGeometry, turns a sample into GEMM rows and back:
+_gemm multiplies the rows (the sample itself, or its im2col patches) by
+a (fan_in, m) kernel K, _kernel_grad and _input_grad give K's gradient
+and the input gradient, and _rows, _bias_grad and _output handle the
+output side's layout.  The kernel is w for a plain layer, or the
+effective Bottleneck.kernel() followed by the qs projection.  So one
+forward and one backward in _Plain serve DenseLayer and ConvLayer, and
+one pair in Bottleneck serves both bottleneck kinds; a dense layer is a
+conv with one output location and one kernel offset.
 
 Each layer checks a sample shape once, in out_shape, which forward calls
 and accounting walks through a network: DimensionError if it cannot fit.
@@ -114,15 +122,6 @@ def _batch_mean(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bias_grad(g: np.ndarray) -> np.ndarray:
-    """Batch-mean bias gradient from (B, L, C) output gradients.
-
-    numpy sums pairwise only along a contiguous axis, so the location sum
-    runs over a (B, C, L) copy: the order does not depend on g's layout.
-    """
-    return _batch_mean(np.ascontiguousarray(g.transpose(0, 2, 1)).sum(axis=2))
-
-
 def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     """Extract sliding k x k patches.
 
@@ -180,73 +179,46 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.n
 
 
 class _DenseGeometry:
-    """Input check shared by both dense kinds: a (fan_in,) sample in, a
-    (fan_out,) sample out."""
+    """Geometry of both dense kinds: a (fan_in,) sample is one GEMM row,
+    y = x @ K against a (fan_in, m) kernel K, and the output is those
+    rows.  The tape keeps the input as "a"."""
 
     def out_shape(self, in_shape):
         if tuple(in_shape) != (self.fan_in,):
             raise DimensionError(f"{self.kind} expects ({self.fan_in},), got {tuple(in_shape)}")
         return (self.fan_out,)
 
-
-class DenseLayer(_DenseGeometry):
-    kind = "dense"
-
-    def __init__(self, w: np.ndarray, bias: np.ndarray | None = None):
-        self.w = np.asarray(w, dtype=np.float64)
-        if self.w.ndim != 2:
-            raise DimensionError("dense weight must be 2-D")
-        if bias is None:
-            bias = np.zeros(self.w.shape[1])
-        self.b = np.asarray(bias, dtype=np.float64)
-        if self.b.shape != (self.w.shape[1],):
-            raise DimensionError("dense bias shape mismatch")
-
-    @property
-    def fan_in(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def fan_out(self) -> int:
-        return self.w.shape[1]
-
-    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        self.out_shape(x.shape[1:])
+    def _gemm(self, x: np.ndarray, kernel: np.ndarray, tape: dict | None) -> np.ndarray:
         if tape is not None:
             tape["a"] = x
-        y = x @ self.w
-        y += self.b
+        return x @ kernel
+
+    def _kernel_grad(self, tape: dict, g: np.ndarray) -> np.ndarray:
+        gw = tape["a"].T @ g
+        gw /= g.shape[0]
+        return gw
+
+    def _input_grad(self, tape: dict, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+        return g @ kernel.T
+
+    @staticmethod
+    def _rows(dy: np.ndarray) -> np.ndarray:
+        return dy
+
+    _bias_grad = staticmethod(_batch_mean)
+
+    @staticmethod
+    def _output(y: np.ndarray, out_shape) -> np.ndarray:
         return y
-
-    def backward(
-        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
-    ) -> np.ndarray | None:
-        tape["g"] = dy
-        if param_grads:
-            a = tape["a"]
-            gw = a.T @ dy
-            gw /= a.shape[0]
-            tape["grads"] = {"w": gw, "b": _batch_mean(dy)}
-        if not input_grad:
-            return None
-        return dy @ self.w.T
-
-    def param_items(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def param_count(self) -> int:
-        return self.w.size + self.b.size
-
-    def flops(self, in_shape) -> int:
-        return 2 * self.fan_in * self.fan_out
 
 
 class _ConvGeometry:
-    """Geometry and the one conv path shared by both conv kinds: c_in input
-    channels, a k x k kernel, stride and zero padding.  out_shape rejects a
-    wrong channel count and an input too small to give any output.  A conv
-    is the patch GEMM im2col(x) @ K against a (c_in*k*k, m) kernel K, run
-    with its kernel and input gradients by the methods below."""
+    """Geometry of both conv kinds: c_in input channels, a k x k kernel,
+    stride and zero padding.  out_shape rejects a wrong channel count and
+    an input too small to give any output.  A sample's GEMM rows are the
+    im2col patches of its input, y = im2col(x) @ K against a
+    (c_in*k*k, m) kernel K, and the (B, L, m) output rows are laid out
+    as a channels-last (B, m, H_out, W_out) view."""
 
     def _set_geometry(self, c_in: int, k: int, stride: int, padding: int):
         self.c_in, self.k, self.stride, self.padding = int(c_in), int(k), int(stride), int(padding)
@@ -269,7 +241,7 @@ class _ConvGeometry:
             raise DimensionError(f"{self.kind} output would be empty for input {h}x{w}")
         return (self.c_out, h_out, w_out)
 
-    def _patch_gemm(self, x: np.ndarray, kernel: np.ndarray, tape: dict | None) -> np.ndarray:
+    def _gemm(self, x: np.ndarray, kernel: np.ndarray, tape: dict | None) -> np.ndarray:
         """(B, L, m) product of x's patches and kernel; the tape keeps x_in
         and the patches."""
         patches = im2col(x, self.k, self.stride, self.padding)
@@ -292,8 +264,75 @@ class _ConvGeometry:
         dpatches = g @ _transposed(kernel)
         return col2im(dpatches, tape["x_in"].shape, self.k, self.stride, self.padding)
 
+    _rows = staticmethod(_pixel_rows)
 
-class ConvLayer(_ConvGeometry):
+    @staticmethod
+    def _bias_grad(g: np.ndarray) -> np.ndarray:
+        """Batch-mean bias gradient from (B, L, C) output gradients.
+
+        numpy sums pairwise only along a contiguous axis, so the location
+        sum runs over a (B, C, L) copy: the order does not depend on g's
+        layout.
+        """
+        return _batch_mean(np.ascontiguousarray(g.transpose(0, 2, 1)).sum(axis=2))
+
+    @staticmethod
+    def _output(y: np.ndarray, out_shape) -> np.ndarray:
+        return _channels_last(y, y.shape[0], *out_shape)
+
+
+class _Plain:
+    """The one forward/backward of both plain kinds: the geometry's GEMM
+    against the weight w, a (fan_in, fan_out) matrix, plus the bias."""
+
+    def __init__(self, w: np.ndarray, bias: np.ndarray | None = None):
+        self.w = np.asarray(w, dtype=np.float64)
+        if self.w.ndim != 2:
+            raise DimensionError(f"{self.kind} weight must be 2-D")
+        if bias is None:
+            bias = np.zeros(self.w.shape[1])
+        self.b = np.asarray(bias, dtype=np.float64)
+        if self.b.shape != (self.w.shape[1],):
+            raise DimensionError(f"{self.kind} bias shape mismatch")
+
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        out_shape = self.out_shape(x.shape[1:])
+        y = self._gemm(x, self.w, tape)
+        y += self.b
+        return self._output(y, out_shape)
+
+    def backward(
+        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
+        g = self._rows(dy)
+        tape["g"] = g
+        if param_grads:
+            tape["grads"] = {"w": self._kernel_grad(tape, g), "b": self._bias_grad(g)}
+        return self._input_grad(tape, g, self.w) if input_grad else None
+
+    def param_items(self):
+        return [("w", self.w), ("b", self.b)]
+
+    def param_count(self) -> int:
+        return self.w.size + self.b.size
+
+
+class DenseLayer(_DenseGeometry, _Plain):
+    kind = "dense"
+
+    @property
+    def fan_in(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def fan_out(self) -> int:
+        return self.w.shape[1]
+
+    def flops(self, in_shape) -> int:
+        return 2 * self.fan_in * self.fan_out
+
+
+class ConvLayer(_ConvGeometry, _Plain):
     """2-D convolution storing its kernel in the canonical matrix view.
 
     w has shape (c_in*k*k, c_out); column i is filter i flattened in
@@ -311,40 +350,14 @@ class ConvLayer(_ConvGeometry):
         stride: int = 1,
         padding: int = 0,
     ):
-        self.w = np.asarray(w, dtype=np.float64)
         self._set_geometry(c_in, k, stride, padding)
-        if self.w.ndim != 2 or self.w.shape[0] != self.c_in * self.k * self.k:
+        super().__init__(w, bias)
+        if self.w.shape[0] != self.c_in * self.k * self.k:
             raise DimensionError("conv weight rows must equal c_in*k*k")
-        if bias is None:
-            bias = np.zeros(self.w.shape[1])
-        self.b = np.asarray(bias, dtype=np.float64)
-        if self.b.shape != (self.w.shape[1],):
-            raise DimensionError("conv bias shape mismatch")
 
     @property
     def c_out(self) -> int:
         return self.w.shape[1]
-
-    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        out_shape = self.out_shape(x.shape[1:])
-        y = self._patch_gemm(x, self.w, tape)
-        y += self.b
-        return _channels_last(y, x.shape[0], *out_shape)
-
-    def backward(
-        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
-    ) -> np.ndarray | None:
-        g = _pixel_rows(dy)
-        tape["g"] = g
-        if param_grads:
-            tape["grads"] = {"w": self._kernel_grad(tape, g), "b": _bias_grad(g)}
-        return self._input_grad(tape, g, self.w) if input_grad else None
-
-    def param_items(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def param_count(self) -> int:
-        return self.w.size + self.b.size
 
     def flops(self, in_shape) -> int:
         _, h_out, w_out = self.out_shape(in_shape)
@@ -432,6 +445,12 @@ class Bottleneck:
     each surviving column, so repeated prunes compose.  Subclasses fix the
     core layout through core_ranks() and return their constructor's
     geometry arguments from geometry(), which rebuilt() carries over.
+
+    Both kinds run one forward and one backward: the geometry's GEMM
+    against the effective kernel W = kernel() gives h2, then
+    y = h2 @ qs.T + b; the tape adds h2 and w_eff (that W).  W's gradient
+    splits into qa's and the core's.  With qa = I, qs = I and a core laid
+    out from a plain layer's w, the layer is bitwise that plain layer.
     """
 
     core_mode = "full"
@@ -473,10 +492,58 @@ class Bottleneck:
     def param_count(self) -> int:
         return self.qa.size + self.core.size + self.qs.size + self.b.size
 
+    def _core_rows(self) -> np.ndarray:
+        """A full core as an (ra, kk*rc) matrix, row a holding core[a, :, d]
+        for each of the kk kernel offsets d in turn; a dense core is one
+        offset."""
+        return self.core.reshape(self.ra, self.rc, -1).transpose(0, 2, 1).reshape(self.ra, -1)
+
+    def kernel(self) -> np.ndarray:
+        """(qa kron I_kk) @ core as a (len(qa)*kk, rc) matrix in the GEMM
+        row layout: entry ((c, d), j) is qa[c] . core[:, j, d], or
+        qa[c, j] * core[d, j] for a depthwise core; qa @ core for a dense
+        one."""
+        if self.core_mode == "diag":
+            return (self.qa[:, None, :] * self.core).reshape(-1, self.rc)
+        return (self.qa @ self._core_rows()).reshape(-1, self.rc)
+
+    def _split_kernel_grad(self, gw: np.ndarray) -> tuple:
+        """(qa, core) gradients from the gradient gw of kernel()."""
+        g3 = gw.reshape(self.qa.shape[0], -1, self.rc)
+        if self.core_mode == "diag":
+            return (g3 * self.core).sum(axis=1), (g3 * self.qa[:, None, :]).sum(axis=0)
+        g2 = g3.reshape(self.qa.shape[0], -1)
+        gcore = (self.qa.T @ g2).reshape(self.ra, -1, self.rc).transpose(0, 2, 1)
+        return g2 @ self._core_rows().T, gcore.reshape(self.core.shape)
+
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        out_shape = self.out_shape(x.shape[1:])
+        w = self.kernel()
+        h2 = self._gemm(x, w, tape)
+        if tape is not None:
+            tape["h2"] = h2
+            tape["w_eff"] = w
+        y = h2 @ _transposed(self.qs)
+        y += self.b
+        return self._output(y, out_shape)
+
+    def backward(
+        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
+        dy3 = self._rows(dy)
+        dh2 = dy3 @ self.qs
+        tape["g"] = dh2
+        if param_grads:
+            gqa, gcore = self._split_kernel_grad(self._kernel_grad(tape, dh2))
+            gqs = dy3.reshape(-1, self.qs.shape[0]).T @ tape["h2"].reshape(-1, self.rc)
+            gqs /= dy3.shape[0]
+            tape["grads"] = {"qa": gqa, "core": gcore, "qs": gqs, "b": self._bias_grad(dy3)}
+        return self._input_grad(tape, dh2, tape["w_eff"]) if input_grad else None
+
 
 class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
     """Dense layer factored as qa @ core @ qs.T; core is a full (ra, rc)
-    matrix."""
+    matrix, so kernel() is qa @ core."""
 
     kind = "bottleneck_dense"
 
@@ -496,35 +563,9 @@ class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
     def fan_out(self) -> int:
         return self.qs.shape[0]
 
-    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        self.out_shape(x.shape[1:])
-        h1 = x @ self.qa
-        h2 = h1 @ self.core
-        if tape is not None:
-            tape["x"] = x
-            tape["a"] = h1
-            tape["h2"] = h2
-        y = h2 @ self.qs.T
-        y += self.b
-        return y
-
-    def backward(
-        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
-    ) -> np.ndarray | None:
-        dh2 = dy @ self.qs
-        tape["g"] = dh2
-        if not (input_grad or param_grads):
-            return None
-        dh1 = dh2 @ self.core.T
-        if param_grads:
-            x, h1, h2 = tape["x"], tape["a"], tape["h2"]
-            grads = {"qa": x.T @ dh1, "core": h1.T @ dh2, "qs": dy.T @ h2}
-            for gw in grads.values():
-                gw /= x.shape[0]
-            tape["grads"] = {**grads, "b": _batch_mean(dy)}
-        if not input_grad:
-            return None
-        return dh1 @ self.qa.T
+    def projected(self, x: np.ndarray) -> np.ndarray:
+        """x @ qa, the input of the bottleneck's factor."""
+        return x @ self.qa
 
     def flops(self, in_shape) -> int:
         return 2 * self.fan_in * self.ra + 2 * self.ra * self.rc + 2 * self.rc * self.fan_out
@@ -538,15 +579,8 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     through qs (c_out, rc).  After a depthwise decomposition is absorbed
     the core becomes a (k*k, r) array of per-offset diagonals, the only
     factored bottleneck core.  core_mode, "full" or "diag", is read off
-    the core's rank.
-
-    Both core modes run the plain conv's path against the effective
-    kernel W of kernel(): h2 = patches @ W through the shared patch GEMM,
-    then y = h2 @ qs.T + b.  The tape holds x_in, patches, h2 and w_eff
-    (that W).  Backward takes W's gradient from the shared contraction and
-    splits it into qa's and the core's, and takes the input gradient from
-    the shared col2im product.  With qa = I, qs = I and a core laid out
-    from a plain conv's w, the layer is bitwise that conv.
+    the core's rank.  Both core modes run Bottleneck's path through the
+    patch GEMM.
     """
 
     kind = "bottleneck_conv"
@@ -587,55 +621,12 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     def c_out(self) -> int:
         return self.qs.shape[0]
 
-    def kernel(self) -> np.ndarray:
-        """(qa kron I_kk) @ core as a (c_in*k*k, rc) matrix in the patch row
-        layout: entry ((c, d), j) is qa[c] . core[:, j, d], or
-        qa[c, j] * core[d, j] for a depthwise core."""
-        kk = self.k * self.k
-        if self.core_mode == "diag":
-            return (self.qa[:, None, :] * self.core).reshape(-1, self.rc)
-        core = self.core.transpose(0, 2, 1).reshape(self.ra, kk * self.rc)
-        return (self.qa @ core).reshape(-1, self.rc)
-
-    def _split_kernel_grad(self, gw: np.ndarray) -> tuple:
-        """(qa, core) gradients from the gradient gw of kernel()."""
-        kk = self.k * self.k
-        g3 = gw.reshape(self.c_in, kk, self.rc)
-        if self.core_mode == "diag":
-            return (g3 * self.core).sum(axis=1), (g3 * self.qa[:, None, :]).sum(axis=0)
-        g2, core = g3.reshape(self.c_in, -1), self.core.transpose(0, 2, 1).reshape(self.ra, -1)
-        return g2 @ core.T, (self.qa.T @ g2).reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
-
     def projected(self, x: np.ndarray) -> np.ndarray:
         """qa.T x as (B, ra, H, W), the input of the bottleneck's factor: an
         NCHW-order product, (ra, c_in) times each sample's (c_in, H*W) pixel
         columns, which the factors are pinned to bit for bit."""
         batch, _, h, w = x.shape
         return (self.qa.T @ _pixel_rows(x).transpose(0, 2, 1)).reshape(batch, self.ra, h, w)
-
-    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        out_shape = self.out_shape(x.shape[1:])
-        w = self.kernel()
-        h2 = self._patch_gemm(x, w, tape)
-        if tape is not None:
-            tape["h2"] = h2
-            tape["w_eff"] = w
-        y = h2 @ _transposed(self.qs)
-        y += self.b
-        return _channels_last(y, x.shape[0], *out_shape)
-
-    def backward(
-        self, dy: np.ndarray, tape: dict, input_grad: bool = True, param_grads: bool = True
-    ) -> np.ndarray | None:
-        dy3 = _pixel_rows(dy)
-        dh2 = dy3 @ self.qs
-        tape["g"] = dh2
-        if param_grads:
-            gqa, gcore = self._split_kernel_grad(self._kernel_grad(tape, dh2))
-            gqs = dy3.reshape(-1, self.c_out).T @ tape["h2"].reshape(-1, self.rc)
-            gqs /= dy3.shape[0]
-            tape["grads"] = {"qa": gqa, "core": gcore, "qs": gqs, "b": _bias_grad(dy3)}
-        return self._input_grad(tape, dh2, tape["w_eff"]) if input_grad else None
 
     def flops(self, in_shape) -> int:
         """The factored layer's count, qa at input resolution and the core

@@ -69,9 +69,10 @@ class Network:
 
         Parameter gradients are gradients of the batch-mean loss.  The
         tapes additionally keep per-sample unscaled capture tensors.  The
-        first layer skips its input gradient, which nothing reads.  With
-        param_grads=False no layer computes its parameter gradients and
-        every dict is empty; the capture tensors are bitwise the same.
+        first parameterized layer and every layer below it skip their
+        input gradients, which nothing reads.  With param_grads=False no
+        layer computes its parameter gradients and every dict is empty;
+        the capture tensors are bitwise the same.
         The factor pass backpropagates this way, since the Kronecker
         factors read only the captures.
         """
@@ -79,10 +80,11 @@ class Network:
             raise StateError("backward needs a preceding forward with capture=True")
         if logits is not self._logits:
             raise StateError("backward called with logits from a different forward pass")
+        first = next(iter(self.parameterized_ids()), len(self.layers))
         delta = cross_entropy_grad(logits, labels)
         for i in reversed(range(len(self.layers))):
             delta = self.layers[i].backward(
-                delta, self._tapes[i], input_grad=i > 0, param_grads=param_grads
+                delta, self._tapes[i], input_grad=i > first, param_grads=param_grads
             )
         return [t.get("grads", {}) for t in self._tapes]
 

@@ -18,6 +18,7 @@ from kfeprune.errors import (
 from kfeprune.layers import (
     COL2IM_BLOCK,
     BottleneckConvLayer,
+    BottleneckDenseLayer,
     ConvLayer,
     DenseLayer,
     FlattenLayer,
@@ -410,33 +411,66 @@ def test_bottleneck_conv_matches_three_stage_reference(k, stride, padding, core_
 
 @pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
 def test_full_core_bottleneck_runs_the_plain_conv_path(k, stride, padding):
-    # one conv path: with identity bases and a plain conv's kernel as its
-    # core, a bottleneck's kernel() is w, and both kinds run the same patch
-    # GEMM, weight-gradient contraction and input-gradient product
+    # one path per geometry: with identity bases and a plain layer's kernel
+    # as its core, a bottleneck's kernel() is w, and both kinds run the same
+    # GEMM, weight-gradient contraction and input-gradient product; the
+    # last input is a dense pair, whose core is one kernel offset
     rng = np.random.default_rng(37)
     kk = k * k
-    for shape in INPUT_SHAPES:
-        c_in = shape[1]
-        conv = ConvLayer(
-            rng.standard_normal((c_in * kk, 4)), rng.standard_normal(4),
-            c_in=c_in, k=k, stride=stride, padding=padding,
-        )
-        core = conv.w.reshape(c_in, kk, 4).transpose(0, 2, 1)
-        bottleneck = BottleneckConvLayer(np.eye(c_in), core, np.eye(4), conv.b, **conv.geometry())
-        x = rng.standard_normal(shape)
-        dy = rng.standard_normal(conv.forward(x).shape)
+
+    def pairs():
+        for shape in INPUT_SHAPES:
+            c_in = shape[1]
+            conv = ConvLayer(
+                rng.standard_normal((c_in * kk, 4)), rng.standard_normal(4),
+                c_in=c_in, k=k, stride=stride, padding=padding,
+            )
+            core = conv.w.reshape(c_in, kk, 4).transpose(0, 2, 1)
+            bottleneck = BottleneckConvLayer(np.eye(c_in), core, np.eye(4), conv.b, **conv.geometry())
+            yield conv, bottleneck, rng.standard_normal(shape)
+        dense = DenseLayer(rng.standard_normal((6, 4)), rng.standard_normal(4))
+        yield dense, BottleneckDenseLayer(np.eye(6), dense.w, np.eye(4), dense.b), rng.standard_normal((5, 6))
+
+    for plain, bottleneck, x in pairs():
+        dy = rng.standard_normal(plain.forward(x).shape)
         results = []
-        for layer in (conv, bottleneck):
+        for layer in (plain, bottleneck):
             tape = {}
             y = layer.forward(x, tape)
             dx = layer.backward(dy, tape)
             results.append((y, tape["g"], dx, tape["grads"]))
         (y, g, dx, grads), (by, bg, bdx, bgrads) = results
-        assert np.array_equal(by, y)
-        assert np.array_equal(bg, g)
-        assert np.array_equal(bdx, dx)
-        gcore = bgrads["core"].transpose(0, 2, 1).reshape(conv.w.shape)
-        assert np.array_equal(gcore, grads["w"])
+        assert np.array_equal(by, y), plain.kind
+        assert np.array_equal(bg, g), plain.kind
+        assert np.array_equal(bdx, dx), plain.kind
+        gcore = bgrads["core"].reshape(bottleneck.ra, 4, -1).transpose(0, 2, 1).reshape(plain.w.shape)
+        assert np.array_equal(gcore, grads["w"]), plain.kind
+        assert np.array_equal(bgrads["b"], grads["b"]), plain.kind
+
+
+def test_one_by_one_conv_bottleneck_is_the_dense_bottleneck():
+    # on 1x1 images a 1x1 conv is a dense layer: with the same bases and
+    # core, the two bottleneck kinds agree to float64 rounding in every
+    # output, gradient, capture and projected factor input
+    rng = np.random.default_rng(38)
+    qa, core, qs = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (6, 3)))
+    b = rng.standard_normal(6)
+    conv = BottleneckConvLayer(qa, core[:, :, None], qs, b, c_in=5, k=1, stride=1, padding=0)
+    dense = BottleneckDenseLayer(qa, core, qs, b)
+    x = rng.standard_normal((7, 5))
+    dy = rng.standard_normal((7, 6))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    conv_tape, dense_tape = {}, {}
+    close(conv.forward(x[:, :, None, None], conv_tape).reshape(7, 6), dense.forward(x, dense_tape))
+    close(conv.backward(dy[:, :, None, None], conv_tape).reshape(7, 5), dense.backward(dy, dense_tape))
+    close(conv_tape["g"].reshape(7, 3), dense_tape["g"])
+    assert conv_tape["grads"].keys() == dense_tape["grads"].keys()
+    for name, want in dense_tape["grads"].items():
+        close(conv_tape["grads"][name].reshape(want.shape), want)
+    close(conv.projected(x[:, :, None, None]).reshape(7, 4), dense.projected(x))
 
 
 def test_col2im_rejects_mismatched_cols():
@@ -538,6 +572,25 @@ def test_backward_needs_a_captured_forward():
     with pytest.raises(StateError):
         net.captures()
     np.testing.assert_array_equal(plain, captured)
+
+
+def test_backward_skips_input_grads_up_to_the_first_parameterized_layer():
+    # an mlp over images starts with a Flatten, so the first dense layer's
+    # input gradient would only be thrown away: neither computes one
+    cfg = RunConfig(arch="mlp:6", image="2x3x3", dataset="blobs", classes=3)
+    net = pipeline.build_network(cfg, 3)
+    flags = {}
+    for i, layer in enumerate(net.layers):
+        def recording(dy, tape, input_grad=True, param_grads=True, i=i, inner=layer.backward):
+            flags[i] = input_grad
+            return inner(dy, tape, input_grad, param_grads)
+
+        layer.backward = recording
+    x = np.random.default_rng(9).standard_normal((4, 2, 3, 3))
+    grads = net.backward(net.forward(x, capture=True), np.array([0, 1, 2, 0]))
+    assert [layer.kind for layer in net.layers] == ["flatten", "dense", "relu", "dense"]
+    assert flags == {0: False, 1: False, 2: True, 3: True}
+    assert all(grads[i] for i in net.parameterized_ids())
 
 
 def test_evaluate_keeps_no_tapes():
