@@ -160,10 +160,8 @@ def offdiag_ratio(m: np.ndarray) -> float:
 def _capture_arrays(layer, tape, conv_variant: str):
     """Map a layer's tape onto (accumulator, args) for its factor variant."""
     kind = layer.kind
-    if kind == "dense":
+    if kind == "dense" or kind == "bottleneck_dense":
         return accumulate_dense, (tape["a"], tape["g"])
-    if kind == "bottleneck_dense":
-        return accumulate_dense, (layer.projected(tape["a"]), tape["g"])
     if kind == "conv":
         if conv_variant == "channel":
             return accumulate_conv_channel, (tape["x_in"], tape["g"])
@@ -186,10 +184,10 @@ def estimate_factors(
 
     conv_variant picks the input factor for plain conv layers ("channel"
     or "full"); bottleneck layers are measured at their core boundary,
-    on the input their projected() gives, conv bottlenecks always on its
-    channel covariance.  Every batch is forwarded in order, and the loss
-    is the split's mean loss, summed exactly as training.evaluate sums
-    it.  The first max_batches batches (all when None) are forwarded with
+    conv bottlenecks always on the channel covariance of the projected
+    input.  Every batch is forwarded in order, and the loss is the
+    split's mean loss, summed exactly as training.evaluate sums it.  The
+    first max_batches batches (all when None) are forwarded with
     capture=True, backpropagated without parameter gradients, which the
     factors never read, and folded into the factors.
     """

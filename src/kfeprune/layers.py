@@ -21,11 +21,11 @@ _DenseGeometry or _ConvGeometry, turns a sample into GEMM rows and back:
 _gemm multiplies the rows (the sample itself, or its im2col patches) by
 a (fan_in, m) kernel K, _kernel_grad and _input_grad give K's gradient
 and the input gradient, and _rows, _bias_grad and _output handle the
-output side's layout.  The kernel is w for a plain layer, or the
-effective Bottleneck.kernel() followed by the qs projection.  So one
-forward and one backward in _Plain serve DenseLayer and ConvLayer, and
-one pair in Bottleneck serves both bottleneck kinds; a dense layer is a
-conv with one output location and one kernel offset.
+output side's layout.  The layer decides what runs between input and
+output rows: the GEMM against w for a plain layer, or a bottleneck's
+core stage followed by the qs projection.  So one forward and one
+backward in _Plain serve DenseLayer and ConvLayer, and one pair in
+Bottleneck serves both bottleneck kinds.
 
 Each layer checks a sample shape once, in out_shape, which forward calls
 and accounting walks through a network: DimensionError if it cannot fit.
@@ -51,6 +51,7 @@ holds it.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -198,8 +199,11 @@ class _DenseGeometry:
         gw /= g.shape[0]
         return gw
 
+    # a 2-D product takes a transposed operand as a free view
+    _t = staticmethod(operator.attrgetter("T"))
+
     def _input_grad(self, tape: dict, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-        return g @ kernel.T
+        return g @ self._t(kernel)
 
     @staticmethod
     def _rows(dy: np.ndarray) -> np.ndarray:
@@ -259,9 +263,12 @@ class _ConvGeometry:
         gw /= g.shape[0]
         return gw
 
+    # a stack of products takes a transposed operand as a contiguous copy
+    _t = staticmethod(_transposed)
+
     def _input_grad(self, tape: dict, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         """Input gradient of the patch GEMM: col2im(g @ kernel.T)."""
-        dpatches = g @ _transposed(kernel)
+        dpatches = g @ self._t(kernel)
         return col2im(dpatches, tape["x_in"].shape, self.k, self.stride, self.padding)
 
     _rows = staticmethod(_pixel_rows)
@@ -446,11 +453,12 @@ class Bottleneck:
     core layout through core_ranks() and return their constructor's
     geometry arguments from geometry(), which rebuilt() carries over.
 
-    Both kinds run one forward and one backward: the geometry's GEMM
-    against the effective kernel W = kernel() gives h2, then
-    y = h2 @ qs.T + b; the tape adds h2 and w_eff (that W).  W's gradient
-    splits into qa's and the core's.  With qa = I, qs = I and a core laid
-    out from a plain layer's w, the layer is bitwise that plain layer.
+    Both kinds run one forward and one backward around a core stage that
+    takes the input to h2, the core's output rows: then y = h2 @ qs.T + b,
+    and the tape adds h2.  _core_forward gives h2, and
+    _core_backward turns h2's gradient into the (qa, core) gradients and
+    the input gradient.  With qa = I, qs = I and a core laid out from a
+    plain layer's w, the layer is bitwise that plain layer.
     """
 
     core_mode = "full"
@@ -492,38 +500,12 @@ class Bottleneck:
     def param_count(self) -> int:
         return self.qa.size + self.core.size + self.qs.size + self.b.size
 
-    def _core_rows(self) -> np.ndarray:
-        """A full core as an (ra, kk*rc) matrix, row a holding core[a, :, d]
-        for each of the kk kernel offsets d in turn; a dense core is one
-        offset."""
-        return self.core.reshape(self.ra, self.rc, -1).transpose(0, 2, 1).reshape(self.ra, -1)
-
-    def kernel(self) -> np.ndarray:
-        """(qa kron I_kk) @ core as a (len(qa)*kk, rc) matrix in the GEMM
-        row layout: entry ((c, d), j) is qa[c] . core[:, j, d], or
-        qa[c, j] * core[d, j] for a depthwise core; qa @ core for a dense
-        one."""
-        if self.core_mode == "diag":
-            return (self.qa[:, None, :] * self.core).reshape(-1, self.rc)
-        return (self.qa @ self._core_rows()).reshape(-1, self.rc)
-
-    def _split_kernel_grad(self, gw: np.ndarray) -> tuple:
-        """(qa, core) gradients from the gradient gw of kernel()."""
-        g3 = gw.reshape(self.qa.shape[0], -1, self.rc)
-        if self.core_mode == "diag":
-            return (g3 * self.core).sum(axis=1), (g3 * self.qa[:, None, :]).sum(axis=0)
-        g2 = g3.reshape(self.qa.shape[0], -1)
-        gcore = (self.qa.T @ g2).reshape(self.ra, -1, self.rc).transpose(0, 2, 1)
-        return g2 @ self._core_rows().T, gcore.reshape(self.core.shape)
-
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         out_shape = self.out_shape(x.shape[1:])
-        w = self.kernel()
-        h2 = self._gemm(x, w, tape)
+        h2 = self._core_forward(x, tape)
         if tape is not None:
             tape["h2"] = h2
-            tape["w_eff"] = w
-        y = h2 @ _transposed(self.qs)
+        y = h2 @ self._t(self.qs)
         y += self.b
         return self._output(y, out_shape)
 
@@ -533,19 +515,28 @@ class Bottleneck:
         dy3 = self._rows(dy)
         dh2 = dy3 @ self.qs
         tape["g"] = dh2
+        grads, dx = self._core_backward(tape, dh2, input_grad, param_grads)
         if param_grads:
-            gqa, gcore = self._split_kernel_grad(self._kernel_grad(tape, dh2))
             gqs = dy3.reshape(-1, self.qs.shape[0]).T @ tape["h2"].reshape(-1, self.rc)
             gqs /= dy3.shape[0]
-            tape["grads"] = {"qa": gqa, "core": gcore, "qs": gqs, "b": self._bias_grad(dy3)}
-        return self._input_grad(tape, dh2, tape["w_eff"]) if input_grad else None
+            tape["grads"] = {"qa": grads[0], "core": grads[1], "qs": gqs, "b": self._bias_grad(dy3)}
+        return dx
 
 
 class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
     """Dense layer factored as qa @ core @ qs.T; core is a full (ra, rc)
-    matrix, so kernel() is qa @ core."""
+    matrix.  The core stage keeps qa out of the kernel, x @ qa and then
+    the dense GEMM against core: an effective kernel pays off over many
+    output locations, and a dense layer has one.  The tape keeps x, and
+    x @ qa as "a", the input of the layer's factor."""
 
     kind = "bottleneck_dense"
+
+    def __init__(self, qa, core, qs, bias=None, kept_rows=None, kept_cols=None):
+        # C order, as a checkpoint loads them: these thin GEMMs round by
+        # operand layout, and a saved layer must evaluate as it ran
+        qa, core, qs = (np.ascontiguousarray(m, dtype=np.float64) for m in (qa, core, qs))
+        super().__init__(qa, core, qs, bias, kept_rows, kept_cols)
 
     def geometry(self) -> dict:
         return {}
@@ -563,9 +554,21 @@ class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
     def fan_out(self) -> int:
         return self.qs.shape[0]
 
-    def projected(self, x: np.ndarray) -> np.ndarray:
-        """x @ qa, the input of the bottleneck's factor."""
-        return x @ self.qa
+    def _core_forward(self, x: np.ndarray, tape: dict | None) -> np.ndarray:
+        if tape is not None:
+            tape["x"] = x
+        return self._gemm(x @ self.qa, self.core, tape)
+
+    def _core_backward(self, tape: dict, dh2: np.ndarray, input_grad: bool, param_grads: bool):
+        if not (input_grad or param_grads):
+            return None, None
+        dh1 = self._input_grad(tape, dh2, self.core)
+        grads = None
+        if param_grads:
+            gqa = tape["x"].T @ dh1
+            gqa /= dh1.shape[0]
+            grads = gqa, self._kernel_grad(tape, dh2)
+        return grads, dh1 @ self.qa.T if input_grad else None
 
     def flops(self, in_shape) -> int:
         return 2 * self.fan_in * self.ra + 2 * self.ra * self.rc + 2 * self.rc * self.fan_out
@@ -579,8 +582,12 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     through qs (c_out, rc).  After a depthwise decomposition is absorbed
     the core becomes a (k*k, r) array of per-offset diagonals, the only
     factored bottleneck core.  core_mode, "full" or "diag", is read off
-    the core's rank.  Both core modes run Bottleneck's path through the
-    patch GEMM.
+    the core's rank.
+
+    Both core modes run the core stage as the plain conv's patch GEMM
+    against the effective kernel W of kernel(), which the tape keeps as
+    w_eff: W's gradient splits into qa's and the core's, and the input
+    gradient is the shared col2im product.
     """
 
     kind = "bottleneck_conv"
@@ -620,6 +627,35 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     @property
     def c_out(self) -> int:
         return self.qs.shape[0]
+
+    def kernel(self) -> np.ndarray:
+        """(qa kron I_kk) @ core as a (c_in*k*k, rc) matrix in the patch row
+        layout: entry ((c, d), j) is qa[c] . core[:, j, d], or
+        qa[c, j] * core[d, j] for a depthwise core."""
+        kk = self.k * self.k
+        if self.core_mode == "diag":
+            return (self.qa[:, None, :] * self.core).reshape(-1, self.rc)
+        core = self.core.transpose(0, 2, 1).reshape(self.ra, kk * self.rc)
+        return (self.qa @ core).reshape(-1, self.rc)
+
+    def _split_kernel_grad(self, gw: np.ndarray) -> tuple:
+        """(qa, core) gradients from the gradient gw of kernel()."""
+        kk = self.k * self.k
+        g3 = gw.reshape(self.c_in, kk, self.rc)
+        if self.core_mode == "diag":
+            return (g3 * self.core).sum(axis=1), (g3 * self.qa[:, None, :]).sum(axis=0)
+        g2, core = g3.reshape(self.c_in, -1), self.core.transpose(0, 2, 1).reshape(self.ra, -1)
+        return g2 @ core.T, (self.qa.T @ g2).reshape(self.ra, kk, self.rc).transpose(0, 2, 1)
+
+    def _core_forward(self, x: np.ndarray, tape: dict | None) -> np.ndarray:
+        w = self.kernel()
+        if tape is not None:
+            tape["w_eff"] = w
+        return self._gemm(x, w, tape)
+
+    def _core_backward(self, tape: dict, dh2: np.ndarray, input_grad: bool, param_grads: bool):
+        grads = self._split_kernel_grad(self._kernel_grad(tape, dh2)) if param_grads else None
+        return grads, self._input_grad(tape, dh2, tape["w_eff"]) if input_grad else None
 
     def projected(self, x: np.ndarray) -> np.ndarray:
         """qa.T x as (B, ra, H, W), the input of the bottleneck's factor: an

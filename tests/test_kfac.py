@@ -580,11 +580,8 @@ def full_gradient_factors(net, dataset, conv_variant, batch_size, max_batches=No
         caps = net.captures()
         for lid in layer_ids:
             tape, kind = caps[lid], net.layers[lid].kind
-            if kind == "dense":
+            if kind in ("dense", "bottleneck_dense"):
                 f = kfac.accumulate_dense(factors.get(lid), tape["a"], tape["g"])
-            elif kind == "bottleneck_dense":
-                a = net.layers[lid].projected(tape["a"])
-                f = kfac.accumulate_dense(factors.get(lid), a, tape["g"])
             elif kind == "bottleneck_conv":
                 x1 = net.layers[lid].projected(tape["x_in"])
                 f = kfac.accumulate_conv_channel(factors.get(lid), x1, tape["g"])

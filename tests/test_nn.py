@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kfeprune import kfac, layers, oracle, pipeline
-from kfeprune.checkpoint import network_bytes
+from kfeprune.checkpoint import network_bytes, network_from_bytes
 from kfeprune.config import RunConfig
 from kfeprune.data import Dataset, synth_dataset
 from kfeprune.errors import (
@@ -412,9 +412,10 @@ def test_bottleneck_conv_matches_three_stage_reference(k, stride, padding, core_
 @pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
 def test_full_core_bottleneck_runs_the_plain_conv_path(k, stride, padding):
     # one path per geometry: with identity bases and a plain layer's kernel
-    # as its core, a bottleneck's kernel() is w, and both kinds run the same
-    # GEMM, weight-gradient contraction and input-gradient product; the
-    # last input is a dense pair, whose core is one kernel offset
+    # as its core, a conv bottleneck's kernel() is w, and both kinds run the
+    # same GEMM, weight-gradient contraction and input-gradient product; the
+    # last input is a dense pair, whose identity qa hands the core GEMM its
+    # input unchanged
     rng = np.random.default_rng(37)
     kk = k * k
 
@@ -448,10 +449,59 @@ def test_full_core_bottleneck_runs_the_plain_conv_path(k, stride, padding):
         assert np.array_equal(bgrads["b"], grads["b"]), plain.kind
 
 
+@pytest.mark.parametrize("batch", [1, 7, 32])
+def test_dense_bottleneck_is_bitwise_the_three_gemm_chain(batch):
+    # the dense bottleneck keeps qa out of its kernel: x @ qa, then @ core,
+    # then @ qs.T, and the backward of that chain, bit for bit; the
+    # association (x @ qa) @ core rounds differently from x @ (qa @ core)
+    rng = np.random.default_rng(39)
+    qa, core, qs = (rng.standard_normal(s) for s in ((23, 9), (9, 11), (6, 11)))
+    b = rng.standard_normal(6)
+    layer = BottleneckDenseLayer(qa, core, qs, b)
+    x, dy = rng.standard_normal((batch, 23)), rng.standard_normal((batch, 6))
+    h1 = x @ qa
+    h2 = h1 @ core
+    dh2 = dy @ qs
+    dh1 = dh2 @ core.T
+    want = {
+        "qa": x.T @ dh1 / batch, "core": h1.T @ dh2 / batch, "qs": dy.T @ h2 / batch,
+        "b": dy.mean(axis=0),
+    }
+    tape = {}
+    assert np.array_equal(layer.forward(x, tape), h2 @ qs.T + b)
+    assert np.array_equal(layer.backward(dy.copy(), tape), dh1 @ qa.T)
+    assert np.array_equal(tape["a"], h1)
+    assert np.array_equal(tape["g"], dh2)
+    assert tape["grads"].keys() == want.keys()
+    for name, w in want.items():
+        assert np.array_equal(tape["grads"][name], w), name
+
+
+def test_dense_bottleneck_runs_as_its_checkpoint_copy():
+    # eigh gives Fortran-order bases and a checkpoint loads them in C order;
+    # the dense bottleneck's thin GEMMs round by operand layout, so the
+    # layer keeps C-order bases and a saved layer evaluates as it ran
+    rng = np.random.default_rng(40)
+    qa, core, qs = (np.asfortranarray(rng.standard_normal(s)) for s in ((23, 9), (9, 11), (6, 11)))
+    layer = BottleneckDenseLayer(qa, core, qs, rng.standard_normal(6))
+    loaded = network_from_bytes(network_bytes(Network([layer]))).layers[0]
+    assert all(p.flags.c_contiguous for _, p in layer.param_items())
+    for batch in (1, 7, 32):
+        x, dy = rng.standard_normal((batch, 23)), rng.standard_normal((batch, 6))
+        results = []
+        for each in (layer, loaded):
+            tape = {}
+            y = each.forward(x, tape)
+            results.append((y, each.backward(dy.copy(), tape), tape["g"], tape["grads"]))
+        (y, dx, g, grads), (ly, ldx, lg, lgrads) = results
+        assert np.array_equal(y, ly) and np.array_equal(dx, ldx) and np.array_equal(g, lg), batch
+        assert all(np.array_equal(grads[k], lgrads[k]) for k in grads), batch
+
+
 def test_one_by_one_conv_bottleneck_is_the_dense_bottleneck():
     # on 1x1 images a 1x1 conv is a dense layer: with the same bases and
     # core, the two bottleneck kinds agree to float64 rounding in every
-    # output, gradient, capture and projected factor input
+    # output, gradient, capture and factor input
     rng = np.random.default_rng(38)
     qa, core, qs = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (6, 3)))
     b = rng.standard_normal(6)
@@ -470,7 +520,7 @@ def test_one_by_one_conv_bottleneck_is_the_dense_bottleneck():
     assert conv_tape["grads"].keys() == dense_tape["grads"].keys()
     for name, want in dense_tape["grads"].items():
         close(conv_tape["grads"][name].reshape(want.shape), want)
-    close(conv.projected(x[:, :, None, None]).reshape(7, 4), dense.projected(x))
+    close(conv.projected(x[:, :, None, None]).reshape(7, 4), dense_tape["a"])
 
 
 def test_col2im_rejects_mismatched_cols():
