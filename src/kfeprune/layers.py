@@ -64,7 +64,7 @@ CONV_GEOMETRY = ("c_in", "k", "stride", "padding")
 # Most patch-table entries col2im scatters per bincount call.  Small tables
 # are grouped up to this size, so a batch of tiny patches costs one call
 # instead of one per sample; a table over half this size goes alone.
-COL2IM_BLOCK = 2**13
+COL2IM_BLOCK = 2**14
 
 
 def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
@@ -94,6 +94,26 @@ def _patch_index(c: int, h: int, w: int, k: int, stride: int, padding: int) -> n
     table = table.reshape(c * k * k, h_out * w_out).astype(np.intp)
     table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=64)
+def _scatter_index(
+    c: int, h: int, w: int, k: int, stride: int, padding: int, group: int
+) -> np.ndarray:
+    """Read-only bincount index of col2im for a group of samples.
+
+    Entries follow the (sample, location, patch entry) order of a
+    contiguous (group, L, c*k*k) array whose locations run backwards:
+    sample s's entries are _patch_index's table transposed, its locations
+    reversed, plus s*(c*h*w + 1), so each sample owns its own bins and its
+    own padding sentinel.
+    """
+    table = _patch_index(c, h, w, k, stride, padding)
+    index = table.T[::-1].ravel()
+    if group > 1:
+        index = (index + (c * h * w + 1) * np.arange(group)[:, None]).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _channels_last(rows: np.ndarray, b: int, c: int, h: int, w: int) -> np.ndarray:
@@ -149,12 +169,14 @@ def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
 def col2im(cols: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.ndarray:
     """Scatter-add patches back onto the input grid; adjoint of im2col.
 
-    One bincount scatters a group of samples: the patch index table is
-    tiled with an offset of c*h*w + 1 per sample, so each sample owns its
-    own bins and its own padding sentinel.  A group holds at most
-    COL2IM_BLOCK table entries, or one sample when a single table is
-    larger.  Each input pixel sums its contributions in (di, dj) order,
-    the order of the table.  The result is channels-last in memory.
+    One bincount scatters a group of samples, at most COL2IM_BLOCK table
+    entries or one sample when a single table is larger, through the
+    cached _scatter_index.  It reads each group's patches with their
+    locations reversed, a row-order copy: for a fixed input pixel,
+    location descending is kernel offset (di, dj) ascending, since
+    di = row + padding - stride*out_row, so each pixel sums its
+    contributions in (di, dj) order whatever k, stride and padding are.
+    The result is channels-last in memory.
     """
     b, c, h, w = x_shape
     table = _patch_index(c, h, w, k, stride, padding)
@@ -165,16 +187,14 @@ def col2im(cols: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.n
         )
     size = c * h * w + 1
     group = max(1, min(b, COL2IM_BLOCK // table.size))
-    index = table.ravel()
-    if group > 1:
-        # a group of one scatters through the cached table itself: a fresh
-        # copy per call moved a conv run's peak RSS from about 72 to 75-80 MB
-        index = (index + size * np.arange(group)[:, None]).ravel()
+    index = _scatter_index(c, h, w, k, stride, padding, group)
+    backwards = cols[:, ::-1]
     out = np.empty((b, size - 1), dtype=np.float64)
     for i in range(0, b, group):
         m = min(group, b - i)
-        weights = cols[i : i + m].transpose(0, 2, 1).ravel()
-        sums = np.bincount(index[: m * table.size], weights=weights, minlength=m * size)
+        sums = np.bincount(
+            index[: m * table.size], weights=backwards[i : i + m].ravel(), minlength=m * size
+        )
         out[i : i + m] = sums.reshape(m, size)[:, :-1]
     return _channels_last(out, b, c, h, w)
 

@@ -5,8 +5,9 @@ the Fisher is assembled from per-sample gradient outer products, pruning
 updates come from explicit KKT linear systems rather than the closed
 forms, derivatives come from central differences, the textbook
 single-weight OBS step uses a dense H^-1, curvature products go through
-an explicit Kronecker product of column-major vecs, and a bottleneck's
-plain weight is rebuilt one kernel offset at a time.
+an explicit Kronecker product of column-major vecs, a bottleneck's
+plain weight is rebuilt one kernel offset at a time, and the reference
+least-squares solve checks every input.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import criteria
-from .errors import DimensionError, SizeError, ValidationError
+from .errors import DimensionError, SingularityError, SizeError, ValidationError
 from .kfac import KronFactors
 from .network import Network, cross_entropy, softmax
-from .tensormath import as_matrix
+from .tensormath import LSTSQ_RIDGE, as_matrix
 
 MAX_EXACT_PARAMS = 2000
 
@@ -50,6 +51,30 @@ def kron(a, b) -> np.ndarray:
             f"kron result would hold {entries} entries, budget is {MAX_KRON_ENTRIES}"
         )
     return np.kron(a, b)
+
+
+def lstsq(a, b) -> np.ndarray:
+    """Least-squares solve of ``a @ x = b``, every input checked, by the
+    same ridge-stabilized normal equations as ``tensormath.ridge_solve``:
+    the solver of the separable fit's reference sweep."""
+    a = as_matrix(a, "lstsq lhs")
+    b = np.asarray(b, dtype=np.float64)
+    squeeze = b.ndim == 1
+    if squeeze:
+        b = b[:, None]
+    b = as_matrix(b, "lstsq rhs")
+    if a.shape[0] != b.shape[0]:
+        raise DimensionError(f"lstsq row mismatch: {a.shape[0]} vs {b.shape[0]}")
+    gram = a.T @ a
+    ridge = LSTSQ_RIDGE * np.trace(gram) / max(gram.shape[0], 1)
+    gram = gram + ridge * np.eye(gram.shape[0])
+    try:
+        x = np.linalg.solve(gram, a.T @ b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(f"normal equations singular beyond ridge: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularityError("normal equations produced non-finite solution")
+    return x[:, 0] if squeeze else x
 
 
 def fisher_vec(f: KronFactors, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionError, SingularityError, ValidationError
 from .kfac import EigenFactors
 from .layers import Bottleneck, BottleneckConvLayer, BottleneckDenseLayer, ConvLayer, DenseLayer
-from .tensormath import khatri_rao, lstsq
+from .tensormath import khatri_rao, ridge_solve
 
 ALS_MAX_ITER = 200
 ALS_TOL = 1e-8
@@ -134,7 +134,7 @@ class DepthwiseFactors:
 
 def _objective(t: np.ndarray, u, v, c) -> float:
     resid = t - (khatri_rao(u, v) @ c.T).reshape(t.shape)
-    return 0.5 * float(np.sum(resid * resid))
+    return 0.5 * float((resid * resid).sum())
 
 
 def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -154,11 +154,22 @@ def _svd_init(t: np.ndarray, rank: int, rng, jitter: float):
 
 
 def _normalize_columns(u, v, c):
-    nu = np.linalg.norm(u, axis=0)
-    nv = np.linalg.norm(v, axis=0)
-    if np.any(nu < COLLAPSE_TOL) or np.any(nv < COLLAPSE_TOL):
+    # bitwise np.linalg.norm(., axis=0), without its Python-level wrapper
+    nu = np.sqrt((u * u).sum(axis=0))
+    nv = np.sqrt((v * v).sum(axis=0))
+    if (nu < COLLAPSE_TOL).any() or (nv < COLLAPSE_TOL).any():
         raise SingularityError("separable factor column collapsed to zero")
     return u / nu, v / nv, c * (nu * nv)
+
+
+def _solve_factor(a, b, target, eye):
+    """The factor whose product with khatri_rao(a, b) fits target in least
+    squares.  A factor that overflowed to Inf or NaN in an earlier step
+    shows up here, in the product."""
+    kr = khatri_rao(a, b)
+    if not np.isfinite(kr).all():
+        raise ValidationError("separable factors contain NaN or Inf")
+    return ridge_solve(kr, target, eye).T
 
 
 def depthwise_decompose(
@@ -174,7 +185,8 @@ def depthwise_decompose(
     accepted only if the objective does not increase; an increasing
     sweep is reverted and the fit stops, so the recorded trace is
     monotone.  Collapsed factor columns trigger up to three jittered
-    restarts before giving up.
+    restarts before giving up.  A core with a NaN or Inf entry is a
+    ValidationError.
     """
     t = _full_core(layer, "fit separable factors to")
     if t.ndim != 3:
@@ -184,7 +196,10 @@ def depthwise_decompose(
         raise ValidationError(
             f"rank must lie in [1, {min(ra, rc)}] for core shape {t.shape}"
         )
+    if not np.isfinite(t).all():
+        raise ValidationError(f"core of shape {t.shape} contains NaN or Inf")
     targets = [_unfold(t, mode).T for mode in range(3)]
+    eye = np.eye(rank)
     last_err = None
     for attempt in range(ALS_RESTARTS + 1):
         rng = np.random.default_rng(seed + attempt)
@@ -196,9 +211,9 @@ def depthwise_decompose(
             for _ in range(max_iter):
                 # each step rebinds u, v and c and never writes them in place
                 prev = (u, v, c)
-                u = lstsq(khatri_rao(c, v), targets[0]).T
-                v = lstsq(khatri_rao(c, u), targets[1]).T
-                c = lstsq(khatri_rao(v, u), targets[2]).T
+                u = _solve_factor(c, v, targets[0], eye)
+                v = _solve_factor(c, u, targets[1], eye)
+                c = _solve_factor(v, u, targets[2], eye)
                 u, v, c = _normalize_columns(u, v, c)
                 obj = _objective(t, u, v, c)
                 if obj > trace[-1]:

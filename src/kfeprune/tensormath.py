@@ -42,10 +42,10 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def khatri_rao(a, b) -> np.ndarray:
-    """Column-wise Kronecker product of two matrices with equal column counts."""
-    a = as_matrix(a, "khatri_rao lhs")
-    b = as_matrix(b, "khatri_rao rhs")
+def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product of two float64 matrices with equal
+    column counts.  Entries are not checked: a non-finite one gives a
+    non-finite product column."""
     if a.shape[1] != b.shape[1]:
         raise DimensionError(
             f"khatri_rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}"
@@ -78,28 +78,22 @@ def sym_eig(m) -> SymEigen:
     return SymEigen(vectors=vectors[:, order].copy(), values=values[order].copy())
 
 
-def lstsq(a, b) -> np.ndarray:
+def ridge_solve(a: np.ndarray, b: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Least-squares solve of ``a @ x = b`` via ridge-stabilized normal equations.
 
-    The ridge is tied to the scale of ``a.T @ a`` so well-posed systems are
-    perturbed negligibly.  A system that stays singular even with the ridge
-    (for example an all-zero ``a``) raises SingularityError.
+    ``a`` is an (n, r) and ``b`` an (n, k) float64 matrix, both finite, and
+    ``eye`` is ``np.eye(r)``: a caller that solves many systems checks its
+    inputs and builds ``eye`` once.  The ridge is tied to the scale of
+    ``a.T @ a`` so well-posed systems are perturbed negligibly.  A system
+    that stays singular even with the ridge (for example an all-zero
+    ``a``), or a non-finite solution, raises SingularityError.
     """
-    a = as_matrix(a, "lstsq lhs")
-    b = np.asarray(b, dtype=np.float64)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    b = as_matrix(b, "lstsq rhs")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"lstsq row mismatch: {a.shape[0]} vs {b.shape[0]}")
     gram = a.T @ a
-    ridge = LSTSQ_RIDGE * np.trace(gram) / max(gram.shape[0], 1)
-    gram = gram + ridge * np.eye(gram.shape[0])
+    gram += (LSTSQ_RIDGE * gram.trace() / len(eye)) * eye
     try:
         x = np.linalg.solve(gram, a.T @ b)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"normal equations singular beyond ridge: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularityError("normal equations produced non-finite solution")
-    return x[:, 0] if squeeze else x
+    return x

@@ -15,12 +15,20 @@ from kfeprune.layers import (
     im2col,
 )
 from kfeprune.reparam import (
+    ALS_MAX_ITER,
+    ALS_RESTARTS,
+    ALS_TOL,
+    COLLAPSE_TOL,
+    _solve_factor,
+    _svd_init,
+    _unfold,
     absorb_depthwise,
     depthwise_decompose,
     eigenprune,
     merge_bases,
     to_kfe,
 )
+from kfeprune.tensormath import khatri_rao
 
 
 def random_orthonormal(rng, dim):
@@ -359,6 +367,137 @@ def test_depthwise_validation():
     dense = BottleneckDenseLayer(np.eye(3), np.eye(3), np.eye(3))
     with pytest.raises(ValidationError):
         depthwise_decompose(dense, rank=1)
+
+
+def conv_core_layer(core):
+    """A conv bottleneck with identity bases around a (ra, rc, k*k) core."""
+    ra, rc, kk = core.shape
+    k = int(round(kk**0.5))
+    return BottleneckConvLayer(
+        qa=np.eye(ra), core=core, qs=np.eye(rc), bias=None, c_in=ra, k=k,
+        stride=1, padding=k // 2,
+    )
+
+
+def lstsq_sweep_fit(core, rank, seed=0, max_iter=ALS_MAX_ITER, tol=ALS_TOL):
+    """depthwise_decompose's fit as it was before its lean sweep, the
+    reference for it: every step solves through oracle.lstsq, which checks
+    its inputs, columns are normalized with np.linalg.norm, and the
+    objective sums with np.sum.  Returns (u, v, c, trace) and the attempt
+    that gave them, or (None, None) when every attempt collapsed."""
+    targets = [_unfold(core, mode).T for mode in range(3)]
+
+    def normalize(u, v, c):
+        nu = np.linalg.norm(u, axis=0)
+        nv = np.linalg.norm(v, axis=0)
+        if np.any(nu < COLLAPSE_TOL) or np.any(nv < COLLAPSE_TOL):
+            raise SingularityError("separable factor column collapsed to zero")
+        return u / nu, v / nv, c * (nu * nv)
+
+    def objective(u, v, c):
+        resid = core - (khatri_rao(u, v) @ c.T).reshape(core.shape)
+        return 0.5 * float(np.sum(resid * resid))
+
+    for attempt in range(ALS_RESTARTS + 1):
+        rng = np.random.default_rng(seed + attempt)
+        jitter = 0.0 if attempt == 0 else 10.0 ** (-3 + attempt)
+        try:
+            u, v, c = normalize(*_svd_init(core, rank, rng, jitter))
+            trace = [objective(u, v, c)]
+            for _ in range(max_iter):
+                prev = (u, v, c)
+                u = oracle.lstsq(khatri_rao(c, v), targets[0]).T
+                v = oracle.lstsq(khatri_rao(c, u), targets[1]).T
+                c = oracle.lstsq(khatri_rao(v, u), targets[2]).T
+                u, v, c = normalize(u, v, c)
+                obj = objective(u, v, c)
+                if obj > trace[-1]:
+                    u, v, c = prev
+                    break
+                improved = trace[-1] - obj
+                relative = improved / max(trace[-1], 1e-30)
+                trace.append(obj)
+                if relative < tol:
+                    break
+            return (u, v, c, trace), attempt
+        except SingularityError:
+            pass
+    return None, None
+
+
+def assert_same_fit(factors, want):
+    u, v, c, trace = want
+    for got, ref in ((factors.u, u), (factors.v, v), (factors.c, c)):
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+    assert factors.trace == trace
+
+
+@pytest.mark.parametrize("kk", [1, 4, 9])
+@pytest.mark.parametrize("ra,rc", [(5, 3), (3, 5), (4, 4), (1, 3)])
+def test_depthwise_fit_is_bitwise_the_lstsq_sweep(ra, rc, kk):
+    # every rank, sweeps capped at 25 to keep the test quick, and no sweep
+    # at all: factors and trace agree bit for bit
+    rng = np.random.default_rng(20)
+    core = rng.standard_normal((ra, rc, kk))
+    layer = conv_core_layer(core)
+    for rank in range(1, min(ra, rc) + 1):
+        for max_iter in (25, 0):
+            want, attempt = lstsq_sweep_fit(core, rank, seed=3, max_iter=max_iter)
+            assert attempt == 0
+            assert_same_fit(depthwise_decompose(layer, rank, seed=3, max_iter=max_iter), want)
+
+
+def test_depthwise_fit_to_the_sweep_cap_is_bitwise_the_lstsq_sweep():
+    # the shape of the README demo's second conv core, which runs to
+    # ALS_MAX_ITER sweeps
+    core = np.random.default_rng(21).standard_normal((6, 6, 9))
+    want, _ = lstsq_sweep_fit(core, 6)
+    factors = depthwise_decompose(conv_core_layer(core), 6)
+    assert len(factors.trace) - 1 == ALS_MAX_ITER
+    assert_same_fit(factors, want)
+
+
+@pytest.mark.parametrize(
+    "shape,pattern,attempt",
+    [((2, 4, 9), "entry", 1), ((3, 5, 1), "entry", 2), ((2, 4, 9), "rank1", 3),
+     ((2, 5, 1), "rank1", None)],
+)
+def test_depthwise_restart_is_bitwise_the_lstsq_sweep(shape, pattern, attempt):
+    # rank-2 fits of a single-entry or an exactly rank-1 core collapse a
+    # column, so the fit restarts with jitter: the attempt that succeeds,
+    # or the SingularityError when none does, must agree too
+    if pattern == "entry":
+        core = np.zeros(shape)
+        core[0, 0, 0] = 1.0
+    else:
+        core = np.einsum("i,j,d->ijd", *(np.arange(1.0, n + 1) for n in shape))
+    want, got_attempt = lstsq_sweep_fit(core, 2)
+    assert got_attempt == attempt
+    if attempt is None:
+        with pytest.raises(SingularityError, match="after 3 restarts"):
+            depthwise_decompose(conv_core_layer(core), 2)
+    else:
+        assert_same_fit(depthwise_decompose(conv_core_layer(core), 2), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_depthwise_rejects_a_non_finite_core(bad):
+    core = np.random.default_rng(23).standard_normal((4, 3, 9))
+    core[1, 2, 4] = bad
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        depthwise_decompose(conv_core_layer(core), rank=2)
+
+
+def test_depthwise_factor_step_rejects_a_non_finite_factor():
+    # a factor that overflowed in an earlier step is a ValidationError,
+    # as the checked Khatri-Rao product made it before
+    rng = np.random.default_rng(24)
+    c, v = rng.standard_normal((9, 2)), rng.standard_normal((3, 2))
+    target = rng.standard_normal((27, 4))
+    assert _solve_factor(c, v, target, np.eye(2)).shape == (4, 2)
+    c[3, 1] = np.inf
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        _solve_factor(c, v, target, np.eye(2))
 
 
 def test_depthwise_zero_core_collapses():

@@ -160,11 +160,14 @@ def test_network_backward_matches_per_layer_input_grads(case):
 
 def test_first_layer_skips_input_gradient(monkeypatch):
     net, x, y = two_conv_case(0)
-    calls = []
+    calls, layouts = [], []
     original = layers_mod.col2im
 
+    # the conv input gradient's scatter, handed the GEMM's (B, L, n)
+    # output as it lies
     def counting_col2im(*args, **kwargs):
         calls.append(args[1])
+        layouts.append(args[0].flags.c_contiguous)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(layers_mod, "col2im", counting_col2im)
@@ -185,6 +188,7 @@ def test_first_layer_skips_input_gradient(monkeypatch):
         net.backward(net.forward(x, capture=True), y, param_grads=param_grads)
         caps = net.captures()
         assert calls == [caps[2]["x_in"].shape]
+        assert all(layouts)
         assert caps[2]["x_in"].shape != caps[0]["x_in"].shape
 
 

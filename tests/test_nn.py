@@ -164,6 +164,11 @@ GEOMETRIES = [
 INPUT_SHAPES = [(1, 1, 7, 6), (1, 3, 6, 7), (5, 1, 6, 7), (5, 3, 7, 6)]
 
 
+def _bits(a):
+    """a's float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 def _layout(a):
     """Strides of the axes longer than 1; a length-1 axis's stride is never used."""
     return tuple(st for n, st in zip(a.shape, a.strides) if n > 1)
@@ -192,21 +197,29 @@ def test_col2im_matches_loop_reference(k, stride, padding):
         )
         n = c * k * k
         contiguous = rng.standard_normal((b, length, n))
+        contiguous[contiguous > 1.0] = -0.0
         transposed = rng.standard_normal((b, n, length)).transpose(0, 2, 1)
         assert _layout(transposed) == _layout(im2col(np.zeros(shape), k, stride, padding))
-        for cols in (contiguous, transposed):
+        # a location-reversed view of contiguous storage, as a conv's
+        # input gradient hands it over
+        backwards = np.ascontiguousarray(contiguous[:, ::-1])[:, ::-1]
+        for cols in (contiguous, transposed, backwards):
             got = col2im(cols, shape, k, stride, padding)
             assert got.shape == shape
-            assert np.array_equal(got, _col2im_loop(cols, shape, k, stride, padding))
+            assert np.array_equal(_bits(got), _bits(_col2im_loop(cols, shape, k, stride, padding)))
 
 
 # (input shape, k, stride, padding, entries per bincount call); a patch
 # table holds c*k*k*L entries
 COL2IM_GROUPS = [
-    # 1,152-entry tables: groups of 7 samples, then a last group of 2
-    ((37, 8, 4, 4), 3, 1, 1, [7 * 1152] * 5 + [2 * 1152]),
-    # 9,216-entry tables, larger than COL2IM_BLOCK: one sample per group
+    # 1,152-entry tables: groups of 14 samples, then a last group of 9
+    ((37, 8, 4, 4), 3, 1, 1, [14 * 1152] * 2 + [9 * 1152]),
+    # 7,056-entry tables, conv-eigendamage's second conv: groups of 2
+    ((5, 16, 14, 14), 3, 2, 1, [2 * 7056] * 2 + [7056]),
+    # 9,216-entry tables, over half of COL2IM_BLOCK: one sample per group
     ((3, 4, 16, 16), 3, 1, 1, [9216] * 3),
+    # 18,432-entry tables, larger than COL2IM_BLOCK: one sample per group
+    ((2, 8, 16, 16), 3, 1, 1, [18432] * 2),
 ]
 
 
@@ -214,7 +227,7 @@ COL2IM_GROUPS = [
 def test_col2im_groups_match_single_samples(shape, k, stride, padding, calls, monkeypatch):
     # bitwise: a group's samples own disjoint bins, so grouping changes no
     # pixel's order of contributions
-    assert COL2IM_BLOCK == 2**13
+    assert COL2IM_BLOCK == 2**14
     sizes, real = [], np.bincount
 
     def counting(index, *args, **kwargs):
@@ -309,6 +322,37 @@ def test_layers_agree_across_memory_layouts(k, stride, padding):
                 results.append([y, dx, tape["g"]] + [tape["grads"][n] for n, _ in layer.param_items()])
             for got, want in zip(*results):
                 assert np.array_equal(got, want), layer.kind
+
+
+@pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
+def test_conv_input_grad_is_col2im_of_the_gemm(k, stride, padding):
+    # bitwise, signed zeros included: the input gradient is col2im of the
+    # GEMM g @ K.T as numpy computes it.  A GEMM over g's locations
+    # reversed, which would spare col2im its reversal copy, rounds some
+    # rows differently (OpenBLAS 0.3.31 Haswell kernels, when c*k*k is not
+    # a multiple of 4).  Batches 1, 7 and 32 fall on both sides of the
+    # grouping boundary of the small tables, and m is the kernel width: a
+    # plain conv's c_out, a bottleneck's core rank rc
+    rng = np.random.default_rng(37)
+    for _, c, h, w in INPUT_SHAPES:
+        kk = k * k
+        geometry = dict(c_in=c, k=k, stride=stride, padding=padding)
+        for m in (4, 13, 32):
+            plain = ConvLayer(rng.standard_normal((c * kk, m)), rng.standard_normal(m), **geometry)
+            bottleneck = BottleneckConvLayer(
+                rng.standard_normal((c, 2)), rng.standard_normal((2, m, kk)),
+                rng.standard_normal((5, m)), rng.standard_normal(5), **geometry,
+            )
+            for b in (1, 7, 32):
+                x = rng.standard_normal((b, c, h, w))
+                for layer in (plain, bottleneck):
+                    tape = {}
+                    dy = rng.standard_normal(layer.forward(x, tape).shape)
+                    dy[dy > 1.0] = -0.0
+                    dx = layer.backward(dy, tape, param_grads=False)
+                    kernel = layer.w if layer is plain else tape["w_eff"]
+                    want = col2im(tape["g"] @ np.ascontiguousarray(kernel.T), x.shape, k, stride, padding)
+                    assert np.array_equal(_bits(dx), _bits(want)), (layer.kind, m, b)
 
 
 def _nchw_conv_backward(layer, dy, tape):

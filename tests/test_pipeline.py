@@ -1415,6 +1415,29 @@ def test_cli_checkpoint_and_data_mismatch_is_usage_error(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cli_decompose_of_a_non_finite_core_is_an_error(tmp_path, capsys, bad):
+    """A conv core holding NaN or Inf exits 1 with a typed error and no
+    traceback, and creates no output directory: the fit's SVD would raise
+    numpy's LinAlgError on such a core, or not return at all."""
+    net = build_network(RunConfig(**DEMO_SETTINGS), 4)
+    conv = net.layers[2]
+    core = conv.w.reshape(conv.c_in, conv.k * conv.k, conv.c_out).transpose(0, 2, 1).copy()
+    core[0, 0, 0] = bad
+    net.layers[2] = BottleneckConvLayer(
+        np.eye(conv.c_in), core, np.eye(conv.c_out), conv.b, **conv.geometry()
+    )
+    base = tmp_path / "bad.kfep"
+    checkpoint.save_network(str(base), net)
+    config = write_config(tmp_path / "c.cfg", **DEMO_SETTINGS, checkpoint=str(base))
+    out = tmp_path / "new"
+    assert cli.main(["decompose", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: core of shape (4, 8, 9) contains NaN or Inf")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "command, setting, message",
     [

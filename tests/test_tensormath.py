@@ -138,14 +138,14 @@ def test_sym_eig_rejects_bad_input():
 
 def test_lstsq_identity_system():
     b = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(tm.lstsq(np.eye(3), b), b, atol=1e-12)
+    np.testing.assert_allclose(oracle.lstsq(np.eye(3), b), b, atol=1e-12)
 
 
 def test_lstsq_overdetermined_residual_orthogonal():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((10, 4))
     b = rng.standard_normal(10)
-    x = tm.lstsq(a, b)
+    x = oracle.lstsq(a, b)
     resid = b - a @ x
     np.testing.assert_allclose(a.T @ resid, np.zeros(4), atol=1e-8)
 
@@ -155,14 +155,25 @@ def test_lstsq_matches_pseudo_inverse():
     z = rng.standard_normal((9, 4))
     b = rng.standard_normal((9, 3))
     pinv = np.linalg.inv(z.T @ z) @ z.T
-    np.testing.assert_allclose(tm.lstsq(z, b), pinv @ b, atol=1e-8)
+    np.testing.assert_allclose(oracle.lstsq(z, b), pinv @ b, atol=1e-8)
 
 
 def test_lstsq_shapes_and_singularity():
-    assert tm.lstsq(np.eye(3), np.ones(3)).ndim == 1
-    assert tm.lstsq(np.eye(3), np.ones((3, 2))).shape == (3, 2)
+    assert oracle.lstsq(np.eye(3), np.ones(3)).ndim == 1
+    assert oracle.lstsq(np.eye(3), np.ones((3, 2))).shape == (3, 2)
     with pytest.raises(DimensionError):
-        tm.lstsq(np.eye(3), np.ones(4))
+        oracle.lstsq(np.eye(3), np.ones(4))
     with pytest.raises(SingularityError):
-        tm.lstsq(np.zeros((4, 3)), np.ones(4))
+        oracle.lstsq(np.zeros((4, 3)), np.ones(4))
 
+
+
+def test_ridge_solve_is_bitwise_the_checked_lstsq():
+    rng = np.random.default_rng(6)
+    for rows, cols, rhs in ((10, 4, 3), (9, 1, 2), (27, 6, 9)):
+        a = rng.standard_normal((rows, cols))
+        b = rng.standard_normal((rows, rhs))
+        got = tm.ridge_solve(a, b, np.eye(cols))
+        assert got.tobytes() == oracle.lstsq(a, b).tobytes()
+    with pytest.raises(SingularityError):
+        tm.ridge_solve(np.zeros((4, 3)), np.ones((4, 1)), np.eye(3))
