@@ -27,6 +27,10 @@ core stage followed by the qs projection.  So one forward and one
 backward in _Plain serve DenseLayer and ConvLayer, and one pair in
 Bottleneck serves both bottleneck kinds.
 
+Every parameter is a C-contiguous float64 array from construction on, as
+a checkpoint loads it, so a layer trains bitwise the same from memory or
+from disk: the GEMMs round by operand layout.
+
 Each layer checks a sample shape once, in out_shape, which forward calls
 and accounting walks through a network: DimensionError if it cannot fit.
 
@@ -204,6 +208,9 @@ class _DenseGeometry:
     y = x @ K against a (fan_in, m) kernel K, and the output is those
     rows.  The tape keeps the input as "a"."""
 
+    def geometry(self) -> dict:
+        return {}
+
     def out_shape(self, in_shape):
         if tuple(in_shape) != (self.fan_in,):
             raise DimensionError(f"{self.kind} expects ({self.fan_in},), got {tuple(in_shape)}")
@@ -313,12 +320,12 @@ class _Plain:
     against the weight w, a (fan_in, fan_out) matrix, plus the bias."""
 
     def __init__(self, w: np.ndarray, bias: np.ndarray | None = None):
-        self.w = np.asarray(w, dtype=np.float64)
+        self.w = np.ascontiguousarray(w, dtype=np.float64)
         if self.w.ndim != 2:
             raise DimensionError(f"{self.kind} weight must be 2-D")
         if bias is None:
             bias = np.zeros(self.w.shape[1])
-        self.b = np.asarray(bias, dtype=np.float64)
+        self.b = np.ascontiguousarray(bias, dtype=np.float64)
         if self.b.shape != (self.w.shape[1],):
             raise DimensionError(f"{self.kind} bias shape mismatch")
 
@@ -470,8 +477,8 @@ class Bottleneck:
     qa (fan_in side, ra columns) and qs (fan_out side, rc columns) are the
     bases; kept_rows and kept_cols name the original basis direction of
     each surviving column, so repeated prunes compose.  Subclasses fix the
-    core layout through core_ranks() and return their constructor's
-    geometry arguments from geometry(), which rebuilt() carries over.
+    core layout through core_ranks(), and rebuilt() carries their
+    geometry() over.
 
     Both kinds run one forward and one backward around a core stage that
     takes the input to h2, the core's output rows: then y = h2 @ qs.T + b,
@@ -484,15 +491,15 @@ class Bottleneck:
     core_mode = "full"
 
     def __init__(self, qa, core, qs, bias=None, kept_rows=None, kept_cols=None):
-        self.qa = np.asarray(qa, dtype=np.float64)
-        self.core = np.asarray(core, dtype=np.float64)
-        self.qs = np.asarray(qs, dtype=np.float64)
+        self.qa, self.core, self.qs = (
+            np.ascontiguousarray(m, dtype=np.float64) for m in (qa, core, qs)
+        )
         ra, rc = self.core_ranks()
         if self.qa.ndim != 2 or self.qs.ndim != 2 or self.ra != ra or self.rc != rc:
             raise DimensionError("basis column counts must match core ranks")
         if bias is None:
             bias = np.zeros(self.qs.shape[0])
-        self.b = np.asarray(bias, dtype=np.float64)
+        self.b = np.ascontiguousarray(bias, dtype=np.float64)
         if self.b.shape != (self.qs.shape[0],):
             raise DimensionError("bottleneck bias shape mismatch")
         self.kept_rows = _kept_index(kept_rows, ra, "kept_rows")
@@ -551,15 +558,6 @@ class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
     x @ qa as "a", the input of the layer's factor."""
 
     kind = "bottleneck_dense"
-
-    def __init__(self, qa, core, qs, bias=None, kept_rows=None, kept_cols=None):
-        # C order, as a checkpoint loads them: these thin GEMMs round by
-        # operand layout, and a saved layer must evaluate as it ran
-        qa, core, qs = (np.ascontiguousarray(m, dtype=np.float64) for m in (qa, core, qs))
-        super().__init__(qa, core, qs, bias, kept_rows, kept_cols)
-
-    def geometry(self) -> dict:
-        return {}
 
     def core_ranks(self) -> tuple:
         if self.core.ndim != 2:

@@ -10,7 +10,6 @@ fixed seed except wall_time_s.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import time
@@ -95,7 +94,8 @@ def _plan(strategy: str, layer_id: int, layer, factors, damping: float):
     returns it with the removal's predicted cost, which only eigendamage
     reports (None otherwise).  Neither step changes `layer`: eigendamage
     scores a rotated copy, and the in-place strategies write into copies
-    of the weights.
+    of the weights.  Every pruned layer is built through its kind's
+    constructor, so it holds its parameters as a loaded checkpoint would.
     """
     if strategy == "eigendamage":
         ef = kfac.eigenbasis(factors)
@@ -140,26 +140,26 @@ def _plan(strategy: str, layer_id: int, layer, factors, damping: float):
 
     def rewrite(mask):
         removed = np.asarray(mask.removed(layer_id, table.unit_kind), dtype=np.intp)
-        out = copy.copy(layer)
+        b = layer.b
         if strategy == "obs":
             # the survivors are compensated removing weights in ascending
             # (score, unit id) order
             order = removed[np.lexsort((removed, table.delta_l[removed]))]
-            out.w = criteria.obs_sequential_update(w, a_inv, s_inv, order)
+            new_w = criteria.obs_sequential_update(w, a_inv, s_inv, order)
         elif strategy == "obd":
             flat = w.flatten(order="F")
             flat[removed] = 0.0
-            out.w = flat.reshape(w.shape, order="F")
+            new_w = flat.reshape(w.shape, order="F")
         elif not removed.size:
             return layer, None
         else:
             # kron-obs compensates the surviving filters; its update
             # zeroes the removed ones as well
-            out.w = w.copy(order="K") if update is None else update(removed)
-            out.w[:, removed] = 0.0
-            out.b = layer.b.copy()
-            out.b[removed] = 0.0
-        return out, None
+            new_w = w.copy() if update is None else update(removed)
+            new_w[:, removed] = 0.0
+            b = layer.b.copy()
+            b[removed] = 0.0
+        return type(layer)(new_w, b, **layer.geometry()), None
 
     return [table], rewrite
 

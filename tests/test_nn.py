@@ -521,17 +521,40 @@ def test_dense_bottleneck_is_bitwise_the_three_gemm_chain(batch):
         assert np.array_equal(tape["grads"][name], w), name
 
 
-def test_dense_bottleneck_runs_as_its_checkpoint_copy():
-    # eigh gives Fortran-order bases and a checkpoint loads them in C order;
-    # the dense bottleneck's thin GEMMs round by operand layout, so the
-    # layer keeps C-order bases and a saved layer evaluates as it ran
+def _laid_out(a, layout):
+    """a's values in Fortran order, or as a strided view of a larger array."""
+    return np.asfortranarray(a) if layout == "fortran" else np.stack([a, a], axis=-1)[..., 0]
+
+
+# per kind: the class, its parameter shapes in constructor order, its
+# geometry and a sample shape
+CHECKPOINT_COPY_KINDS = {
+    "dense": (DenseLayer, ((23, 6), (6,)), {}, (23,)),
+    "conv": (ConvLayer, ((27, 5), (5,)), dict(c_in=3, k=3, stride=2, padding=1), (3, 7, 6)),
+    "bottleneck_dense": (BottleneckDenseLayer, ((23, 9), (9, 11), (6, 11), (6,)), {}, (23,)),
+    "bottleneck_conv": (
+        BottleneckConvLayer,
+        ((3, 4), (4, 5, 9), (6, 5), (6,)),
+        dict(c_in=3, k=3, stride=2, padding=1),
+        (3, 7, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+@pytest.mark.parametrize("kind", sorted(CHECKPOINT_COPY_KINDS))
+def test_layer_runs_as_its_checkpoint_copy(kind, layout):
+    # a checkpoint loads C order and the GEMMs round by operand layout, so
+    # every constructor holds its parameters C-contiguous: a layer built
+    # from Fortran-order or strided arrays runs bitwise as its saved copy
+    cls, shapes, geometry, in_shape = CHECKPOINT_COPY_KINDS[kind]
     rng = np.random.default_rng(40)
-    qa, core, qs = (np.asfortranarray(rng.standard_normal(s)) for s in ((23, 9), (9, 11), (6, 11)))
-    layer = BottleneckDenseLayer(qa, core, qs, rng.standard_normal(6))
+    layer = cls(*(_laid_out(rng.standard_normal(s), layout) for s in shapes), **geometry)
     loaded = network_from_bytes(network_bytes(Network([layer]))).layers[0]
     assert all(p.flags.c_contiguous for _, p in layer.param_items())
     for batch in (1, 7, 32):
-        x, dy = rng.standard_normal((batch, 23)), rng.standard_normal((batch, 6))
+        x = rng.standard_normal((batch,) + in_shape)
+        dy = rng.standard_normal((batch,) + layer.out_shape(in_shape))
         results = []
         for each in (layer, loaded):
             tape = {}
@@ -539,6 +562,7 @@ def test_dense_bottleneck_runs_as_its_checkpoint_copy():
             results.append((y, each.backward(dy.copy(), tape), tape["g"], tape["grads"]))
         (y, dx, g, grads), (ly, ldx, lg, lgrads) = results
         assert np.array_equal(y, ly) and np.array_equal(dx, ldx) and np.array_equal(g, lg), batch
+        assert grads.keys() == lgrads.keys()
         assert all(np.array_equal(grads[k], lgrads[k]) for k in grads), batch
 
 

@@ -43,6 +43,7 @@ from kfeprune.training import evaluate
 from kfeprune.pipeline import (
     CHECKPOINT_NAME,
     EVAL_FIELDS,
+    _finetune,
     build_dataset,
     build_network,
     cmd_decompose,
@@ -53,6 +54,7 @@ from kfeprune.pipeline import (
     cmd_train,
     conv_variant_for,
     eligible_layer_ids,
+    network_snapshot,
     prune_once,
     write_importance,
 )
@@ -994,32 +996,59 @@ def test_cmd_finetune_recovers_and_decays_lr(mlp_run, tmp_path):
     assert lrs == pytest.approx([0.02, 0.002, 0.0002, 0.0002])
 
 
-def test_cmd_iterate_single_round_composes(mlp_run, tmp_path):
-    cfg, _ = mlp_run
-    settings = dict(
-        strategy="eigendamage",
-        ratio=0.4,
-        cap=0.6,
-        finetune_epochs=2,
-        finetune_lr=0.02,
+def trained_network(arch, mlp_run, cnn_baseline):
+    """(cfg, network, train split) of the trained mlp_run checkpoint, or of
+    the trained conftest cnn at seed 0."""
+    if arch == "mlp":
+        cfg, _ = mlp_run
+        net = checkpoint.load_network(os.path.join(cfg.out, CHECKPOINT_NAME))
+        return cfg, net, build_dataset(cfg, "train")
+    cfg, net, ds, _ = cnn_baseline(0)
+    return cfg, net, ds
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_pruned_network_finetunes_as_its_snapshot(mlp_run, cnn_baseline, arch, strategy):
+    """Every rewrite builds its layer through the kind's constructor, which
+    holds each parameter C-contiguous, as a checkpoint loads it: after
+    prune_once, the network finetunes in memory bit for bit as its
+    serialized snapshot does."""
+    cfg, net, ds = trained_network(arch, mlp_run, cnn_baseline)
+    cfg = replace(cfg, strategy=strategy, ratio=0.5, finetune_epochs=1)
+    prune_once(net, ds, cfg, cap=0.5)
+    for layer in net.layers:
+        assert all(p.flags.c_contiguous for _, p in layer.param_items()), layer.kind
+    snapshot = network_snapshot(net)
+    net, curve = _finetune(net, ds, cfg)
+    snapshot, snapshot_curve = _finetune(snapshot, ds, cfg)
+    assert curve == snapshot_curve
+    assert checkpoint.network_bytes(net) == checkpoint.network_bytes(snapshot)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_cmd_iterate_rounds_compose(mlp_run, cnn_baseline, tmp_path, arch):
+    """iterate keeps its network in memory between rounds; each round
+    gives what prune then finetune give through a checkpoint, and two
+    rounds write the same bytes as two of those."""
+    cfg, net, _ = trained_network(arch, mlp_run, cnn_baseline)
+    start = str(tmp_path / "start.kfep")
+    checkpoint.save_network(start, net)
+    cfg = replace(
+        cfg, strategy="eigendamage", ratio=0.4, cap=0.6, finetune_epochs=2, finetune_lr=0.02,
+        checkpoint=start,
     )
-    it = cmd_iterate(derived(cfg, tmp_path / "it", iterations=1, **settings))
-    pruned = tmp_path / "pr"
-    cmd_prune(derived(cfg, pruned, **settings))
-    ft = cmd_finetune(
-        replace(
-            cfg,
-            checkpoint=os.path.join(str(pruned), CHECKPOINT_NAME),
-            out=str(tmp_path / "ft"),
-            **settings,
-        )
-    )
-    assert checkpoint_bytes(str(tmp_path / "it")) == checkpoint_bytes(
-        str(tmp_path / "ft")
-    )
-    assert len(it["rounds"]) == 1
-    assert it["rounds"][0]["params"] == ft["params"]
-    assert it["test_loss"] == ft["test_loss"]
+    it = cmd_iterate(replace(cfg, iterations=2, out=str(tmp_path / "it")))
+    assert len(it["rounds"]) == 2
+    for round_record in it["rounds"]:
+        pruned = str(tmp_path / f"pr{round_record['round']}")
+        cmd_prune(replace(cfg, out=pruned))
+        tuned = str(tmp_path / f"ft{round_record['round']}")
+        ft = cmd_finetune(replace(cfg, checkpoint=os.path.join(pruned, CHECKPOINT_NAME), out=tuned))
+        assert round_record["params"] == ft["params"]
+        assert round_record["test_loss"] == ft["test_loss"]
+        cfg = replace(cfg, checkpoint=os.path.join(tuned, CHECKPOINT_NAME))
+    assert checkpoint_bytes(str(tmp_path / "it")) == checkpoint_bytes(tuned)
 
 
 @pytest.mark.parametrize("fisher_batches", [0, 1])
