@@ -93,8 +93,9 @@ def _plan(strategy: str, layer_id: int, layer, factors, damping: float):
     Returns (tables, rewrite).  rewrite(mask) builds the pruned layer and
     returns it with the removal's predicted cost, which only eigendamage
     reports (None otherwise).  Neither step changes `layer`: eigendamage
-    scores a rotated copy, and the in-place strategies write into copies
-    of the weights.  Every pruned layer is built through its kind's
+    scores a rotated copy and returns the pruned layer in its smallest
+    exact form, and the in-place strategies write into copies of the
+    weights.  Every pruned layer is built through its kind's
     constructor, so it holds its parameters as a loaded checkpoint would.
     """
     if strategy == "eigendamage":
@@ -113,7 +114,7 @@ def _plan(strategy: str, layer_id: int, layer, factors, damping: float):
             removed[:, cols] = True
             energy = criteria.kfe_energy(rotated.core, ef.lam_a, ef.lam_s)
             cost = 0.5 * float(energy[removed].sum())
-            return reparam.eigenprune(rotated, rows, cols), cost
+            return reparam.smallest_form(reparam.eigenprune(rotated, rows, cols)), cost
 
         return tables, rewrite
 
@@ -476,7 +477,7 @@ def cmd_decompose(cfg: RunConfig) -> dict:
         layer = net.layers[i]
         if layer.kind == "bottleneck_conv" and layer.core_mode == "full":
             full_rank = min(layer.core.shape[0], layer.core.shape[1])
-            rank = cfg.rank if cfg.rank > 0 else full_rank
+            rank = min(cfg.rank, full_rank) if cfg.rank > 0 else full_rank
             factors = reparam.depthwise_decompose(layer, rank, seed=cfg.seed)
             net.layers[i] = reparam.absorb_depthwise(layer, factors)
             decomposed.append(

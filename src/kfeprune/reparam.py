@@ -3,8 +3,10 @@
 A parameterized layer W is rewritten as qa @ core @ qs.T where qa and qs
 start as the eigenvector bases of the input and output curvature
 factors.  Rotations and basis merges preserve the layer function
-exactly; structural pruning drops basis directions; the depthwise
-decomposition approximates a convolution core with per-channel kernels.
+exactly; structural pruning drops basis directions, and smallest_form
+then rewrites the layer, exactly, in whichever form holds fewest params;
+the depthwise decomposition approximates a convolution core with
+per-channel kernels.
 """
 
 from __future__ import annotations
@@ -111,6 +113,27 @@ def merge_bases(layer, ef: EigenFactors):
     """
     core = _rotate(_full_core(layer, "merge into"), ef)
     return layer.rebuilt(layer.qa @ ef.qa, core, layer.qs @ ef.qs)
+
+
+def smallest_form(layer):
+    """The smallest exact form of a pruned bottleneck layer.
+
+    A one-offset core (dense, or a 1x1 conv) of unequal ranks is reduced
+    by thin SVD to r = min(ra, rc): qa U, diag(sigma) as a full r x r
+    core, and qs V, with the kept-index lists restarting.  A bottleneck
+    that then holds no fewer params than its plain layer is folded back
+    to that plain layer.  Either rewrite keeps the layer function.
+    """
+    ra, rc = layer.ra, layer.rc
+    if layer.core.shape[2:] in ((), (1,)) and ra != rc:
+        u, s, vt = np.linalg.svd(layer.core.reshape(ra, rc), full_matrices=False)
+        core = np.diag(s).reshape(s.shape * 2 + layer.core.shape[2:])
+        layer = layer.rebuilt(layer.qa @ u, core, layer.qs @ vt.T)
+    if isinstance(layer, BottleneckConvLayer):
+        plain = ConvLayer(layer.kernel() @ layer.qs.T, layer.b.copy(), **layer.geometry())
+    else:
+        plain = DenseLayer((layer.qa @ layer.core) @ layer.qs.T, layer.b.copy())
+    return plain if layer.param_count() >= plain.param_count() else layer
 
 
 @dataclass

@@ -26,6 +26,7 @@ from kfeprune.reparam import (
     depthwise_decompose,
     eigenprune,
     merge_bases,
+    smallest_form,
     to_kfe,
 )
 from kfeprune.tensormath import khatri_rao
@@ -280,6 +281,67 @@ def test_merge_bases_nested_equals_staged():
     staged = ((x @ pruned.qa) @ ef.qa) @ (ef.qa.T @ pruned.core @ ef.qs)
     staged = (staged @ ef.qs.T) @ pruned.qs.T + pruned.b
     np.testing.assert_allclose(merged.forward(x), staged, atol=1e-12)
+
+
+# (kind, fan-in channels n, fan-out m, kernel k, removed rows, removed
+# cols, the kind smallest_form gives, its core shape if still factored)
+SMALLEST_FORM_CASES = [
+    # ranks 4 and 8 reduce by SVD to a 4 x 4 core, 114 params against 130
+    ("dense", 12, 10, 1, range(8), [0, 3], "bottleneck_dense", (4, 4)),
+    # equal ranks, no SVD: 91 params against 42, so it folds
+    ("dense", 6, 6, 1, [1], [5], "dense", None),
+    # ranks 4 and 6 reduce to 4, still 70 params against 42: SVD, then fold
+    ("dense", 6, 6, 1, [1, 2], [], "dense", None),
+    # a 1x1 conv core reduces as the dense one does
+    ("conv", 12, 10, 1, range(8), [0, 3], "bottleneck_conv", (4, 4, 1)),
+    # a k x k core pays as it is, 132 params against 275
+    ("conv", 6, 5, 3, range(4), [], "bottleneck_conv", (2, 5, 9)),
+    # one input channel, as the first conv of an image net: 367 against 160
+    ("conv", 1, 16, 3, [], [0, 1], "conv", None),
+]
+
+
+@pytest.mark.parametrize("kind, n, m, k, rows, cols, form, core_shape", SMALLEST_FORM_CASES)
+def test_smallest_form_is_exact_and_never_larger(kind, n, m, k, rows, cols, form, core_shape):
+    """smallest_form keeps the pruned rewrite's function: outputs, input
+    gradients and bias gradients within 1e-12 of the largest entry.  It
+    holds no more params than the rewrite or the plain layer, and the
+    one-offset cores it reduces come out diagonal with kept-index lists
+    restarted."""
+    rng = np.random.default_rng(n + m + k)
+    if kind == "dense":
+        plain = DenseLayer(rng.standard_normal((n, m)), rng.standard_normal(m))
+        x = rng.standard_normal((7, n))
+    else:
+        plain = ConvLayer(
+            rng.standard_normal((n * k * k, m)), rng.standard_normal(m), c_in=n, k=k,
+            stride=2, padding=k // 2,
+        )
+        x = rng.standard_normal((3, n, 5, 5))
+    pruned = eigenprune(to_kfe(plain, random_eigen(rng, n, m)), list(rows), cols)
+    small = smallest_form(pruned)
+    assert small.kind == form
+    assert small.param_count() <= min(pruned.param_count(), plain.param_count())
+    assert small.geometry() == pruned.geometry()
+    assert small.b.tobytes() == pruned.b.tobytes()
+    if core_shape is None:
+        assert small.w.flags.c_contiguous
+    elif k > 1:
+        assert small is pruned
+    else:
+        r = core_shape[0]
+        assert small.core.shape == core_shape
+        core = small.core.reshape(r, r)
+        np.testing.assert_array_equal(core, np.diag(np.diag(core)))
+        np.testing.assert_array_equal(small.kept_rows, np.arange(r))
+        np.testing.assert_array_equal(small.kept_cols, np.arange(r))
+    got_tape, want_tape = {}, {}
+    y, want_y = small.forward(x, got_tape), pruned.forward(x, want_tape)
+    dy = rng.standard_normal(y.shape)
+    dx, want_dx = small.backward(dy.copy(), got_tape), pruned.backward(dy.copy(), want_tape)
+    pairs = [(y, want_y), (dx, want_dx), (got_tape["grads"]["b"], want_tape["grads"]["b"])]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_merge_bases_validation():

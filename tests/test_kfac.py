@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kfeprune import checkpoint, kfac, pipeline
+from kfeprune import checkpoint, kfac, pipeline, reparam
 from kfeprune.accounting import count_params
 from kfeprune.data import Dataset, synth_dataset
 from kfeprune.errors import (
@@ -227,13 +227,15 @@ def test_conv_identity_prunes_like_dense(conv_variant, strategy):
 
 def test_conv_identity_iterates_like_dense(tmp_path, monkeypatch):
     """Two eigendamage rounds of iterate on the 1x1 conv and its dense
-    twin.  Round 2 prunes a bottleneck_conv and a bottleneck_dense, so its
-    factor pass runs both bottleneck backwards without parameter
-    gradients, and finetuning runs them with."""
+    twin.  At ratio 0.5 round 1 leaves factored forms that pay (33 params
+    against 43), reduced by SVD on both sides, so round 2 prunes a
+    bottleneck_conv and a bottleneck_dense: its factor pass runs both
+    bottleneck backwards without parameter gradients, and finetuning runs
+    them with."""
     conv, dense, _, pairs = conv_and_dense_twins("channel")
     cfg = RunConfig(
         dataset="blobs", image="4x1x1", classes=3, n_train=40, n_test=20, batch_size=16,
-        strategy="eigendamage", ratio=0.4, cap=0.9, iterations=2, finetune_epochs=2,
+        strategy="eigendamage", ratio=0.5, cap=0.9, iterations=2, finetune_epochs=2,
     )
     prunes, real = [], pipeline.prune_once
 
@@ -594,8 +596,11 @@ def full_gradient_factors(net, dataset, conv_variant, batch_size, max_batches=No
 
 
 def eigendamage_pruned_cnn(images, seed=4):
-    """A CNN whose conv and hidden dense layers eigendamage has rewritten
-    as a bottleneck_conv and a bottleneck_dense."""
+    """A CNN whose conv and hidden dense layers are rotated into their
+    eigenbases and pruned there, as eigendamage's rewrite does before it
+    takes the smallest form: a bottleneck_conv with a (1, 2, 9) core and
+    a bottleneck_dense with a (9, 4) core, unequal ranks that prune_once
+    would reduce by SVD or fold back to plain layers."""
     rng = np.random.default_rng(seed)
     net = Network([
         ConvLayer(rng.standard_normal((18, 3)), rng.standard_normal(3), c_in=2, k=3, stride=2),
@@ -605,7 +610,10 @@ def eigendamage_pruned_cnn(images, seed=4):
         ReluLayer(),
         DenseLayer(rng.standard_normal((5, 3))),
     ])
-    prune_once(net, images, RunConfig(strategy="eigendamage", ratio=0.3), cap=0.9)
+    factors, _ = kfac.estimate_factors(net, images, layer_ids=[0, 3])
+    for i, rows, cols in ((0, [1], [2]), (3, [0, 4, 7], [1])):
+        rotated = reparam.to_kfe(net.layers[i], kfac.eigenbasis(factors[i]))
+        net.layers[i] = reparam.eigenprune(rotated, rows, cols)
     assert [net.layers[i].kind for i in (0, 3)] == ["bottleneck_conv", "bottleneck_dense"]
     return net
 

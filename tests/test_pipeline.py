@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kfeprune import accounting, checkpoint, cli, criteria, kfac, pipeline
+from kfeprune import accounting, checkpoint, cli, criteria, kfac, pipeline, reparam
 from kfeprune.config import (
     STRATEGIES,
     RunConfig,
@@ -99,6 +99,31 @@ def sans_time(record):
 def mlp_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("mlp_base")
     cfg = RunConfig(seed=0, out=str(out), **MLP_SETTINGS)
+    record = cmd_train(cfg)
+    return cfg, record
+
+
+# an mlp on 64-pixel images: eigendamage's factored first layer pays
+# (it keeps a small rank of the 64 input directions), where on mlp_run's
+# two-dimensional input every prune short of ratio 0.8 folds it back
+IMAGE_MLP_SETTINGS = dict(
+    arch="mlp:32",
+    image="1x8x8",
+    dataset="blobs",
+    classes=4,
+    n_train=256,
+    n_test=128,
+    sigma=1.0,
+    epochs=10,
+    lr=0.1,
+    batch_size=32,
+)
+
+
+@pytest.fixture(scope="module")
+def image_mlp_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("image_mlp_base")
+    cfg = RunConfig(seed=0, out=str(out), **IMAGE_MLP_SETTINGS)
     record = cmd_train(cfg)
     return cfg, record
 
@@ -764,7 +789,10 @@ def test_cmd_prune_eigendamage_rotation_is_lossless(mlp_run, tmp_path):
 def test_cmd_prune_strategies_smoke(mlp_run, tmp_path, strategy):
     cfg, _ = mlp_run
     out = tmp_path / "run"
-    record = cmd_prune(derived(cfg, out, strategy=strategy, ratio=0.3, cap=0.9))
+    # eigendamage's two-input first layer stays factored only once one of
+    # its two input directions goes, which takes ratio 0.8 here
+    ratio = 0.9 if strategy == "eigendamage" else 0.3
+    record = cmd_prune(derived(cfg, out, strategy=strategy, ratio=ratio, cap=0.9))
     assert record["strategy"] == strategy
     assert np.isfinite(record["test_loss"])
     loaded = checkpoint.load_network(os.path.join(str(out), CHECKPOINT_NAME))
@@ -829,8 +857,9 @@ def test_failed_prune_once_leaves_network_unchanged(mlp_run, strategy, ratio, ca
 def test_cli_in_place_strategies_reject_rotated_checkpoint(mlp_run, tmp_path, capsys, monkeypatch):
     cfg, _ = mlp_run
     out = tmp_path / "rotated"
+    # at ratio 0.9 the first layer stays a dense bottleneck, which pays
     config = write_config(
-        tmp_path / "ed.cfg", **MLP_SETTINGS, strategy="eigendamage", out=str(out),
+        tmp_path / "ed.cfg", **MLP_SETTINGS, strategy="eigendamage", ratio=0.9, out=str(out),
         checkpoint=os.path.join(cfg.out, CHECKPOINT_NAME),
     )
     assert cli.main(["prune", "--config", config]) == 0
@@ -996,11 +1025,12 @@ def test_cmd_finetune_recovers_and_decays_lr(mlp_run, tmp_path):
     assert lrs == pytest.approx([0.02, 0.002, 0.0002, 0.0002])
 
 
-def trained_network(arch, mlp_run, cnn_baseline):
-    """(cfg, network, train split) of the trained mlp_run checkpoint, or of
-    the trained conftest cnn at seed 0."""
+def trained_network(arch, image_mlp_run, cnn_baseline):
+    """(cfg, network, train split) of the trained image_mlp_run checkpoint,
+    whose first layer eigendamage keeps factored, or of the trained
+    conftest cnn at seed 0."""
     if arch == "mlp":
-        cfg, _ = mlp_run
+        cfg, _ = image_mlp_run
         net = checkpoint.load_network(os.path.join(cfg.out, CHECKPOINT_NAME))
         return cfg, net, build_dataset(cfg, "train")
     cfg, net, ds, _ = cnn_baseline(0)
@@ -1009,12 +1039,12 @@ def trained_network(arch, mlp_run, cnn_baseline):
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_pruned_network_finetunes_as_its_snapshot(mlp_run, cnn_baseline, arch, strategy):
+def test_pruned_network_finetunes_as_its_snapshot(image_mlp_run, cnn_baseline, arch, strategy):
     """Every rewrite builds its layer through the kind's constructor, which
     holds each parameter C-contiguous, as a checkpoint loads it: after
     prune_once, the network finetunes in memory bit for bit as its
     serialized snapshot does."""
-    cfg, net, ds = trained_network(arch, mlp_run, cnn_baseline)
+    cfg, net, ds = trained_network(arch, image_mlp_run, cnn_baseline)
     cfg = replace(cfg, strategy=strategy, ratio=0.5, finetune_epochs=1)
     prune_once(net, ds, cfg, cap=0.5)
     for layer in net.layers:
@@ -1027,11 +1057,11 @@ def test_pruned_network_finetunes_as_its_snapshot(mlp_run, cnn_baseline, arch, s
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
-def test_cmd_iterate_rounds_compose(mlp_run, cnn_baseline, tmp_path, arch):
+def test_cmd_iterate_rounds_compose(image_mlp_run, cnn_baseline, tmp_path, arch):
     """iterate keeps its network in memory between rounds; each round
     gives what prune then finetune give through a checkpoint, and two
     rounds write the same bytes as two of those."""
-    cfg, net, _ = trained_network(arch, mlp_run, cnn_baseline)
+    cfg, net, _ = trained_network(arch, image_mlp_run, cnn_baseline)
     start = str(tmp_path / "start.kfep")
     checkpoint.save_network(start, net)
     cfg = replace(
@@ -1078,8 +1108,8 @@ def test_cmd_iterate_round_losses_chain(mlp_run, tmp_path):
     assert second["train_loss_pre"] == first["train_loss"]
 
 
-def test_cmd_iterate_monotone_params(mlp_run, tmp_path):
-    cfg, _ = mlp_run
+def test_cmd_iterate_monotone_params(image_mlp_run, tmp_path):
+    cfg, _ = image_mlp_run
     record = cmd_iterate(
         derived(
             cfg,
@@ -1101,6 +1131,60 @@ def test_cmd_iterate_monotone_params(mlp_run, tmp_path):
     cores = [r["per_layer_remaining"][0] for r in record["rounds"]]
     assert all(b < a for a, b in zip(cores, cores[1:]))
     assert cores[0] < 1.0
+
+
+GROWTH_GRID = {
+    "mlp16": dict(arch="mlp:16", dim=2),
+    "mlp16-8": dict(arch="mlp:16,8", dim=2),
+    "mlp32-image": dict(arch="mlp:32", image="1x8x8"),
+    "cnn4-8": dict(arch="cnn:4,8", image="1x6x6"),
+    "cnn4-8-rgb": dict(arch="cnn:4,8", image="3x6x6"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("settings", GROWTH_GRID.values(), ids=GROWTH_GRID.keys())
+def test_eigendamage_prune_never_grows_the_network(tmp_path, settings, seed):
+    """Each eigendamage rewrite takes its smallest exact form, which is
+    never larger than the plain layer, so no prune and no iterate round
+    leaves more params than the network started with."""
+    cfg = RunConfig(
+        seed=seed, dataset="blobs", classes=4, n_train=96, n_test=32, epochs=3, lr=0.1,
+        strategy="eigendamage", finetune_epochs=1, out=str(tmp_path / "base"), **settings,
+    )
+    cmd_train(cfg)
+    for ratio in (0.1, 0.3, 0.5, 0.7, 0.9):
+        run = derived(cfg, tmp_path / f"prune{ratio}", ratio=ratio)
+        pruned = cmd_prune(run)
+        it = cmd_iterate(replace(run, out=str(tmp_path / f"iterate{ratio}"), iterations=2))
+        assert "aborted" not in it and len(it["rounds"]) == 2
+        for record in [pruned, it] + it["rounds"]:
+            assert record["params"] <= it["params_before"], (ratio, record["params"])
+            assert record["weight_reduction_percent"] >= 0.0
+
+
+def test_folded_layer_is_rotated_again(mlp_run, monkeypatch):
+    """A layer folded back to a plain one in round 1 is rotated into a
+    fresh eigenbasis in round 2, as any plain layer is, and a heavier
+    round 2 prune can leave it factored."""
+    cfg, _ = mlp_run
+    net = checkpoint.load_network(os.path.join(cfg.out, CHECKPOINT_NAME))
+    ds = build_dataset(cfg, "train")
+    run = replace(cfg, strategy="eigendamage", ratio=0.3)
+    _, mask, _ = prune_once(net, ds, run, cap=0.9)
+    assert len(mask.removed(0, "kfe_row")) + len(mask.removed(0, "kfe_col")) > 0
+    folded = net.layers[0]
+    assert folded.kind == "dense"
+    rotated, to_kfe = [], reparam.to_kfe
+
+    def recording(layer, ef):
+        rotated.append(layer)
+        return to_kfe(layer, ef)
+
+    monkeypatch.setattr(reparam, "to_kfe", recording)
+    prune_once(net, ds, replace(run, ratio=0.9), cap=0.95)
+    assert rotated == [folded]
+    assert net.layers[0].kind == "bottleneck_dense"
 
 
 def test_cmd_iterate_abort_restores_network(mlp_run, tmp_path):
@@ -1231,6 +1315,20 @@ def test_cmd_decompose_on_pruned_cnn(cnn_baseline, tmp_path):
     for i in loaded.parameterized_ids():
         if loaded.layers[i].kind == "bottleneck_conv":
             assert loaded.layers[i].core_mode == "diag"
+
+
+def test_cli_decompose_clamps_a_global_rank_per_layer(tmp_path, capsys):
+    """A global rank above a layer's full rank fits that layer at its full
+    rank, and the record gives the rank used.  On the README demo layer
+    0 has one input channel, so rank = 3 fits it at rank 1."""
+    cfg = RunConfig(seed=0, out=str(tmp_path / "demo"), **README_DEMO)
+    cmd_train(cfg)
+    cmd_prune(derived(cfg, cfg.out))
+    config = write_config(tmp_path / "dec.cfg", **README_DEMO, rank=3, out=cfg.out)
+    assert cli.main(["decompose", "--config", config]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    layers = read_metrics(cfg.out)["layers"]
+    assert [(row["layer_id"], row["rank"]) for row in layers] == [(0, 1), (2, 3)]
 
 
 RECORD_KEYS = {
