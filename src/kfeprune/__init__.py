@@ -1,7 +1,7 @@
 """Curvature-aware pruning and bottleneck compression for small networks."""
 
 from .accounting import count_flops, count_params, reduction_percent
-from .checkpoint import load_factors, load_network, save_factors, save_network
+from .checkpoint import load_network, save_network
 from .config import RunConfig, parse_config
 from .criteria import (
     ImportanceEntry,

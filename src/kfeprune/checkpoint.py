@@ -1,23 +1,24 @@
-"""Binary container for networks and curvature factor snapshots.
+"""Binary container for networks.
 
 Layout (integers little-endian unless noted):
 
     magic   4 bytes  "KFEP"
     version u32      currently 2; version 1 files end after the records
-    kind    u8       1 = network, 2 = curvature factors
+    kind    u8       1 = network, the one kind
     records u32
     crc32   u32      after the records: zlib.crc32 of every byte before it
 
 Each record is a layer-type tag byte, a meta block (u8 count of
 key/value pairs, keys length-prefixed ASCII, values u32), and a tensor
 block (u8 count of entries, each a length-prefixed ASCII tag, dtype
-byte, ndim byte, u32 dims, raw payload).  Weight payloads are float64
-little-endian; kept-index arrays are u32.  Writing the same object
-twice produces identical bytes.
+byte, ndim byte, u32 dims, raw payload).  Payloads are float64
+little-endian.  Writing the same object twice produces identical bytes.
 
-Tensor tags: plain layers "W"/"b"; bottleneck layers "QA"/"Wp" (full
-core) or "D" (depthwise core, conv only)/"QS"/"b" plus kept-index
-lists; factor records "A"/"S" and optionally "QA"/"QS"/"LA"/"LS".
+Each record kind holds exactly its own meta keys and tensor tags, each
+once.  Tensor tags: plain layers "W"/"b"; bottleneck layers "QA"/"Wp"
+(full core) or "D" (depthwise core, conv only)/"QS"/"b".  Older
+bottleneck records also hold u32 "kept_rows"/"kept_cols" lists, which
+the reader accepts there and drops.
 
 Bottleneck records carry a "core_mode" meta key: 0 for a full core, 1
 for a depthwise one.  Dense bottleneck records always carry 0; the
@@ -38,7 +39,6 @@ import zlib
 import numpy as np
 
 from .errors import DimensionError, FormatError, ValidationError
-from .kfac import EigenFactors, KronFactors
 from .layers import (
     CONV_GEOMETRY,
     BottleneckConvLayer,
@@ -54,7 +54,6 @@ MAGIC = b"KFEP"
 VERSION = 2
 
 KIND_NETWORK = 1
-KIND_FACTORS = 2
 
 TAG_DENSE = 1
 TAG_CONV = 2
@@ -62,17 +61,23 @@ TAG_RELU = 3
 TAG_FLATTEN = 4
 TAG_BN_DENSE = 5
 TAG_BN_CONV = 6
-TAG_KRON = 7
 
 DTYPE_F64 = 0
 DTYPE_U32 = 1
 
 CHANNEL_BASIS = 0
-U32_TAGS = ("kept_rows", "kept_cols")
+# the u32 tensors of older bottleneck records, read and dropped
+LEGACY_KEPT = ("kept_rows", "kept_cols")
 _CORE_CODE = {"full": 0, "diag": 1}
 _CORE_NAME = {v: k for k, v in _CORE_CODE.items()}
-_VARIANT_CODE = {"dense": 0, "conv_full": 1, "conv_channel": 2}
-_VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
+_META_KEYS = {
+    TAG_DENSE: (),
+    TAG_CONV: CONV_GEOMETRY,
+    TAG_RELU: (),
+    TAG_FLATTEN: (),
+    TAG_BN_DENSE: ("core_mode",),
+    TAG_BN_CONV: CONV_GEOMETRY + ("basis", "core_mode"),
+}
 
 
 def _key_bytes(key: str) -> bytes:
@@ -93,25 +98,14 @@ def _write_tensors(out: list, tensors: dict):
     out.append(struct.pack("<B", len(tensors)))
     for key, arr in tensors.items():
         out.append(_key_bytes(key))
-        if arr.dtype == np.uint32:
-            code, payload = DTYPE_U32, arr.astype("<u4").tobytes(order="C")
-        else:
-            code, payload = DTYPE_F64, arr.astype("<f8").tobytes(order="C")
-        out.append(struct.pack("<BB", code, arr.ndim))
+        out.append(struct.pack("<BB", DTYPE_F64, arr.ndim))
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(payload)
+        out.append(arr.astype("<f8").tobytes(order="C"))
 
 
 def _bottleneck_tensors(layer) -> dict:
     core_tag = "D" if layer.core_mode == "diag" else "Wp"
-    return {
-        "QA": layer.qa,
-        core_tag: layer.core,
-        "QS": layer.qs,
-        "b": layer.b,
-        "kept_rows": layer.kept_rows,
-        "kept_cols": layer.kept_cols,
-    }
+    return {"QA": layer.qa, core_tag: layer.core, "QS": layer.qs, "b": layer.b}
 
 
 def _layer_record(layer) -> tuple:
@@ -168,30 +162,6 @@ def save_network(path, net: Network):
     write_atomic(path, network_bytes(net))
 
 
-def save_factors(path, factors: dict, eigen: dict | None = None):
-    """Persist per-layer curvature factors (and eigenbases when given)."""
-    out = [MAGIC, struct.pack("<IBI", VERSION, KIND_FACTORS, len(factors))]
-    for layer_id in sorted(factors):
-        kf = factors[layer_id]
-        out.append(struct.pack("<B", TAG_KRON))
-        _write_meta(
-            out,
-            {
-                "layer_id": layer_id,
-                "variant": _VARIANT_CODE[kf.variant],
-                "count": kf.count,
-                "a_locs": kf.a_locs,
-                "s_locs": kf.s_locs,
-            },
-        )
-        tensors = {"A": kf.a, "S": kf.s}
-        if eigen is not None and layer_id in eigen:
-            ef = eigen[layer_id]
-            tensors.update({"QA": ef.qa, "LA": ef.lam_a, "QS": ef.qs, "LS": ef.lam_s})
-        _write_tensors(out, tensors)
-    write_atomic(path, _sealed(out))
-
-
 class _Reader:
     def __init__(self, raw: bytes):
         self.raw = raw
@@ -218,88 +188,86 @@ class _Reader:
         return self.pos == len(self.raw)
 
 
-def _read_meta(r: _Reader) -> dict:
+def _read_fields(r: _Reader, read_value, what: str) -> dict:
+    """A meta or tensor block as a dict; a key may appear once."""
     (count,) = r.unpack("<B")
-    meta = {}
+    fields = {}
     for _ in range(count):
         key = r.key()
-        (meta[key],) = r.unpack("<I")
-    return meta
+        if key in fields:
+            raise FormatError(f"layer record repeats {what} {key!r}")
+        fields[key] = read_value(r, key)
+    return fields
 
 
-def _read_tensors(r: _Reader) -> dict:
-    (count,) = r.unpack("<B")
-    tensors = {}
-    for _ in range(count):
-        key = r.key()
-        code, ndim = r.unpack("<BB")
-        dims = r.unpack(f"<{ndim}I")
-        if code != (DTYPE_U32 if key in U32_TAGS else DTYPE_F64):
-            raise FormatError(f"tensor {key!r} has dtype code {code}")
-        dtype = np.dtype("<u4" if code == DTYPE_U32 else "<f8")
-        payload = r.take(dtype.itemsize * math.prod(dims))
-        try:
-            tensors[key] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-        except ValueError as err:
-            raise FormatError(f"tensor {key!r} has an invalid shape {dims}") from err
-    return tensors
+def _tensor(r: _Reader, key: str) -> np.ndarray:
+    code, ndim = r.unpack("<BB")
+    dims = r.unpack(f"<{ndim}I")
+    if code != (DTYPE_U32 if key in LEGACY_KEPT else DTYPE_F64):
+        raise FormatError(f"tensor {key!r} has dtype code {code}")
+    dtype = np.dtype("<u4" if code == DTYPE_U32 else "<f8")
+    payload = r.take(dtype.itemsize * math.prod(dims))
+    try:
+        return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    except ValueError as err:
+        raise FormatError(f"tensor {key!r} has an invalid shape {dims}") from err
 
 
-def _decode(names: dict, meta: dict, key: str) -> str:
-    if meta[key] not in names:
-        raise FormatError(f"unknown {key} code {meta[key]}")
-    return names[meta[key]]
+def _expect(fields: dict, names: tuple, what: str):
+    """A record holds exactly the fields its kind names."""
+    for name in names:
+        if name not in fields:
+            raise FormatError(f"layer record missing {what} {name!r}")
+    for name in fields:
+        if name not in names:
+            raise FormatError(f"layer record has unknown {what} {name!r}")
 
 
-def _geometry(meta: dict) -> dict:
-    return {key: meta[key] for key in CONV_GEOMETRY}
+def _build_bottleneck(tag: int, meta: dict, tensors: dict):
+    if meta["core_mode"] not in _CORE_NAME:
+        raise FormatError(f"unknown core_mode code {meta['core_mode']}")
+    mode = _CORE_NAME[meta["core_mode"]]
+    if tag == TAG_BN_DENSE:
+        if mode != "full":
+            raise FormatError(
+                f"dense bottleneck core_mode code {meta['core_mode']} is not "
+                "supported (only conv bottlenecks hold a depthwise core)"
+            )
+        cls, extra = BottleneckDenseLayer, {}
+    else:
+        if meta["basis"] != CHANNEL_BASIS:
+            raise FormatError(
+                f"conv bottleneck basis code {meta['basis']} is not supported "
+                "(code 1, the patch basis, is retired)"
+            )
+        cls, extra = BottleneckConvLayer, {key: meta[key] for key in CONV_GEOMETRY}
+    core_tag = "D" if mode == "diag" else "Wp"
+    legacy = LEGACY_KEPT if tensors.keys() & set(LEGACY_KEPT) else ()
+    _expect(tensors, ("QA", core_tag, "QS", "b") + legacy, "tensor")
+    core = tensors[core_tag]
+    if core.ndim != (3 if tag == TAG_BN_CONV and mode == "full" else 2):
+        raise FormatError(
+            f"core_mode code {meta['core_mode']} does not match a {core.ndim}-D core"
+        )
+    return cls(qa=tensors["QA"], core=core, qs=tensors["QS"], bias=tensors["b"], **extra)
 
 
 def _build_layer(tag: int, meta: dict, tensors: dict):
+    if tag not in _META_KEYS:
+        raise FormatError(f"unknown layer tag {tag}")
+    _expect(meta, _META_KEYS[tag], "meta key")
     try:
+        if tag in (TAG_BN_DENSE, TAG_BN_CONV):
+            return _build_bottleneck(tag, meta, tensors)
+        if tag in (TAG_RELU, TAG_FLATTEN):
+            _expect(tensors, (), "tensor")
+            return ReluLayer() if tag == TAG_RELU else FlattenLayer()
+        _expect(tensors, ("W", "b"), "tensor")
         if tag == TAG_DENSE:
             return DenseLayer(tensors["W"], tensors["b"])
-        if tag == TAG_CONV:
-            return ConvLayer(tensors["W"], tensors["b"], **_geometry(meta))
-        if tag == TAG_RELU:
-            return ReluLayer()
-        if tag == TAG_FLATTEN:
-            return FlattenLayer()
-        if tag in (TAG_BN_DENSE, TAG_BN_CONV):
-            mode = _decode(_CORE_NAME, meta, "core_mode")
-            if tag == TAG_BN_DENSE:
-                if mode != "full":
-                    raise FormatError(
-                        f"dense bottleneck core_mode code {meta['core_mode']} is not "
-                        "supported (only conv bottlenecks hold a depthwise core)"
-                    )
-                cls, extra = BottleneckDenseLayer, {}
-            else:
-                if meta["basis"] != CHANNEL_BASIS:
-                    raise FormatError(
-                        f"conv bottleneck basis code {meta['basis']} is not supported "
-                        "(code 1, the patch basis, is retired)"
-                    )
-                cls, extra = BottleneckConvLayer, _geometry(meta)
-            core = tensors["D" if mode == "diag" else "Wp"]
-            if core.ndim != (3 if tag == TAG_BN_CONV and mode == "full" else 2):
-                raise FormatError(
-                    f"core_mode code {meta['core_mode']} does not match a {core.ndim}-D core"
-                )
-            return cls(
-                qa=tensors["QA"],
-                core=core,
-                qs=tensors["QS"],
-                bias=tensors["b"],
-                kept_rows=tensors["kept_rows"],
-                kept_cols=tensors["kept_cols"],
-                **extra,
-            )
-    except KeyError as err:
-        raise FormatError(f"layer record missing field {err}") from err
+        return ConvLayer(tensors["W"], tensors["b"], **meta)
     except (DimensionError, ValidationError) as err:
         raise FormatError(f"malformed layer record: {err}") from err
-    raise FormatError(f"unknown layer tag {tag}")
 
 
 def _parse_header(raw: bytes) -> tuple:
@@ -323,8 +291,8 @@ def network_from_bytes(raw: bytes) -> Network:
     layers = []
     for _ in range(count):
         (tag,) = r.unpack("<B")
-        meta = _read_meta(r)
-        tensors = _read_tensors(r)
+        meta = _read_fields(r, lambda rd, _: rd.unpack("<I")[0], "meta key")
+        tensors = _read_fields(r, _tensor, "tensor")
         layers.append(_build_layer(tag, meta, tensors))
     if not r.done():
         raise FormatError("trailing bytes after last layer record")
@@ -336,41 +304,3 @@ def network_from_bytes(raw: bytes) -> Network:
 def load_network(path) -> Network:
     with open(path, "rb") as fh:
         return network_from_bytes(fh.read())
-
-
-def load_factors(path) -> tuple:
-    """Read a factor snapshot; returns (factors, eigen) keyed by layer id."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    r, kind, count = _parse_header(raw)
-    if kind != KIND_FACTORS:
-        raise FormatError("checkpoint does not hold curvature factors")
-    factors, eigen = {}, {}
-    for _ in range(count):
-        (tag,) = r.unpack("<B")
-        if tag != TAG_KRON:
-            raise FormatError(f"unexpected record tag {tag} in factor file")
-        meta = _read_meta(r)
-        tensors = _read_tensors(r)
-        try:
-            layer_id = meta["layer_id"]
-            factors[layer_id] = KronFactors(
-                a=tensors["A"],
-                s=tensors["S"],
-                count=meta["count"],
-                a_locs=meta["a_locs"],
-                s_locs=meta["s_locs"],
-                variant=_decode(_VARIANT_NAME, meta, "variant"),
-            )
-            if "QA" in tensors:
-                eigen[layer_id] = EigenFactors(
-                    qa=tensors["QA"],
-                    lam_a=tensors["LA"],
-                    qs=tensors["QS"],
-                    lam_s=tensors["LS"],
-                )
-        except KeyError as err:
-            raise FormatError(f"factor record missing field {err}") from err
-    if not r.done():
-        raise FormatError("trailing bytes after last factor record")
-    return factors, eigen

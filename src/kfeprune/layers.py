@@ -461,24 +461,13 @@ class FlattenLayer:
         return 0
 
 
-def _kept_index(ids, rank: int, name: str) -> np.ndarray:
-    """Original basis index of each kept direction; all of them when None."""
-    if ids is None:
-        return np.arange(rank, dtype=np.uint32)
-    ids = np.asarray(ids, dtype=np.uint32)
-    if ids.shape != (rank,):
-        raise DimensionError(f"{name} must hold one index per core direction ({rank})")
-    return ids
-
-
 class Bottleneck:
     """A layer rewritten as qa @ core @ qs.T with prunable inner ranks.
 
     qa (fan_in side, ra columns) and qs (fan_out side, rc columns) are the
-    bases; kept_rows and kept_cols name the original basis direction of
-    each surviving column, so repeated prunes compose.  Subclasses fix the
-    core layout through core_ranks(), and rebuilt() carries their
-    geometry() over.
+    bases; the bases, core and bias describe the layer completely.
+    Subclasses fix the core layout through core_ranks(), and rebuilt()
+    carries their geometry() over.
 
     Both kinds run one forward and one backward around a core stage that
     takes the input to h2, the core's output rows: then y = h2 @ qs.T + b,
@@ -490,7 +479,7 @@ class Bottleneck:
 
     core_mode = "full"
 
-    def __init__(self, qa, core, qs, bias=None, kept_rows=None, kept_cols=None):
+    def __init__(self, qa, core, qs, bias=None):
         self.qa, self.core, self.qs = (
             np.ascontiguousarray(m, dtype=np.float64) for m in (qa, core, qs)
         )
@@ -502,8 +491,6 @@ class Bottleneck:
         self.b = np.ascontiguousarray(bias, dtype=np.float64)
         if self.b.shape != (self.qs.shape[0],):
             raise DimensionError("bottleneck bias shape mismatch")
-        self.kept_rows = _kept_index(kept_rows, ra, "kept_rows")
-        self.kept_cols = _kept_index(kept_cols, rc, "kept_cols")
 
     @property
     def ra(self) -> int:
@@ -513,13 +500,10 @@ class Bottleneck:
     def rc(self) -> int:
         return self.qs.shape[1]
 
-    def rebuilt(self, qa, core, qs, kept_rows=None, kept_cols=None):
+    def rebuilt(self, qa, core, qs):
         """The same kind of layer with the same geometry and a copy of the
         bias, around new bases and core."""
-        return type(self)(
-            qa=qa, core=core, qs=qs, bias=self.b.copy(),
-            kept_rows=kept_rows, kept_cols=kept_cols, **self.geometry(),
-        )
+        return type(self)(qa=qa, core=core, qs=qs, bias=self.b.copy(), **self.geometry())
 
     def param_items(self):
         return [("qa", self.qa), ("core", self.core), ("qs", self.qs), ("b", self.b)]
@@ -620,11 +604,9 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         k: int,
         stride: int,
         padding: int,
-        kept_rows: np.ndarray | None = None,
-        kept_cols: np.ndarray | None = None,
     ):
         self._set_geometry(c_in, k, stride, padding)
-        super().__init__(qa, core, qs, bias, kept_rows, kept_cols)
+        super().__init__(qa, core, qs, bias)
         if self.qa.shape[0] != self.c_in:
             raise DimensionError("qa must have c_in rows")
 

@@ -88,19 +88,12 @@ def eigenprune(layer, removed_rows, removed_cols):
     """Drop basis directions from a bottleneck layer.
 
     Rows index the input basis (columns of qa), cols the output basis
-    (columns of qs).  Kept-index bookkeeping composes across repeated
-    prunes within the same basis.
+    (columns of qs), as the layer holds them now.
     """
     core = _full_core(layer, "prune")
     keep_r = _drop(core.shape[0], removed_rows, "input direction")
     keep_c = _drop(core.shape[1], removed_cols, "output direction")
-    return layer.rebuilt(
-        layer.qa[:, keep_r],
-        core[np.ix_(keep_r, keep_c)],
-        layer.qs[:, keep_c],
-        kept_rows=layer.kept_rows[keep_r],
-        kept_cols=layer.kept_cols[keep_c],
-    )
+    return layer.rebuilt(layer.qa[:, keep_r], core[np.ix_(keep_r, keep_c)], layer.qs[:, keep_c])
 
 
 def merge_bases(layer, ef: EigenFactors):
@@ -108,8 +101,7 @@ def merge_bases(layer, ef: EigenFactors):
 
     qa <- qa @ qa', qs <- qs @ qs', core <- qa'.T @ core @ qs' (per kernel
     offset for a conv core).  The layer function is unchanged because the
-    new bases are orthonormal.  The kept-index lists restart, since the
-    new basis directions mix the old ones.
+    new bases are orthonormal.
     """
     core = _rotate(_full_core(layer, "merge into"), ef)
     return layer.rebuilt(layer.qa @ ef.qa, core, layer.qs @ ef.qs)
@@ -120,7 +112,7 @@ def smallest_form(layer):
 
     A one-offset core (dense, or a 1x1 conv) of unequal ranks is reduced
     by thin SVD to r = min(ra, rc): qa U, diag(sigma) as a full r x r
-    core, and qs V, with the kept-index lists restarting.  A bottleneck
+    core, and qs V.  A bottleneck
     that then holds no fewer params than its plain layer is folded back
     to that plain layer.  Either rewrite keeps the layer function.
     """

@@ -146,8 +146,6 @@ def test_eigenprune_empty_removals_keep_function():
         pruned = eigenprune(rot, [], [])
         assert_same_shell(pruned, rot)
         np.testing.assert_allclose(pruned.forward(x), layer.forward(x), atol=1e-12)
-        np.testing.assert_array_equal(pruned.kept_rows, [0, 1, 2, 3])
-        np.testing.assert_array_equal(pruned.kept_cols, [0, 1, 2])
 
 
 def test_eigenprune_zero_directions_exact():
@@ -163,8 +161,6 @@ def test_eigenprune_zero_directions_exact():
     x = rng.standard_normal((8, 5))
     np.testing.assert_allclose(pruned.forward(x), layer.forward(x), atol=1e-12)
     assert pruned.core.shape == (2, 2)
-    np.testing.assert_array_equal(pruned.kept_rows, [0, 2])
-    np.testing.assert_array_equal(pruned.kept_cols, [1, 3])
 
 
 def test_eigenprune_parseval_energy_split():
@@ -202,10 +198,6 @@ def test_eigenprune_kept_indices_compose():
         _, rot, _ = rotated(kind, rng)
         once = eigenprune(rot, [1, 4], [5])
         twice = eigenprune(once, [2], [0, 1])
-        np.testing.assert_array_equal(once.kept_rows, [0, 2, 3, 5])
-        np.testing.assert_array_equal(twice.kept_rows, [0, 2, 5])
-        np.testing.assert_array_equal(twice.kept_cols, [2, 3, 4])
-        assert twice.kept_rows.dtype == twice.kept_cols.dtype == np.uint32
         assert_same_shell(twice, rot)
         # the core keeps exactly the surviving entries, every kernel offset
         np.testing.assert_array_equal(twice.core, rot.core[np.ix_([0, 2, 5], [2, 3, 4])])
@@ -236,9 +228,6 @@ def test_merge_bases_preserves_function_dense():
     x = rng.standard_normal((6, 5))
     np.testing.assert_allclose(merged.forward(x), pruned.forward(x), atol=1e-12)
     assert_same_shell(merged, pruned)
-    # the merged basis mixes the kept directions, so the bookkeeping restarts
-    np.testing.assert_array_equal(merged.kept_rows, [0, 1, 2, 3])
-    np.testing.assert_array_equal(merged.kept_cols, [0, 1, 2])
 
 
 def test_merge_bases_preserves_function_conv():
@@ -253,7 +242,6 @@ def test_merge_bases_preserves_function_conv():
     merged = merge_bases(pruned, random_eigen(rng, 2, 2))
     np.testing.assert_allclose(merged.forward(x), pruned.forward(x), atol=1e-12)
     assert_same_shell(merged, pruned)
-    np.testing.assert_array_equal(merged.kept_rows, [0, 1])
 
 
 def test_merge_bases_identity_is_noop():
@@ -306,8 +294,7 @@ def test_smallest_form_is_exact_and_never_larger(kind, n, m, k, rows, cols, form
     """smallest_form keeps the pruned rewrite's function: outputs, input
     gradients and bias gradients within 1e-12 of the largest entry.  It
     holds no more params than the rewrite or the plain layer, and the
-    one-offset cores it reduces come out diagonal with kept-index lists
-    restarted."""
+    one-offset cores it reduces come out diagonal."""
     rng = np.random.default_rng(n + m + k)
     if kind == "dense":
         plain = DenseLayer(rng.standard_normal((n, m)), rng.standard_normal(m))
@@ -333,8 +320,6 @@ def test_smallest_form_is_exact_and_never_larger(kind, n, m, k, rows, cols, form
         assert small.core.shape == core_shape
         core = small.core.reshape(r, r)
         np.testing.assert_array_equal(core, np.diag(np.diag(core)))
-        np.testing.assert_array_equal(small.kept_rows, np.arange(r))
-        np.testing.assert_array_equal(small.kept_cols, np.arange(r))
     got_tape, want_tape = {}, {}
     y, want_y = small.forward(x, got_tape), pruned.forward(x, want_tape)
     dy = rng.standard_normal(y.shape)
@@ -581,7 +566,6 @@ def test_absorb_depthwise_exact_fit_preserves_function():
     assert absorbed.core.shape == (9, 2)
     assert_same_shell(absorbed, layer)
     assert_same_shell(absorb_depthwise(pruned, depthwise_decompose(pruned, 2)), pruned)
-    np.testing.assert_array_equal(absorbed.kept_rows, [0, 1])
     x = rng.standard_normal((2, 6, 5, 5))
     np.testing.assert_allclose(absorbed.forward(x), layer.forward(x), atol=1e-5)
 

@@ -29,7 +29,6 @@ from kfeprune.errors import (
     TrainingDivergenceError,
     ValidationError,
 )
-from kfeprune.kfac import KronFactors
 from kfeprune.layers import (
     BottleneckConvLayer,
     BottleneckDenseLayer,
@@ -406,8 +405,6 @@ def test_checkpoint_roundtrip_bottlenecks(tmp_path):
         np.testing.assert_array_equal(got.core, layer.core)
         np.testing.assert_array_equal(got.qs, layer.qs)
         np.testing.assert_array_equal(got.b, layer.b)
-        np.testing.assert_array_equal(got.kept_rows, layer.kept_rows)
-        np.testing.assert_array_equal(got.kept_cols, layer.kept_cols)
         assert got.core_mode == layer.core_mode
     assert checkpoint.network_bytes(Network([diag])) == checkpoint.network_bytes(
         Network([diag])
@@ -427,38 +424,11 @@ def test_checkpoint_format_errors(tmp_path):
         checkpoint.network_from_bytes(resealed(blob[:-4] + b"\x00" + blob[-4:]))
     with pytest.raises(FormatError, match="tag"):
         checkpoint.network_from_bytes(resealed(blob[:13] + b"\xfa" + blob[14:]))
-    factors_path = tmp_path / "factors.kfep"
-    f = KronFactors(
-        a=np.eye(2), s=np.eye(2), count=1, a_locs=1, s_locs=1, variant="dense"
-    )
-    checkpoint.save_factors(str(factors_path), {0: f})
-    with pytest.raises(FormatError, match="network"):
-        checkpoint.load_network(str(factors_path))
-    net_path = tmp_path / "net.kfep"
-    checkpoint.save_network(str(net_path), net)
-    with pytest.raises(FormatError, match="factors"):
-        checkpoint.load_factors(str(net_path))
-
-
-def test_factors_roundtrip(tmp_path):
-    from kfeprune.kfac import eigenbasis
-
-    rng = np.random.default_rng(2)
-    m1 = rng.standard_normal((3, 3))
-    m2 = rng.standard_normal((2, 2))
-    f = KronFactors(
-        a=m1 @ m1.T, s=m2 @ m2.T, count=7, a_locs=4, s_locs=4, variant="conv_channel"
-    )
-    ef = eigenbasis(f)
+    # kind 2 named a curvature-factor file, a kind no longer written
     path = tmp_path / "factors.kfep"
-    checkpoint.save_factors(str(path), {2: f}, {2: ef})
-    factors, eigen = checkpoint.load_factors(str(path))
-    got = factors[2]
-    np.testing.assert_array_equal(got.a, f.a)
-    np.testing.assert_array_equal(got.s, f.s)
-    assert (got.count, got.a_locs, got.s_locs, got.variant) == (7, 4, 4, "conv_channel")
-    np.testing.assert_array_equal(eigen[2].qa, ef.qa)
-    np.testing.assert_array_equal(eigen[2].lam_s, ef.lam_s)
+    path.write_bytes(resealed(blob[:8] + b"\x02" + blob[9:]))
+    with pytest.raises(FormatError, match="does not hold a network"):
+        checkpoint.load_network(str(path))
 
 
 def bottleneck_net(rng):
@@ -547,24 +517,12 @@ def test_checkpoint_bad_codes_and_records_are_format_errors(tmp_path, capsys):
     # stride 0 would load, then divide by zero in the first forward
     with pytest.raises(FormatError, match="stride >= 1"):
         checkpoint.network_from_bytes(set_meta(blob, "stride", 1, 0))
-    # a kept-index list shorter than the core would load, then break eigenprune
-    full = checkpoint.network_bytes(Network([BottleneckDenseLayer(np.eye(3), np.eye(3), np.eye(3))]))
-    kept_3 = b"\x09kept_rows" + struct.pack("<BBI3I", 1, 1, 3, 0, 1, 2)
-    kept_1 = b"\x09kept_rows" + struct.pack("<BBII", 1, 1, 1, 0)
-    assert kept_3 in full
-    with pytest.raises(FormatError, match="one index per core direction"):
-        checkpoint.network_from_bytes(resealed(full.replace(kept_3, kept_1)))
     with pytest.raises(FormatError, match="not ASCII"):
-        checkpoint.network_from_bytes(resealed(blob.replace(b"kept_rows", b"kept_r\xffws", 1)))
-    with pytest.raises(FormatError, match="dtype code"):
-        at = blob.index(b"kept_rows") + len(b"kept_rows")
-        checkpoint.network_from_bytes(resealed(blob[:at] + b"\x00" + blob[at + 1 :]))
-    f = KronFactors(a=np.eye(2), s=np.eye(2), count=1, a_locs=1, s_locs=1, variant="dense")
-    path = tmp_path / "factors.kfep"
-    checkpoint.save_factors(str(path), {0: f})
-    path.write_bytes(set_meta(path.read_bytes(), "variant", 0, 9))
-    with pytest.raises(FormatError, match="unknown variant code 9"):
-        checkpoint.load_factors(str(path))
+        checkpoint.network_from_bytes(resealed(blob.replace(b"core_mode", b"core_m\xffde", 1)))
+    # a weight tensor with the u32 dtype code
+    with pytest.raises(FormatError, match="dtype code 1"):
+        at = blob.index(b"\x02QA") + 3
+        checkpoint.network_from_bytes(resealed(blob[:at] + b"\x01" + blob[at + 1 :]))
 
 
 def test_checkpoint_crc_trailer_and_version_1(tmp_path):
@@ -588,15 +546,160 @@ def test_checkpoint_crc_trailer_and_version_1(tmp_path):
     # a version field flipped to 1 leaves the trailer as trailing bytes
     with pytest.raises(FormatError, match="trailing"):
         checkpoint.network_from_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
-    path = tmp_path / "factors.kfep"
-    f = KronFactors(a=np.eye(2), s=np.eye(2), count=1, a_locs=1, s_locs=1, variant="dense")
-    checkpoint.save_factors(str(path), {0: f})
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-12] + bytes([raw[-12] ^ 0x80]) + raw[-11:])
+    # a flipped sign bit in the last float64 before the trailer
+    path = tmp_path / "net.kfep"
+    path.write_bytes(blob[:-5] + bytes([blob[-5] ^ 0x80]) + blob[-4:])
     with pytest.raises(FormatError, match="checksum mismatch"):
-        checkpoint.load_factors(str(path))
-    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])
-    np.testing.assert_array_equal(checkpoint.load_factors(str(path))[0][0].s, np.eye(2))
+        checkpoint.load_network(str(path))
+    # a version 1 file is read as a network only when its kind byte says so
+    path.write_bytes(v1)
+    assert checkpoint.network_bytes(checkpoint.load_network(str(path))) == blob
+    path.write_bytes(v1[:8] + b"\x02" + v1[9:])
+    with pytest.raises(FormatError, match="does not hold a network"):
+        checkpoint.load_network(str(path))
+
+
+def field_key(key):
+    return struct.pack("<B", len(key)) + key.encode("ascii")
+
+
+def record_fields(layer):
+    """A layer's record as (tag, meta pairs, tensor pairs), laid out by
+    hand in the writer's order."""
+    if layer.kind in ("relu", "flatten"):
+        return (3 if layer.kind == "relu" else 4), [], []
+    geometry = list(layer.geometry().items())
+    if layer.kind in ("dense", "conv"):
+        return (1 if layer.kind == "dense" else 2), geometry, [("W", layer.w), ("b", layer.b)]
+    core_tag = "D" if layer.core_mode == "diag" else "Wp"
+    tensors = [("QA", layer.qa), (core_tag, layer.core), ("QS", layer.qs), ("b", layer.b)]
+    if layer.kind == "bottleneck_dense":
+        return 5, [("core_mode", 0)], tensors
+    return 6, [*geometry, ("basis", 0), ("core_mode", int(core_tag == "D"))], tensors
+
+
+def file_bytes(records, version=2):
+    """A network file laid out by hand, version 2 with its CRC32 trailer or
+    version 1 without.  A uint32 tensor gets dtype code 1, any other the
+    float64 code 0."""
+    out = [b"KFEP", struct.pack("<IBI", version, 1, len(records))]
+    for tag, meta, tensors in records:
+        out.append(struct.pack("<BB", tag, len(meta)))
+        out += [field_key(key) + struct.pack("<I", value) for key, value in meta]
+        out.append(struct.pack("<B", len(tensors)))
+        for key, arr in tensors:
+            code, dtype = (1, "<u4") if arr.dtype == np.uint32 else (0, "<f8")
+            dims = struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape)
+            out.append(field_key(key) + dims + arr.astype(dtype).tobytes())
+    body = b"".join(out)
+    return body + struct.pack("<I", zlib.crc32(body)) if version == 2 else body
+
+
+def one_of_each_record(rng):
+    """A layer of every record kind, keyed by kind; conv bottlenecks with
+    a full and a depthwise core."""
+    return {
+        "dense": DenseLayer(rng.standard_normal((3, 2)), rng.standard_normal(2)),
+        "conv": ConvLayer(
+            rng.standard_normal((18, 3)), rng.standard_normal(3), c_in=2, k=3, stride=2, padding=1
+        ),
+        "relu": ReluLayer(),
+        "flatten": FlattenLayer(),
+        "bottleneck_dense": BottleneckDenseLayer(
+            rng.standard_normal((3, 2)), rng.standard_normal((2, 2)),
+            rng.standard_normal((4, 2)), rng.standard_normal(4),
+        ),
+        "bottleneck_conv": BottleneckConvLayer(
+            rng.standard_normal((2, 2)), rng.standard_normal((2, 1, 9)),
+            rng.standard_normal((3, 1)), rng.standard_normal(3), c_in=2, k=3, stride=1, padding=1,
+        ),
+        "bottleneck_conv_diag": BottleneckConvLayer(
+            rng.standard_normal((2, 2)), rng.standard_normal((9, 2)),
+            rng.standard_normal((3, 2)), rng.standard_normal(3), c_in=2, k=3, stride=1, padding=1,
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", list(one_of_each_record(np.random.default_rng(0))))
+def test_checkpoint_reads_exactly_its_record_fields(kind):
+    """Each record kind holds exactly its own meta keys and tensor tags,
+    each once: an unknown, missing or repeated field is a FormatError."""
+    layer = one_of_each_record(np.random.default_rng(7))[kind]
+    tag, meta, tensors = record_fields(layer)
+    assert file_bytes([(tag, meta, tensors)]) == checkpoint.network_bytes(Network([layer]))
+    other = "W" if kind.startswith("bottleneck") else "QA"
+    bad = [
+        ([*meta, ("foo", 7)], tensors, "unknown meta key 'foo'"),
+        (meta, [*tensors, (other, np.ones(2))], f"unknown tensor '{other}'"),
+        ([*meta, ("foo", 7), ("foo", 7)], tensors, "repeats meta key 'foo'"),
+    ]
+    for i, (key, value) in enumerate(meta):
+        bad.append((meta[:i] + meta[i + 1 :], tensors, f"missing meta key '{key}'"))
+        bad.append(([*meta, (key, value)], tensors, f"repeats meta key '{key}'"))
+    for i, (key, arr) in enumerate(tensors):
+        bad.append((meta, tensors[:i] + tensors[i + 1 :], f"missing tensor '{key}'"))
+        bad.append((meta, [*tensors, (key, arr)], f"repeats tensor '{key}'"))
+    for bad_meta, bad_tensors, message in bad:
+        with pytest.raises(FormatError, match=message):
+            checkpoint.network_from_bytes(file_bytes([(tag, bad_meta, bad_tensors)]))
+
+
+def with_legacy_kept(record, rows, cols):
+    """A record with the u32 kept-index lists older writers put after a
+    bottleneck's bias."""
+    tag, meta, tensors = record
+    kept = [("kept_rows", np.array(rows, np.uint32)), ("kept_cols", np.array(cols, np.uint32))]
+    return tag, meta, tensors + kept
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_loads_older_bottleneck_records(version):
+    """Bottleneck records as older writers laid them out, with kept-index
+    lists: a pruned dense bottleneck, a pruned full-core conv bottleneck
+    and a depthwise one, alone and in one network.  Each loads to the same
+    layers and saves again to the current writer's bytes."""
+    from kfeprune.kfac import EigenFactors
+    from kfeprune.reparam import absorb_depthwise, depthwise_decompose, eigenprune, to_kfe
+
+    rng = np.random.default_rng(8)
+
+    def ortho_eigen(n, m):
+        qa, qs = (np.linalg.qr(rng.standard_normal((d, d)))[0] for d in (n, m))
+        return EigenFactors(qa, np.ones(n), qs, np.ones(m))
+
+    dense = DenseLayer(rng.standard_normal((6, 5)), rng.standard_normal(5))
+    dense = eigenprune(to_kfe(dense, ortho_eigen(6, 5)), [4], [0, 2])
+    conv = ConvLayer(rng.standard_normal((27, 4)), rng.standard_normal(4), c_in=3, k=3, padding=1)
+    conv = eigenprune(to_kfe(conv, ortho_eigen(3, 4)), [1], [2])
+    diag = absorb_depthwise(conv, depthwise_decompose(conv, rank=2, seed=0))
+    cases = [(dense, [0, 1, 2, 3], [1, 3, 4]), (conv, [0, 2], [0, 1, 3]), (diag, [0, 1], [0, 1])]
+    for layer, rows, cols in cases:
+        record = with_legacy_kept(record_fields(layer), rows, cols)
+        loaded = checkpoint.network_from_bytes(file_bytes([record], version))
+        got = loaded.layers[0]
+        assert type(got) is type(layer) and got.geometry() == layer.geometry()
+        assert got.core_mode == layer.core_mode
+        assert checkpoint.network_bytes(loaded) == checkpoint.network_bytes(Network([layer]))
+    net = bottleneck_net(np.random.default_rng(9))
+    records = [record_fields(layer) for layer in net.layers]
+    records[2] = with_legacy_kept(records[2], [0, 1], [0, 1, 2])
+    records[4] = with_legacy_kept(records[4], [0, 1], [0, 1])
+    loaded = checkpoint.network_from_bytes(file_bytes(records, version))
+    assert checkpoint.network_bytes(loaded) == checkpoint.network_bytes(net)
+    x = np.random.default_rng(0).standard_normal((2, 1, 4, 4))
+    np.testing.assert_array_equal(loaded.forward(x), net.forward(x))
+    # the allowance covers both lists on a bottleneck record, as u32, only
+    tag, meta, tensors = with_legacy_kept(record_fields(dense), [0, 1, 2, 3], [1, 3, 4])
+    f64_rows = ("kept_rows", np.arange(4.0))
+    plain = with_legacy_kept(record_fields(net.layers[5]), [0, 1, 2], [0, 1])
+    bad = [
+        (tag, meta, tensors[:-1], "missing tensor 'kept_cols'"),
+        (tag, meta, tensors[:-2] + [f64_rows, tensors[-1]], "'kept_rows' has dtype code 0"),
+        (*plain, "unknown tensor 'kept_rows'"),
+    ]
+    for tag, meta, tensors, message in bad:
+        with pytest.raises(FormatError, match=message):
+            checkpoint.network_from_bytes(file_bytes([(tag, meta, tensors)], version))
 
 
 def test_checkpoint_fuzz_raises_only_format_error():
