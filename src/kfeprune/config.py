@@ -109,9 +109,11 @@ def validate_config(cfg: RunConfig):
     for key in ("batch_size", "n_train", "n_test", "classes", "dim"):
         if getattr(cfg, key) < 1:
             raise FormatError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    for key in ("fisher_batches", "rank"):
+    for key in ("seed", "fisher_batches", "rank"):
         if getattr(cfg, key) < 0:
             raise FormatError(f"{key} must be non-negative, got {getattr(cfg, key)}")
+    if not 0.0 <= cfg.sigma < math.inf:
+        raise FormatError(f"sigma must be finite and non-negative, got {cfg.sigma}")
     if not 0.0 <= cfg.damping < math.inf:
         raise FormatError(f"damping must be non-negative and finite, got {cfg.damping}")
     for key in ("lr", "finetune_lr"):

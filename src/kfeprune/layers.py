@@ -27,6 +27,12 @@ core stage followed by the qs projection.  So one forward and one
 backward in _Plain serve DenseLayer and ConvLayer, and one pair in
 Bottleneck serves both bottleneck kinds.
 
+A conv's input gradient is bitwise col2im(g @ K.T).  For a kernel
+narrower than its input, m < c_in, whose scatter would span more than
+one bincount group, it is computed from the m-wide g instead: one GEMM
+per kernel tap over the tap's stride phase of the input, with no
+(B, L, c_in*k*k) patch gradient.  The shapes alone choose the way.
+
 Every parameter is a C-contiguous float64 array from construction on, as
 a checkpoint loads it, so a layer trains bitwise the same from memory or
 from disk: the GEMMs round by operand layout.
@@ -294,9 +300,72 @@ class _ConvGeometry:
     _t = staticmethod(_transposed)
 
     def _input_grad(self, tape: dict, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-        """Input gradient of the patch GEMM: col2im(g @ kernel.T)."""
+        """Input gradient of the patch GEMM, bitwise col2im(g @ kernel.T).
+
+        A kernel narrower than the input, m < c_in, whose scatter would
+        span more than one bincount group skips the (B, L, c_in*k*k) patch
+        gradient: _phase_input_grad works from the m-wide g directly.
+        Every other shape, among them each small batch, runs col2im.
+        """
+        x_shape = tape["x_in"].shape
+        if kernel.shape[1] < self.c_in and g.shape[0] * g.shape[1] * kernel.shape[0] > COL2IM_BLOCK:
+            return self._phase_input_grad(g, kernel, x_shape)
         dpatches = g @ self._t(kernel)
-        return col2im(dpatches, tape["x_in"].shape, self.k, self.stride, self.padding)
+        return col2im(dpatches, x_shape, self.k, self.stride, self.padding)
+
+    def _phase_input_grad(self, g: np.ndarray, kernel: np.ndarray, x_shape) -> np.ndarray:
+        """col2im(g @ kernel.T) as stride**2 sub-convolutions of g, one per
+        input phase: the pixels (r, c) with fixed (r + padding) % stride
+        and (c + padding) % stride.
+
+        Kernel tap (di, dj) reaches only the phase (di % stride,
+        dj % stride), its phase pixel (q, p) from output location
+        (q - di // stride, p - dj // stride).  So over g zero-padded to a
+        flat grid of rows wp wide, a tap's terms for a whole phase are one
+        GEMM: a contiguous slice of the grid, shifted by the tap's offset,
+        times the tap's (m, c_in) slice of the kernel.  A slice row reads
+        past its grid row into the next one's left padding, zeros, and the
+        columns past the phase's width are dropped.  Each phase sums its
+        taps from zeros in (di, dj) order, col2im's order, into a
+        channels-last dx; pixels that no tap reaches are +0.0.
+        """
+        b, c, h, w = x_shape
+        k, s, pad = self.k, self.stride, self.padding
+        h_out, w_out = conv_out_size(h, k, s, pad), conv_out_size(w, k, s, pad)
+        m = kernel.shape[1]
+        if g.shape != (b, h_out * w_out, m):
+            raise DimensionError(
+                f"conv input gradient expects g of shape {(b, h_out * w_out, m)} "
+                f"for input {tuple(x_shape)}, got {g.shape}"
+            )
+
+        def bounds(r0: int, n: int) -> tuple:
+            """[first, last) phase index q of phase r0 over n input rows,
+            q's row being s*q + r0 - pad."""
+            return (pad - r0 + s - 1) // s, (pad + n - r0 + s - 1) // s
+
+        t = (k - 1) // s  # the largest shift, and the grid's top and left padding
+        wp = max(t + w_out, bounds(0, w)[1])
+        size = (t + max(h_out, bounds(0, h)[1])) * wp
+        # the slices of phase 0's last row run this far past the grid
+        grid = np.zeros((b, size + bounds(0, w)[0] + t, m), dtype=np.float64)
+        rows = grid[:, :size].reshape(b, -1, wp, m)
+        rows[:, t : t + h_out, t : t + w_out] = g.reshape(b, h_out, w_out, m)
+        taps = np.ascontiguousarray(kernel.reshape(c, k, k, m).transpose(1, 2, 3, 0))
+        # with stride <= k every phase has taps and writes all its pixels
+        dx = (np.zeros if s > k else np.empty)((b, h, w, c), dtype=np.float64)
+        for r0 in range(min(s, k)):
+            q0, q1 = bounds(r0, h)
+            for c0 in range(min(s, k)):
+                p0, p1 = bounds(c0, w)
+                acc = np.zeros((b, (q1 - q0) * wp, c), dtype=np.float64)
+                for di in range(r0, k, s):
+                    for dj in range(c0, k, s):
+                        start = (q0 - di // s + t) * wp + p0 - dj // s + t
+                        acc += grid[:, start : start + acc.shape[1]] @ taps[di, dj]
+                phase = dx[:, s * q0 + r0 - pad :: s, s * p0 + c0 - pad :: s]
+                phase[...] = acc.reshape(b, q1 - q0, wp, c)[:, :, : p1 - p0]
+        return dx.transpose(0, 3, 1, 2)
 
     _rows = staticmethod(_pixel_rows)
 
@@ -589,7 +658,8 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     Both core modes run the core stage as the plain conv's patch GEMM
     against the effective kernel W of kernel(), which the tape keeps as
     w_eff: W's gradient splits into qa's and the core's, and the input
-    gradient is the shared col2im product.
+    gradient is the plain conv's, for W's rc columns: below c_in, the
+    per-phase GEMMs that skip col2im once the batch is large.
     """
 
     kind = "bottleneck_conv"

@@ -324,20 +324,28 @@ def test_layers_agree_across_memory_layouts(k, stride, padding):
                 assert np.array_equal(got, want), layer.kind
 
 
+# conv-eigendamage's second conv input.  A kernel width m below its 16
+# channels takes the phase GEMMs wherever the scatter would span more than
+# one bincount group, and col2im elsewhere (batch 1 at k = 1, say)
+PHASE_INPUT = (16, 14, 14)
+
+
 @pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
 def test_conv_input_grad_is_col2im_of_the_gemm(k, stride, padding):
     # bitwise, signed zeros included: the input gradient is col2im of the
-    # GEMM g @ K.T as numpy computes it.  A GEMM over g's locations
+    # GEMM g @ K.T as numpy computes it, on both sides of the selection
+    # between col2im and the phase GEMMs.  A GEMM over g's locations
     # reversed, which would spare col2im its reversal copy, rounds some
     # rows differently (OpenBLAS 0.3.31 Haswell kernels, when c*k*k is not
     # a multiple of 4).  Batches 1, 7 and 32 fall on both sides of the
     # grouping boundary of the small tables, and m is the kernel width: a
     # plain conv's c_out, a bottleneck's core rank rc
     rng = np.random.default_rng(37)
-    for _, c, h, w in INPUT_SHAPES:
+    cases = [(shape[1:], (4, 13, 32)) for shape in INPUT_SHAPES] + [(PHASE_INPUT, (1, 4, 13))]
+    for (c, h, w), widths in cases:
         kk = k * k
         geometry = dict(c_in=c, k=k, stride=stride, padding=padding)
-        for m in (4, 13, 32):
+        for m in widths:
             plain = ConvLayer(rng.standard_normal((c * kk, m)), rng.standard_normal(m), **geometry)
             bottleneck = BottleneckConvLayer(
                 rng.standard_normal((c, 2)), rng.standard_normal((2, m, kk)),
@@ -353,6 +361,97 @@ def test_conv_input_grad_is_col2im_of_the_gemm(k, stride, padding):
                     kernel = layer.w if layer is plain else tape["w_eff"]
                     want = col2im(tape["g"] @ np.ascontiguousarray(kernel.T), x.shape, k, stride, padding)
                     assert np.array_equal(_bits(dx), _bits(want)), (layer.kind, m, b)
+
+
+def _counting_col2im(monkeypatch):
+    """Shapes col2im is called for, from now on."""
+    calls, original = [], layers.col2im
+
+    def counting(cols, x_shape, *args):
+        calls.append(tuple(x_shape))
+        return original(cols, x_shape, *args)
+
+    monkeypatch.setattr(layers, "col2im", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shape,width,plain,calls",
+    [
+        # conv-eigendamage's pruned second conv: rank 4 of 16 channels
+        ((32, 16, 14, 14), 4, False, 0),
+        # the README demo's pruned second conv: 9,216 table entries, one group
+        ((32, 8, 4, 4), 4, False, 1),
+        # a plain conv at least as wide as its input
+        ((32, 16, 14, 14), 32, True, 1),
+        ((32, 16, 14, 14), 16, True, 1),
+        # a narrow plain conv takes the phase GEMMs too
+        ((32, 16, 14, 14), 15, True, 0),
+    ],
+)
+def test_conv_input_grad_selects_col2im_by_shape(shape, width, plain, calls, monkeypatch):
+    # the phase GEMMs run when the kernel is narrower than the input and
+    # the scatter would span more than one bincount group
+    rng = np.random.default_rng(38)
+    c, kk = shape[1], 9
+    geometry = dict(c_in=c, k=3, stride=2, padding=1)
+    if plain:
+        layer = ConvLayer(rng.standard_normal((c * kk, width)), None, **geometry)
+    else:
+        layer = BottleneckConvLayer(
+            rng.standard_normal((c, 5)), rng.standard_normal((5, width, kk)),
+            rng.standard_normal((32, width)), None, **geometry,
+        )
+    x = rng.standard_normal(shape)
+    tape = {}
+    dy = rng.standard_normal(layer.forward(x, tape).shape)
+    seen = _counting_col2im(monkeypatch)
+    dx = layer.backward(dy, tape)
+    assert seen == [shape] * calls
+    kernel = layer.w if plain else tape["w_eff"]
+    want = col2im(tape["g"] @ np.ascontiguousarray(kernel.T), shape, 3, 2, 1)
+    assert np.array_equal(_bits(dx), _bits(want))
+
+
+@pytest.mark.parametrize("k,stride,padding", [(1, 2, 0), (2, 3, 1), (1, 3, 2), (2, 5, 0)])
+def test_phase_input_grad_leaves_unreached_pixels_positive_zero(k, stride, padding, monkeypatch):
+    # with stride > k no tap reaches some phases; their pixels are +0.0,
+    # as col2im gives them, even where every other term is -0.0
+    rng = np.random.default_rng(39)
+    c, h, w, m = 16, 14, 13, 3
+    geometry = dict(c_in=c, k=k, stride=stride, padding=padding)
+    layer = ConvLayer(rng.standard_normal((c * k * k, m)), None, **geometry)
+    x = rng.standard_normal((32, c, h, w))
+    tape = {}
+    dy = rng.standard_normal(layer.forward(x, tape).shape)
+    dy[dy > 0.5] = -0.0
+    seen = _counting_col2im(monkeypatch)
+    dx = layer.backward(dy, tape, param_grads=False)
+    assert seen == []
+    rows = (np.arange(h) + padding) % stride >= k
+    cols = (np.arange(w) + padding) % stride >= k
+    assert rows.any() and cols.any()
+    unreached = rows[:, None] | cols[None, :]
+    assert (_bits(dx.transpose(0, 2, 3, 1))[:, unreached] == 0).all()
+    want = col2im(tape["g"] @ np.ascontiguousarray(layer.w.T), x.shape, k, stride, padding)
+    assert np.array_equal(_bits(dx), _bits(want))
+
+
+def test_conv_input_grad_rejects_mismatched_gradient():
+    # a dy whose locations do not fit the input is a DimensionError, as
+    # col2im raises it, on both sides of the selection: width 4 at batch 32
+    # takes the phase GEMMs, width 32 col2im, width 4 at batch 2 either
+    rng = np.random.default_rng(40)
+    geometry = dict(c_in=16, k=3, stride=2, padding=1)
+    for width, batch in ((4, 32), (4, 2), (32, 32)):
+        layer = ConvLayer(rng.standard_normal((16 * 9, width)), None, **geometry)
+        x = rng.standard_normal((batch, 16, 14, 14))
+        for spatial in ((6, 7), (7, 8), (8, 8)):
+            tape = {}
+            layer.forward(x, tape)
+            dy = rng.standard_normal((batch, width) + spatial)
+            with pytest.raises(DimensionError):
+                layer.backward(dy, tape, param_grads=False)
 
 
 def _nchw_conv_backward(layer, dy, tape):

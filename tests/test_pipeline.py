@@ -197,6 +197,10 @@ def test_validate_config_errors():
         {"damping": -1.0},
         {"damping": float("nan")},
         {"damping": float("inf")},
+        {"seed": -1},
+        {"sigma": -0.5},
+        {"sigma": float("nan")},
+        {"sigma": float("inf")},
         {"fisher_batches": -4},
         {"rank": -3},
         {"lr": -0.5},
@@ -1598,6 +1602,22 @@ def test_cli_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{key} must be non-negative" in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / key)
+    # a negative seed used to stop numpy's generator with a traceback
+    # (exit 1), and a non-finite sigma to build non-finite data (exit 1)
+    seeded = write_config(tmp_path / "seeded.cfg", seed=-1, out=str(tmp_path / "s"))
+    assert cli.main(["train", "--config", seeded]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
+    assert cli.main(["train", "--config", ok, "--seed", "-3", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "error: seed must be non-negative, got -3" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "s")
+    for value in ("nan", "inf"):
+        noisy = write_config(tmp_path / "noisy.cfg", sigma=value, out=str(tmp_path / "n"))
+        assert cli.main(["train", "--config", noisy]) == 2
+        err = capsys.readouterr().err
+        assert "sigma must be finite and non-negative" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "n")
     # a negative learning rate would train by gradient ascent and exit 0
     ascent = write_config(tmp_path / "ascent.cfg", **{**MLP_SETTINGS, "lr": "-0.5"})
     assert cli.main(["train", "--config", ascent, "--out", str(tmp_path / "a")]) == 2
