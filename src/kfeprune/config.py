@@ -102,14 +102,12 @@ def validate_config(cfg: RunConfig):
         raise FormatError(f"cap must lie in (0, 1], got {cfg.cap}")
     if cfg.dataset not in ("blobs", "moons", "random", "idx"):
         raise FormatError(f"unknown dataset kind {cfg.dataset!r}")
-    if cfg.epochs < 1 or cfg.finetune_epochs < 0:
-        raise FormatError("epoch counts must be positive")
-    if cfg.iterations < 1:
-        raise FormatError("iterations must be at least 1")
-    for key in ("batch_size", "n_train", "n_test", "classes", "dim"):
+    for key in ("epochs", "iterations", "batch_size", "n_train", "n_test", "classes", "dim"):
         if getattr(cfg, key) < 1:
             raise FormatError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    for key in ("seed", "fisher_batches", "rank"):
+    if cfg.dataset == "moons" and cfg.classes != 2:
+        raise FormatError(f"moons is a 2-class dataset, got classes = {cfg.classes}")
+    for key in ("seed", "finetune_epochs", "fisher_batches", "rank"):
         if getattr(cfg, key) < 0:
             raise FormatError(f"{key} must be non-negative, got {getattr(cfg, key)}")
     if not 0.0 <= cfg.sigma < math.inf:

@@ -27,11 +27,13 @@ core stage followed by the qs projection.  So one forward and one
 backward in _Plain serve DenseLayer and ConvLayer, and one pair in
 Bottleneck serves both bottleneck kinds.
 
-A conv's input gradient is bitwise col2im(g @ K.T).  For a kernel
-narrower than its input, m < c_in, whose scatter would span more than
-one bincount group, it is computed from the m-wide g instead: one GEMM
-per kernel tap over the tap's stride phase of the input, with no
-(B, L, c_in*k*k) patch gradient.  The shapes alone choose the way.
+A conv's input gradient is bitwise col2im(g @ K.T).  Where the scatter
+would span more than one bincount group, c_in is a multiple of 8, the
+output is more than one pixel wide and the kernel width m is below c_in
+or at most min(2*c_in, 64), it is computed from the m-wide g instead:
+one GEMM per kernel tap over the tap's stride phase of the input, with
+no (B, L, c_in*k*k) patch gradient.  The shapes alone choose the way;
+_ConvGeometry._input_grad says why each bound is there.
 
 Every parameter is a C-contiguous float64 array from construction on, as
 a checkpoint loads it, so a layer trains bitwise the same from memory or
@@ -302,13 +304,33 @@ class _ConvGeometry:
     def _input_grad(self, tape: dict, g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         """Input gradient of the patch GEMM, bitwise col2im(g @ kernel.T).
 
-        A kernel narrower than the input, m < c_in, whose scatter would
-        span more than one bincount group skips the (B, L, c_in*k*k) patch
-        gradient: _phase_input_grad works from the m-wide g directly.
-        Every other shape, among them each small batch, runs col2im.
+        _phase_input_grad works from the m-wide g directly, with no
+        (B, L, c_in*k*k) patch gradient, when all of these hold; every
+        other shape, among them each small batch, runs col2im.
+          - The scatter would span more than one bincount group: below
+            that, col2im is one call and the phase GEMMs do not pay.
+          - c_in is a multiple of 8: with it, OpenBLAS's SkylakeX GEMM
+            (AVX-512) rounds each column of a phase GEMM as it rounds the
+            same tap's column of g @ kernel.T; at c_in 12, 17, 20 or 28,
+            say, some differ.  Its Haswell (AVX2) and Nehalem GEMMs break
+            the equality at some geometries for kernels 8 and 4 or more
+            wide, in the m < c_in branch too: the rule is bitwise with
+            the SkylakeX and Sandybridge kernels only.
+          - The output is more than one pixel wide, so no phase GEMM has
+            a single row, which numpy hands to gemv, which rounds
+            differently.
+          - m < c_in, or m <= min(2*c_in, 64): the phase GEMMs run the
+            padded output grid, and past those widths they took longer
+            than col2im (at c_in 64, m 96 or 128, say).
         """
         x_shape = tape["x_in"].shape
-        if kernel.shape[1] < self.c_in and g.shape[0] * g.shape[1] * kernel.shape[0] > COL2IM_BLOCK:
+        m, c = kernel.shape[1], self.c_in
+        if (
+            g.shape[0] * g.shape[1] * kernel.shape[0] > COL2IM_BLOCK
+            and c % 8 == 0
+            and conv_out_size(x_shape[3], self.k, self.stride, self.padding) > 1
+            and (m < c or m <= min(2 * c, 64))
+        ):
             return self._phase_input_grad(g, kernel, x_shape)
         dpatches = g @ self._t(kernel)
         return col2im(dpatches, x_shape, self.k, self.stride, self.padding)
@@ -658,8 +680,8 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
     Both core modes run the core stage as the plain conv's patch GEMM
     against the effective kernel W of kernel(), which the tape keeps as
     w_eff: W's gradient splits into qa's and the core's, and the input
-    gradient is the plain conv's, for W's rc columns: below c_in, the
-    per-phase GEMMs that skip col2im once the batch is large.
+    gradient is the plain conv's, for W's rc columns: where _input_grad's
+    rule allows, the per-phase GEMMs that skip col2im.
     """
 
     kind = "bottleneck_conv"

@@ -329,6 +329,25 @@ def test_layers_agree_across_memory_layouts(k, stride, padding):
 # one bincount group, and col2im elsewhere (batch 1 at k = 1, say)
 PHASE_INPUT = (16, 14, 14)
 
+# A plain conv at least as wide as its input, over c_in 8, 16 and 32:
+# m = c_in, c_in + 1 and 2 * c_in take the phase GEMMs where the scatter
+# spans more than one bincount group and the output is more than one
+# pixel wide.  The 5x2 input gives one-pixel-wide outputs (k = 3,
+# stride 3) whose phase GEMMs would have a single row.
+WIDE_INPUTS = [(c, h, w) for c in (8, 16, 32) for h, w in ((7, 6), (5, 2))]
+
+
+def _input_grad_is_col2im_of_the_gemm(layer, x, rng):
+    """Whether layer's input gradient for a random dy, with -0.0 entries,
+    is bitwise col2im of the GEMM g @ K.T as numpy computes it."""
+    tape = {}
+    dy = rng.standard_normal(layer.forward(x, tape).shape)
+    dy[dy > 1.0] = -0.0
+    dx = layer.backward(dy, tape, param_grads=False)
+    kernel = tape["w_eff"] if "w_eff" in tape else layer.w
+    want = col2im(tape["g"] @ np.ascontiguousarray(kernel.T), x.shape, layer.k, layer.stride, layer.padding)
+    return np.array_equal(_bits(dx), _bits(want))
+
 
 @pytest.mark.parametrize("k,stride,padding", GEOMETRIES)
 def test_conv_input_grad_is_col2im_of_the_gemm(k, stride, padding):
@@ -336,10 +355,11 @@ def test_conv_input_grad_is_col2im_of_the_gemm(k, stride, padding):
     # GEMM g @ K.T as numpy computes it, on both sides of the selection
     # between col2im and the phase GEMMs.  A GEMM over g's locations
     # reversed, which would spare col2im its reversal copy, rounds some
-    # rows differently (OpenBLAS 0.3.31 Haswell kernels, when c*k*k is not
+    # rows differently (OpenBLAS 0.3.31 SkylakeX kernels, when c*k*k is not
     # a multiple of 4).  Batches 1, 7 and 32 fall on both sides of the
     # grouping boundary of the small tables, and m is the kernel width: a
-    # plain conv's c_out, a bottleneck's core rank rc
+    # plain conv's c_out, a bottleneck's core rank rc.  Plain convs at
+    # least as wide as their input run WIDE_INPUTS at batches 7 and 32.
     rng = np.random.default_rng(37)
     cases = [(shape[1:], (4, 13, 32)) for shape in INPUT_SHAPES] + [(PHASE_INPUT, (1, 4, 13))]
     for (c, h, w), widths in cases:
@@ -354,13 +374,16 @@ def test_conv_input_grad_is_col2im_of_the_gemm(k, stride, padding):
             for b in (1, 7, 32):
                 x = rng.standard_normal((b, c, h, w))
                 for layer in (plain, bottleneck):
-                    tape = {}
-                    dy = rng.standard_normal(layer.forward(x, tape).shape)
-                    dy[dy > 1.0] = -0.0
-                    dx = layer.backward(dy, tape, param_grads=False)
-                    kernel = layer.w if layer is plain else tape["w_eff"]
-                    want = col2im(tape["g"] @ np.ascontiguousarray(kernel.T), x.shape, k, stride, padding)
-                    assert np.array_equal(_bits(dx), _bits(want)), (layer.kind, m, b)
+                    assert _input_grad_is_col2im_of_the_gemm(layer, x, rng), (layer.kind, m, b)
+    for c, h, w in WIDE_INPUTS:
+        if min(conv_out_size(n, k, stride, padding) for n in (h, w)) < 1:
+            continue
+        geometry = dict(c_in=c, k=k, stride=stride, padding=padding)
+        for m in (c, c + 1, 2 * c):
+            plain = ConvLayer(rng.standard_normal((c * k * k, m)), None, **geometry)
+            for b in (7, 32):
+                x = rng.standard_normal((b, c, h, w))
+                assert _input_grad_is_col2im_of_the_gemm(plain, x, rng), ((c, h, w), m, b)
 
 
 def _counting_col2im(monkeypatch):
@@ -382,16 +405,31 @@ def _counting_col2im(monkeypatch):
         ((32, 16, 14, 14), 4, False, 0),
         # the README demo's pruned second conv: 9,216 table entries, one group
         ((32, 8, 4, 4), 4, False, 1),
-        # a plain conv at least as wide as its input
-        ((32, 16, 14, 14), 32, True, 1),
-        ((32, 16, 14, 14), 16, True, 1),
-        # a narrow plain conv takes the phase GEMMs too
+        # conv-eigendamage's plain second conv, and narrower plain convs
+        ((32, 16, 14, 14), 32, True, 0),
+        ((32, 16, 14, 14), 16, True, 0),
         ((32, 16, 14, 14), 15, True, 0),
+        # 64 channels: up to 64 wide
+        ((32, 64, 8, 8), 64, True, 0),
+        ((32, 64, 8, 8), 96, True, 1),
+        # wider than twice the input
+        ((32, 16, 14, 14), 64, True, 1),
+        # c_in not a multiple of 8, at any width; at 17 channels and width
+        # 16 the phase GEMMs round some entries differently
+        ((32, 12, 14, 14), 12, True, 1),
+        ((32, 12, 14, 14), 6, True, 1),
+        ((32, 17, 14, 14), 16, True, 1),
+        # one output pixel, and outputs one pixel wide
+        ((32, 64, 2, 2), 64, True, 1),
+        ((32, 16, 14, 2), 16, True, 1),
+        # the README demo's plain second conv: 9,216 table entries, one group
+        ((32, 8, 4, 4), 16, True, 1),
     ],
 )
 def test_conv_input_grad_selects_col2im_by_shape(shape, width, plain, calls, monkeypatch):
-    # the phase GEMMs run when the kernel is narrower than the input and
-    # the scatter would span more than one bincount group
+    # the phase GEMMs run when the scatter would span more than one bincount
+    # group, c_in is a multiple of 8, the output is more than one pixel
+    # wide and m < c_in, or m <= min(2 * c_in, 64)
     rng = np.random.default_rng(38)
     c, kk = shape[1], 9
     geometry = dict(c_in=c, k=3, stride=2, padding=1)
@@ -440,10 +478,10 @@ def test_phase_input_grad_leaves_unreached_pixels_positive_zero(k, stride, paddi
 def test_conv_input_grad_rejects_mismatched_gradient():
     # a dy whose locations do not fit the input is a DimensionError, as
     # col2im raises it, on both sides of the selection: width 4 at batch 32
-    # takes the phase GEMMs, width 32 col2im, width 4 at batch 2 either
+    # takes the phase GEMMs, width 64 col2im, width 4 at batch 2 either
     rng = np.random.default_rng(40)
     geometry = dict(c_in=16, k=3, stride=2, padding=1)
-    for width, batch in ((4, 32), (4, 2), (32, 32)):
+    for width, batch in ((4, 32), (4, 2), (64, 32)):
         layer = ConvLayer(rng.standard_normal((16 * 9, width)), None, **geometry)
         x = rng.standard_normal((batch, 16, 14, 14))
         for spatial in ((6, 7), (7, 8), (8, 8)):

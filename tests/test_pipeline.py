@@ -214,10 +214,13 @@ def test_validate_config_errors():
         {"weight_decay": -1e-4},
         {"weight_decay": float("inf")},
         {"weight_decay": float("nan")},
+        {"dataset": "moons", "classes": 3},
+        {"dataset": "moons", "classes": 1},
     ):
         with pytest.raises(FormatError):
             validate_config(RunConfig(**bad))
     validate_config(RunConfig())
+    validate_config(RunConfig(dataset="moons", classes=2, finetune_epochs=0))
 
 
 def test_parse_arch():
@@ -1624,6 +1627,23 @@ def test_cli_usage_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "lr must be finite and positive" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "a")
+    # moons with other than 2 classes used to fail in the data builder
+    # (exit 1, the numeric-failure code)
+    moons = write_config(tmp_path / "moons.cfg", dataset="moons", classes=3, out=str(tmp_path / "m"))
+    assert cli.main(["train", "--config", moons]) == 2
+    err = capsys.readouterr().err
+    assert "error: moons is a 2-class dataset, got classes = 3" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "m")
+    # each epoch count names its key and value: finetune_epochs = 0 is allowed
+    for key, value, text in (
+        ("epochs", 0, "epochs must be at least 1, got 0"),
+        ("finetune_epochs", -1, "finetune_epochs must be non-negative, got -1"),
+    ):
+        epochs = write_config(tmp_path / f"{key}.cfg", **{key: value}, out=str(tmp_path / key))
+        assert cli.main(["train", "--config", epochs]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {text}" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / key)
 
 
 DEMO_SETTINGS = dict(
