@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, SingularityError, StateError, ValidationError
-from .network import Network, cross_entropy
+from .network import Network, cross_entropy, cross_entropy_and_grad
 from .tensormath import sym_eig
 
 DEFAULT_DAMPING = 1e-6
@@ -206,10 +206,12 @@ def estimate_factors(
         yb = dataset.y[start : start + batch_size]
         capture = start < stop
         logits = net.forward(xb, capture=capture)
-        total_loss += cross_entropy(logits, yb) * xb.shape[0]
         if not capture:
+            total_loss += cross_entropy(logits, yb) * xb.shape[0]
             continue
-        net.backward(logits, yb, param_grads=False)
+        loss, logits_grad = cross_entropy_and_grad(logits, yb)
+        total_loss += loss * xb.shape[0]
+        net.backward(logits, param_grads=False, logits_grad=logits_grad)
         caps = net.captures()
         for lid in layer_ids:
             fold, args = _capture_arrays(net.layers[lid], caps[lid], conv_variant)

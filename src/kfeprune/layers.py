@@ -150,7 +150,7 @@ def _transposed(m: np.ndarray) -> np.ndarray:
 def _batch_mean(rows: np.ndarray) -> np.ndarray:
     """Mean over the leading axis as a sum, then an in-place division:
     bitwise rows.mean(axis=0), without numpy's Python-level wrapper."""
-    out = rows.sum(axis=0)
+    out = np.add.reduce(rows, axis=0)
     out /= rows.shape[0]
     return out
 
@@ -174,7 +174,7 @@ def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     flat[:, :-1].reshape(b, h, w, c)[...] = x.transpose(0, 2, 3, 1)
     flat[:, -1] = 0.0
     # every index is in range; "clip" lets take write into cols unbuffered
-    np.take(flat, table, axis=1, out=cols, mode="clip")
+    flat.take(table, axis=1, out=cols, mode="clip")
     return cols.transpose(0, 2, 1)
 
 
@@ -294,7 +294,7 @@ class _ConvGeometry:
         output gradients: per-sample products over the patches' contiguous
         (B, n, L) storage, summed over the batch.  A (B*L, n) row view of
         the patches would copy every patch."""
-        gw = (tape["patches"].transpose(0, 2, 1) @ g).sum(axis=0)
+        gw = np.add.reduce(tape["patches"].transpose(0, 2, 1) @ g, axis=0)
         gw /= g.shape[0]
         return gw
 
@@ -399,7 +399,7 @@ class _ConvGeometry:
         sum runs over a (B, C, L) copy: the order does not depend on g's
         layout.
         """
-        return _batch_mean(np.ascontiguousarray(g.transpose(0, 2, 1)).sum(axis=2))
+        return _batch_mean(np.add.reduce(np.ascontiguousarray(g.transpose(0, 2, 1)), axis=2))
 
     @staticmethod
     def _output(y: np.ndarray, out_shape) -> np.ndarray:

@@ -10,23 +10,40 @@ from .layers import ConvLayer, DenseLayer, FlattenLayer, ReluLayer
 PARAM_KINDS = ("dense", "conv", "bottleneck_dense", "bottleneck_conv")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+def _shifted_exp(logits: np.ndarray) -> tuple:
+    """(z, exp(z), exp(z)'s row sums as a (B, 1) column) for the
+    max-shifted logits z.  The reductions call the ufuncs that
+    ndarray.max and ndarray.sum call, bitwise the same, without their
+    Python-level wrappers."""
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return z, e, np.add.reduce(e, axis=1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy over the batch."""
+def _check_batch(logits: np.ndarray, labels: np.ndarray) -> None:
     if logits.ndim != 2:
         raise DimensionError("logits must be (B, classes)")
     if labels.shape != (logits.shape[0],):
         raise DimensionError("labels must be (B,)")
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(z.shape[0]), labels]
+
+
+def _mean_loss(z: np.ndarray, sums: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> float:
+    lse = np.log(sums.ravel())
     # sum, then divide: bitwise numpy's mean, without its Python wrapper
-    return float((lse - picked).sum() / z.shape[0])
+    return float(np.add.reduce(lse - z[rows, labels]) / z.shape[0])
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    _, e, sums = _shifted_exp(logits)
+    e /= sums
+    return e
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy over the batch."""
+    _check_batch(logits, labels)
+    z, _, sums = _shifted_exp(logits)
+    return _mean_loss(z, sums, np.arange(z.shape[0]), labels)
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -34,6 +51,19 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     p = softmax(logits)
     p[np.arange(p.shape[0]), labels] -= 1.0
     return p
+
+
+def cross_entropy_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """(cross_entropy, cross_entropy_grad) of one batch from one softmax,
+    bitwise both: the same shifted logits, exponentials and row sums.
+    A training step hands the gradient to Network.backward as logits_grad."""
+    _check_batch(logits, labels)
+    z, e, sums = _shifted_exp(logits)
+    rows = np.arange(z.shape[0])
+    loss = _mean_loss(z, sums, rows, labels)
+    e /= sums
+    e[rows, labels] -= 1.0
+    return loss, e
 
 
 class Network:
@@ -64,9 +94,20 @@ class Network:
         self._tapes, self._logits = (tapes, out) if capture else (None, None)
         return out
 
-    def backward(self, logits: np.ndarray, labels: np.ndarray, param_grads: bool = True) -> list:
+    def backward(
+        self,
+        logits: np.ndarray,
+        labels: np.ndarray | None = None,
+        param_grads: bool = True,
+        logits_grad: np.ndarray | None = None,
+    ) -> list:
         """Backprop from the cached forward pass; returns per-layer grad dicts.
 
+        The output gradient is cross_entropy_grad(logits, labels), or
+        logits_grad when given in place of labels: the gradient
+        cross_entropy_and_grad returned with the batch's loss, so one
+        softmax serves both.  The network takes logits_grad over, as a
+        layer takes its dy, and the caller must not read it again.
         Parameter gradients are gradients of the batch-mean loss.  The
         tapes additionally keep per-sample unscaled capture tensors.  The
         first parameterized layer and every layer below it skip their
@@ -80,10 +121,20 @@ class Network:
             raise StateError("backward needs a preceding forward with capture=True")
         if logits is not self._logits:
             raise StateError("backward called with logits from a different forward pass")
-        first = next(iter(self.parameterized_ids()), len(self.layers))
-        delta = cross_entropy_grad(logits, labels)
-        for i in reversed(range(len(self.layers))):
-            delta = self.layers[i].backward(
+        if (labels is None) == (logits_grad is None):
+            raise ValidationError("backward takes exactly one of labels and logits_grad")
+        if logits_grad is None:
+            delta = cross_entropy_grad(logits, labels)
+        elif logits_grad.shape != logits.shape:
+            raise DimensionError(
+                f"logits_grad must have the logits' shape {logits.shape}, got {logits_grad.shape}"
+            )
+        else:
+            delta = logits_grad
+        layers = self.layers
+        first = next((i for i, l in enumerate(layers) if l.kind in PARAM_KINDS), len(layers))
+        for i in reversed(range(len(layers))):
+            delta = layers[i].backward(
                 delta, self._tapes[i], input_grad=i > first, param_grads=param_grads
             )
         return [t.get("grads", {}) for t in self._tapes]

@@ -142,10 +142,6 @@ class DepthwiseFactors:
     c: np.ndarray
     trace: list = field(default_factory=list)
 
-    @property
-    def rank(self) -> int:
-        return self.u.shape[1]
-
 
 def _objective(t: np.ndarray, u, v, c) -> float:
     resid = t - (khatri_rao(u, v) @ c.T).reshape(t.shape)

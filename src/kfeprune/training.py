@@ -8,10 +8,12 @@ randomness and it is drawn from a dedicated Generator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import TrainingDivergenceError
-from .network import Network, cross_entropy
+from .network import Network, cross_entropy, cross_entropy_and_grad
 
 # Weights exactly equal to zero are treated as pruned-and-frozen when
 # freeze_zeros is on; a continuous init never produces them by accident.
@@ -95,7 +97,7 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 256):
         yb = y[start : start + batch_size]
         logits = net.forward(xb)
         total_loss += cross_entropy(logits, yb) * xb.shape[0]
-        correct += int((logits.argmax(axis=1) == yb).sum())
+        correct += np.count_nonzero(logits.argmax(axis=1) == yb)
     return total_loss / n, correct / n
 
 
@@ -133,14 +135,14 @@ def train(
             xb = dataset.x[idx]
             yb = dataset.y[idx]
             logits = net.forward(xb, capture=True)
-            loss = cross_entropy(logits, yb)
-            if not np.isfinite(loss):
+            loss, logits_grad = cross_entropy_and_grad(logits, yb)
+            if not math.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"training loss became non-finite at epoch {epoch}"
                 )
             epoch_loss += loss * xb.shape[0]
-            correct += int((logits.argmax(axis=1) == yb).sum())
-            grads = net.backward(logits, yb)
+            correct += np.count_nonzero(logits.argmax(axis=1) == yb)
+            grads = net.backward(logits, logits_grad=logits_grad)
             for i, params, layer_keeps in steps:
                 for name, keep in layer_keeps.items():
                     mask_grad(grads[i][name], keep)

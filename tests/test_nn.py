@@ -32,6 +32,7 @@ from kfeprune.network import (
     build_cnn,
     build_mlp,
     cross_entropy,
+    cross_entropy_and_grad,
     cross_entropy_grad,
     kaiming_uniform,
     softmax,
@@ -784,6 +785,82 @@ def test_cross_entropy_shape_checks():
         cross_entropy(np.zeros(3), np.zeros(3, dtype=np.int64))
     with pytest.raises(DimensionError):
         cross_entropy(np.zeros((2, 3)), np.zeros(3, dtype=np.int64))
+    for logits in (np.zeros(3), np.zeros((2, 3))):
+        with pytest.raises(DimensionError):
+            cross_entropy_and_grad(logits, np.zeros(3, dtype=np.int64))
+
+
+def _loss_batches():
+    """(logits, labels) batches: a ragged batch of 7, rows tied at their
+    max or all equal, entries near +-1e300, and signed zeros."""
+    rng = np.random.default_rng(11)
+    tied = np.array([[2.0, 2.0, -1.0, 0.5], [3.0, 3.0, 3.0, 3.0], [0.0, -0.0, 0.0, -0.0]])
+    huge = np.array([[1e300, -1e300, 0.0, 9.9e299], [-1e300, -1e300, -9e299, -1e299]])
+    signed = np.array([[-0.0, -0.0, -1.0, -0.0], [-0.0, 1e-300, -1e-300, 0.0]])
+    return [
+        (rng.standard_normal((7, 4)) * 5.0, rng.integers(0, 4, size=7)),
+        (tied, np.array([1, 2, 3])),
+        (huge, np.array([1, 3])),
+        (signed, np.array([0, 2])),
+    ]
+
+
+@pytest.mark.parametrize("logits, labels", _loss_batches())
+def test_cross_entropy_and_grad_is_bitwise_both(logits, labels):
+    """One softmax gives bitwise the loss of cross_entropy and the gradient
+    of cross_entropy_grad, which keeps the result of softmax as first
+    written: max-shifted exponentials over their ndarray.sum row sums."""
+    loss, grad = cross_entropy_and_grad(logits, labels)
+    assert loss.hex() == cross_entropy(logits, labels).hex()
+    assert same_bits(grad, cross_entropy_grad(logits, labels))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    want = e / e.sum(axis=1, keepdims=True)
+    assert same_bits(softmax(logits), want)
+    want[np.arange(len(labels)), labels] -= 1.0
+    assert same_bits(grad, want)
+
+
+def test_backward_takes_the_loss_gradient():
+    """backward(logits, logits_grad=...) gives bitwise the grads and
+    captures of backward(logits, labels), and takes exactly one of the two."""
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal((7, 1, 6, 6)), rng.integers(0, 3, size=7)
+    nets = [build_cnn((1, 6, 6), [4], 3, seed=2) for _ in range(2)]
+    logits = [net.forward(x, capture=True) for net in nets]
+    want = nets[0].backward(logits[0], y)
+    got = nets[1].backward(logits[1], logits_grad=cross_entropy_and_grad(logits[1], y)[1])
+    for i in nets[0].parameterized_ids():
+        assert nets[0].captures()[i]["g"].tobytes() == nets[1].captures()[i]["g"].tobytes()
+        for name in want[i]:
+            assert same_bits(got[i][name], want[i][name]), (i, name)
+    net, out = nets[1], logits[1]
+    with pytest.raises(ValidationError, match="exactly one"):
+        net.backward(out)
+    with pytest.raises(ValidationError, match="exactly one"):
+        net.backward(out, y, logits_grad=np.zeros_like(out))
+    with pytest.raises(DimensionError, match="logits' shape"):
+        net.backward(out, logits_grad=np.zeros((6, 3)))
+    with pytest.raises(StateError, match="different forward pass"):
+        net.backward(out.copy(), logits_grad=np.zeros_like(out))
+
+
+def test_step_and_factor_batch_exponentiate_the_logits_once(monkeypatch):
+    """One train step and one captured factor-pass batch each compute one
+    softmax: the loss and the gradient share it."""
+    ds = synth_dataset("blobs", seed=5, n=10, classes=3, image_shape=(1, 6, 6))
+    net = build_cnn((1, 6, 6), [4], 3, seed=1)
+    calls, np_exp = [], np.exp
+
+    def exp(a, *args, **kwargs):
+        calls.append(a.shape)
+        return np_exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    train(net, ds, epochs=1, lr=0.1, batch_size=10, seed=0)
+    assert calls == [(10, 3)]
+    calls.clear()
+    kfac.estimate_factors(net, ds, batch_size=10)
+    assert calls == [(10, 3)]
 
 
 def test_saturated_logits_give_zero_gradients():
