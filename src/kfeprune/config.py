@@ -77,6 +77,8 @@ def parse_config(path) -> RunConfig:
             lines = fh.readlines()
     except OSError as err:
         raise FormatError(f"cannot read config {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: config files are ASCII: {err}") from err
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:

@@ -65,7 +65,8 @@ def read_idx(path: str) -> np.ndarray:
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Build a Dataset from an IDX image file and its label file."""
+    """Build a Dataset from an IDX image file and its label file, which
+    must hold at least one sample."""
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.ndim != 3:
@@ -74,8 +75,10 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise FormatError(f"{labels_path}: expected a label IDX file")
     if images.shape[0] != labels.shape[0]:
         raise FormatError("image and label IDX files disagree on sample count")
+    if not labels.size:
+        raise FormatError(f"{images_path}: IDX files hold no samples")
     x = images.reshape(images.shape[0], 1, images.shape[1], images.shape[2])
-    classes = int(labels.max()) + 1 if labels.size else 1
+    classes = int(labels.max()) + 1
     return Dataset(x=x, y=labels, num_classes=classes, name="idx")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, SingularityError, StateError, ValidationError
-from .network import Network, cross_entropy, cross_entropy_and_grad
+from .network import Network, cross_entropy
 from .tensormath import sym_eig
 
 DEFAULT_DAMPING = 1e-6
@@ -134,9 +134,9 @@ def damp(f: KronFactors, lam: float = DEFAULT_DAMPING) -> KronFactors:
 
 
 def eigenbasis(f: KronFactors) -> EigenFactors:
-    ea = sym_eig(f.a)
-    es = sym_eig(f.s)
-    return EigenFactors(qa=ea.vectors, lam_a=ea.values, qs=es.vectors, lam_s=es.values)
+    lam_a, qa = sym_eig(f.a)
+    lam_s, qs = sym_eig(f.s)
+    return EigenFactors(qa=qa, lam_a=lam_a, qs=qs, lam_s=lam_s)
 
 
 def inv_psd(m: np.ndarray) -> np.ndarray:
@@ -209,9 +209,8 @@ def estimate_factors(
         if not capture:
             total_loss += cross_entropy(logits, yb) * xb.shape[0]
             continue
-        loss, logits_grad = cross_entropy_and_grad(logits, yb)
+        loss, _ = net.backward(logits, yb, param_grads=False)
         total_loss += loss * xb.shape[0]
-        net.backward(logits, param_grads=False, logits_grad=logits_grad)
         caps = net.captures()
         for lid in layer_ids:
             fold, args = _capture_arrays(net.layers[lid], caps[lid], conv_variant)

@@ -46,17 +46,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return _mean_loss(z, sums, np.arange(z.shape[0]), labels)
 
 
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample, unscaled gradient of the sample loss wrt logits."""
-    p = softmax(logits)
-    p[np.arange(p.shape[0]), labels] -= 1.0
-    return p
-
-
 def cross_entropy_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple:
-    """(cross_entropy, cross_entropy_grad) of one batch from one softmax,
-    bitwise both: the same shifted logits, exponentials and row sums.
-    A training step hands the gradient to Network.backward as logits_grad."""
+    """(cross_entropy, per-sample unscaled gradient of each sample's loss
+    wrt its logits) of one batch from one softmax: the loss is bitwise
+    cross_entropy's, the gradient bitwise softmax(logits) minus the
+    one-hot labels.  Network.backward starts from it."""
     _check_batch(logits, labels)
     z, e, sums = _shifted_exp(logits)
     rows = np.arange(z.shape[0])
@@ -94,50 +88,33 @@ class Network:
         self._tapes, self._logits = (tapes, out) if capture else (None, None)
         return out
 
-    def backward(
-        self,
-        logits: np.ndarray,
-        labels: np.ndarray | None = None,
-        param_grads: bool = True,
-        logits_grad: np.ndarray | None = None,
-    ) -> list:
-        """Backprop from the cached forward pass; returns per-layer grad dicts.
+    def backward(self, logits: np.ndarray, labels: np.ndarray, param_grads: bool = True) -> tuple:
+        """Backprop from the cached forward pass; returns (loss, grads):
+        the batch's mean cross-entropy and per-layer grad dicts.
 
-        The output gradient is cross_entropy_grad(logits, labels), or
-        logits_grad when given in place of labels: the gradient
-        cross_entropy_and_grad returned with the batch's loss, so one
-        softmax serves both.  The network takes logits_grad over, as a
-        layer takes its dy, and the caller must not read it again.
-        Parameter gradients are gradients of the batch-mean loss.  The
-        tapes additionally keep per-sample unscaled capture tensors.  The
-        first parameterized layer and every layer below it skip their
-        input gradients, which nothing reads.  With param_grads=False no
-        layer computes its parameter gradients and every dict is empty;
-        the capture tensors are bitwise the same.
-        The factor pass backpropagates this way, since the Kronecker
-        factors read only the captures.
+        The loss and the output gradient come from one
+        cross_entropy_and_grad, so one softmax serves both.  Parameter
+        gradients are gradients of the batch-mean loss.  The tapes
+        additionally keep per-sample unscaled capture tensors.  The first
+        parameterized layer and every layer below it skip their input
+        gradients, which nothing reads.  With param_grads=False no layer
+        computes its parameter gradients and every dict is empty; the
+        capture tensors are bitwise the same.  The factor pass
+        backpropagates this way, since the Kronecker factors read only
+        the captures.
         """
         if self._tapes is None:
             raise StateError("backward needs a preceding forward with capture=True")
         if logits is not self._logits:
             raise StateError("backward called with logits from a different forward pass")
-        if (labels is None) == (logits_grad is None):
-            raise ValidationError("backward takes exactly one of labels and logits_grad")
-        if logits_grad is None:
-            delta = cross_entropy_grad(logits, labels)
-        elif logits_grad.shape != logits.shape:
-            raise DimensionError(
-                f"logits_grad must have the logits' shape {logits.shape}, got {logits_grad.shape}"
-            )
-        else:
-            delta = logits_grad
+        loss, delta = cross_entropy_and_grad(logits, labels)
         layers = self.layers
         first = next((i for i, l in enumerate(layers) if l.kind in PARAM_KINDS), len(layers))
         for i in reversed(range(len(layers))):
             delta = layers[i].backward(
                 delta, self._tapes[i], input_grad=i > first, param_grads=param_grads
             )
-        return [t.get("grads", {}) for t in self._tapes]
+        return loss, [t.get("grads", {}) for t in self._tapes]
 
     def captures(self) -> dict:
         """Per-layer capture tensors from the last forward/backward pair."""

@@ -217,7 +217,7 @@ def analytic_grad(net: Network, dataset, layer_ids=None, include_bias: bool = Fa
         xb = dataset.x[start : start + 256]
         yb = dataset.y[start : start + 256]
         logits = net.forward(xb, capture=True)
-        grads = net.backward(logits, yb)
+        _, grads = net.backward(logits, yb)
         scale = xb.shape[0] / n
         for lid in layer_ids:
             g = grads[lid]

@@ -237,21 +237,9 @@ def _eval_metrics(net, ds_train, ds_test, batch_size):
     return dict(zip(EVAL_FIELDS, train + test))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def write_metrics(out_dir: str, record: dict):
     path = os.path.join(out_dir, "metrics.json")
-    text = json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     write_atomic(path, text.encode("ascii"))
     return path
 

@@ -7,8 +7,6 @@ arrays.  The explicit Kronecker product and the vec/unvec pair live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, SingularityError, ValidationError
@@ -18,18 +16,6 @@ SYM_TOL = 1e-6
 
 # Ridge scale for the normal-equations solver.
 LSTSQ_RIDGE = 1e-12
-
-
-@dataclass
-class SymEigen:
-    """Eigendecomposition of a symmetric matrix.
-
-    ``vectors`` holds orthonormal eigenvectors in columns, ``values`` the
-    matching eigenvalues sorted in descending order.
-    """
-
-    vectors: np.ndarray
-    values: np.ndarray
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -56,8 +42,10 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(m * n, r)
 
 
-def sym_eig(m) -> SymEigen:
-    """Eigendecomposition of a (numerically) symmetric matrix.
+def sym_eig(m) -> tuple:
+    """(values, vectors) of a (numerically) symmetric matrix: the
+    eigenvalues in descending order and the matching orthonormal
+    eigenvectors in the columns of a C-contiguous matrix.
 
     The input is symmetrized as (m + m.T)/2 first.  Asymmetry beyond
     ``SYM_TOL`` relative Frobenius norm is treated as a bug in the caller
@@ -75,7 +63,8 @@ def sym_eig(m) -> SymEigen:
     sym = (a + a.T) / 2.0
     values, vectors = np.linalg.eigh(sym)
     order = np.argsort(values)[::-1]
-    return SymEigen(vectors=vectors[:, order].copy(), values=values[order].copy())
+    # a C-ordered copy: the GEMMs that read the basis round by operand layout
+    return values[order], vectors[:, order].copy()
 
 
 def ridge_solve(a: np.ndarray, b: np.ndarray, eye: np.ndarray) -> np.ndarray:

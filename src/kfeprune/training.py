@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import TrainingDivergenceError
-from .network import Network, cross_entropy, cross_entropy_and_grad
+from .network import Network, cross_entropy
 
 # Weights exactly equal to zero are treated as pruned-and-frozen when
 # freeze_zeros is on; a continuous init never produces them by accident.
@@ -30,8 +30,9 @@ def lr_at_epoch(epoch: int, total_epochs: int, lr0: float) -> float:
     return lr0
 
 
-def sgd_step(params, grads, lr: float, weight_decay: float = 0.0):
-    """In-place update p <- p - lr * (g + wd * p) for matching name lists.
+def sgd_step(params, grads: dict, lr: float, weight_decay: float = 0.0):
+    """In-place update p <- p - lr * (g + wd * p) for each (name, p) of
+    params, with g = grads[name]: a layer's param_items and grad dict.
 
     The step consumes its gradients: each g is overwritten with the step
     lr * (g + wd * p) and then subtracted, bitwise the allocating form.
@@ -40,8 +41,8 @@ def sgd_step(params, grads, lr: float, weight_decay: float = 0.0):
     included; a weight already at +-inf stays +-inf instead of becoming
     NaN through 0.0 * inf.
     """
-    for (name, p), (gname, g) in zip(params, grads):
-        assert name == gname
+    for name, p in params:
+        g = grads[name]
         if weight_decay != 0.0:
             g += weight_decay * p
         g *= lr
@@ -114,10 +115,13 @@ def train(
     """Train in place; returns (net, curve) with one curve row per epoch.
 
     Curve rows are (epoch, lr, train_loss, train_accuracy) where loss and
-    accuracy are measured on the shuffled stream as it is consumed.
-    freeze_zeros keeps every exactly-zero weight of a plain layer (see
-    zero_masks) at zero: each step ANDs the gradient's bits with the keep
-    patterns built once here, in place, since the step owns its gradients.
+    accuracy are measured on the shuffled stream as it is consumed.  Each
+    step takes the batch's loss and gradients from one Network.backward
+    and raises TrainingDivergenceError before stepping on a non-finite
+    loss.  freeze_zeros keeps every exactly-zero weight of a plain layer
+    (see zero_masks) at zero: each step ANDs the gradient's bits with the
+    keep patterns built once here, in place, since the step owns its
+    gradients.
     """
     rng = np.random.default_rng(seed)
     keeps = keep_patterns(zero_masks(net)) if freeze_zeros else {}
@@ -135,17 +139,16 @@ def train(
             xb = dataset.x[idx]
             yb = dataset.y[idx]
             logits = net.forward(xb, capture=True)
-            loss, logits_grad = cross_entropy_and_grad(logits, yb)
+            loss, grads = net.backward(logits, yb)
             if not math.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"training loss became non-finite at epoch {epoch}"
                 )
             epoch_loss += loss * xb.shape[0]
             correct += np.count_nonzero(logits.argmax(axis=1) == yb)
-            grads = net.backward(logits, logits_grad=logits_grad)
             for i, params, layer_keeps in steps:
                 for name, keep in layer_keeps.items():
                     mask_grad(grads[i][name], keep)
-                sgd_step(params, [(name, grads[i][name]) for name, _ in params], lr_e, weight_decay)
+                sgd_step(params, grads[i], lr_e, weight_decay)
         curve.append((epoch, lr_e, epoch_loss / n, correct / n))
     return net, curve

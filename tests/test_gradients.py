@@ -18,7 +18,7 @@ from kfeprune.layers import (
 )
 from kfeprune.config import RunConfig
 from kfeprune.data import Dataset
-from kfeprune.network import Network, build_cnn, cross_entropy, cross_entropy_grad
+from kfeprune.network import Network, build_cnn, cross_entropy, cross_entropy_and_grad
 from kfeprune.pipeline import prune_once
 
 REL_TOL = 1e-6
@@ -39,7 +39,7 @@ def param_grad_check(net, x, y):
 
     g_num = oracle.finite_diff_grad(lossfn, theta0)
     lossfn(theta0)
-    grads = net.backward(net.forward(x, capture=True), y)
+    _, grads = net.backward(net.forward(x, capture=True), y)
     g_ana = np.concatenate(
         [grads[i][name].ravel() for i, layer in enumerate(net.layers)
          for name, _ in layer.param_items()]
@@ -143,12 +143,12 @@ def test_network_backward_matches_per_layer_input_grads(case):
     gradient bit-identical to backpropagating through all layers."""
     net, x, y = CASES[case](0)
     logits = net.forward(x, capture=True)
-    fast = net.backward(logits, y)
+    _, fast = net.backward(logits, y)
     tapes = [{} for _ in net.layers]
     out = x
     for layer, tape in zip(net.layers, tapes):
         out = layer.forward(out, tape)
-    delta = cross_entropy_grad(out, y)
+    _, delta = cross_entropy_and_grad(out, y)
     for layer, tape in zip(reversed(net.layers), reversed(tapes)):
         delta = layer.backward(delta, tape, input_grad=True)
     assert delta.shape == x.shape
@@ -238,7 +238,7 @@ def test_network_backward_without_param_grads(case):
     net, x, y = CASES[case](0)
     net.backward(net.forward(x, capture=True), y)
     full = {i: tape["g"] for i, tape in net.captures().items()}
-    grads = net.backward(net.forward(x, capture=True), y, param_grads=False)
+    _, grads = net.backward(net.forward(x, capture=True), y, param_grads=False)
     assert grads == [{} for _ in net.layers]
     lean = net.captures()
     assert lean.keys() == full.keys()

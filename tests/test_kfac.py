@@ -577,7 +577,7 @@ def full_gradient_factors(net, dataset, conv_variant, batch_size, max_batches=No
     for start in range(0, min(stop, dataset.n), batch_size):
         xb = dataset.x[start : start + batch_size]
         yb = dataset.y[start : start + batch_size]
-        grads = net.backward(net.forward(xb, capture=True), yb)
+        _, grads = net.backward(net.forward(xb, capture=True), yb)
         assert all(grads[i] for i in layer_ids)
         caps = net.captures()
         for lid in layer_ids:

@@ -33,7 +33,6 @@ from kfeprune.network import (
     build_mlp,
     cross_entropy,
     cross_entropy_and_grad,
-    cross_entropy_grad,
     kaiming_uniform,
     softmax,
 )
@@ -775,7 +774,7 @@ def test_softmax_and_cross_entropy_reference():
     labels = rng.integers(0, 3, size=5)
     ref = -np.mean(np.log(p[np.arange(5), labels]))
     np.testing.assert_allclose(cross_entropy(logits, labels), ref, atol=1e-12)
-    grad = cross_entropy_grad(logits, labels)
+    _, grad = cross_entropy_and_grad(logits, labels)
     onehot = np.eye(3)[labels]
     np.testing.assert_allclose(grad, softmax(logits) - onehot, atol=1e-12)
 
@@ -808,11 +807,11 @@ def _loss_batches():
 @pytest.mark.parametrize("logits, labels", _loss_batches())
 def test_cross_entropy_and_grad_is_bitwise_both(logits, labels):
     """One softmax gives bitwise the loss of cross_entropy and the gradient
-    of cross_entropy_grad, which keeps the result of softmax as first
-    written: max-shifted exponentials over their ndarray.sum row sums."""
+    softmax(logits) minus the one-hot labels, which keeps the result of
+    softmax as first written: max-shifted exponentials over their
+    ndarray.sum row sums."""
     loss, grad = cross_entropy_and_grad(logits, labels)
     assert loss.hex() == cross_entropy(logits, labels).hex()
-    assert same_bits(grad, cross_entropy_grad(logits, labels))
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     want = e / e.sum(axis=1, keepdims=True)
     assert same_bits(softmax(logits), want)
@@ -820,28 +819,21 @@ def test_cross_entropy_and_grad_is_bitwise_both(logits, labels):
     assert same_bits(grad, want)
 
 
-def test_backward_takes_the_loss_gradient():
-    """backward(logits, logits_grad=...) gives bitwise the grads and
-    captures of backward(logits, labels), and takes exactly one of the two."""
+def test_backward_returns_the_batch_loss():
+    """backward's loss is bitwise cross_entropy of the logits it
+    backpropagates, with or without parameter gradients, and logits from
+    another forward pass still raise."""
     rng = np.random.default_rng(12)
     x, y = rng.standard_normal((7, 1, 6, 6)), rng.integers(0, 3, size=7)
-    nets = [build_cnn((1, 6, 6), [4], 3, seed=2) for _ in range(2)]
-    logits = [net.forward(x, capture=True) for net in nets]
-    want = nets[0].backward(logits[0], y)
-    got = nets[1].backward(logits[1], logits_grad=cross_entropy_and_grad(logits[1], y)[1])
-    for i in nets[0].parameterized_ids():
-        assert nets[0].captures()[i]["g"].tobytes() == nets[1].captures()[i]["g"].tobytes()
-        for name in want[i]:
-            assert same_bits(got[i][name], want[i][name]), (i, name)
-    net, out = nets[1], logits[1]
-    with pytest.raises(ValidationError, match="exactly one"):
-        net.backward(out)
-    with pytest.raises(ValidationError, match="exactly one"):
-        net.backward(out, y, logits_grad=np.zeros_like(out))
-    with pytest.raises(DimensionError, match="logits' shape"):
-        net.backward(out, logits_grad=np.zeros((6, 3)))
+    net = build_cnn((1, 6, 6), [4], 3, seed=2)
+    for param_grads in (True, False):
+        logits = net.forward(x, capture=True)
+        want = cross_entropy(logits, y)
+        loss, grads = net.backward(logits, y, param_grads=param_grads)
+        assert loss.hex() == want.hex()
+        assert all(grads[i] for i in net.parameterized_ids()) == param_grads
     with pytest.raises(StateError, match="different forward pass"):
-        net.backward(out.copy(), logits_grad=np.zeros_like(out))
+        net.backward(logits.copy(), y)
 
 
 def test_step_and_factor_batch_exponentiate_the_logits_once(monkeypatch):
@@ -869,7 +861,7 @@ def test_saturated_logits_give_zero_gradients():
     net = Network([layer])
     x = np.eye(2)
     logits = net.forward(x, capture=True)
-    grads = net.backward(logits, np.array([0, 1]))
+    _, grads = net.backward(logits, np.array([0, 1]))
     assert np.max(np.abs(grads[0]["w"])) <= 1e-8
     assert np.max(np.abs(grads[0]["b"])) <= 1e-8
 
@@ -919,7 +911,7 @@ def test_backward_skips_input_grads_up_to_the_first_parameterized_layer():
 
         layer.backward = recording
     x = np.random.default_rng(9).standard_normal((4, 2, 3, 3))
-    grads = net.backward(net.forward(x, capture=True), np.array([0, 1, 2, 0]))
+    _, grads = net.backward(net.forward(x, capture=True), np.array([0, 1, 2, 0]))
     assert [layer.kind for layer in net.layers] == ["flatten", "dense", "relu", "dense"]
     assert flags == {0: False, 1: False, 2: True, 3: True}
     assert all(grads[i] for i in net.parameterized_ids())
@@ -980,12 +972,12 @@ def test_lr_schedule():
 
 def test_sgd_step_rules():
     p = np.array([1.0, -2.0])
-    sgd_step([("w", p)], [("w", np.array([5.0, 5.0]))], lr=0.0)
+    sgd_step([("w", p)], {"w": np.array([5.0, 5.0])}, lr=0.0)
     np.testing.assert_array_equal(p, [1.0, -2.0])
-    sgd_step([("w", p)], [("w", p.copy())], lr=1.0, weight_decay=0.0)
+    sgd_step([("w", p)], {"w": p.copy()}, lr=1.0, weight_decay=0.0)
     np.testing.assert_array_equal(p, [0.0, 0.0])
     p = np.array([2.0])
-    sgd_step([("w", p)], [("w", np.array([0.0]))], lr=0.5, weight_decay=1.0)
+    sgd_step([("w", p)], {"w": np.array([0.0])}, lr=0.5, weight_decay=1.0)
     np.testing.assert_array_equal(p, [1.0])
     # at zero decay the step is p -= lr * g, bitwise the old formula
     # p -= lr * (g + 0.0 * p) for finite p, signed zeros included
@@ -994,12 +986,12 @@ def test_sgd_step_rules():
     p_grid, g_grid = (a.ravel() for a in np.meshgrid(values, values))
     for lr in (0.0, 1e-3, 0.5, 1.0):
         got, want = p_grid.copy(), p_grid.copy()
-        sgd_step([("w", got)], [("w", g_grid.copy())], lr=lr)
+        sgd_step([("w", got)], {"w": g_grid.copy()}, lr=lr)
         want -= lr * (g_grid + 0.0 * want)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # a weight already at +-inf stays there, where 0.0 * inf made NaN
     p = np.array([np.inf, -np.inf])
-    sgd_step([("w", p)], [("w", np.array([1.0, 1.0]))], lr=0.1)
+    sgd_step([("w", p)], {"w": np.array([1.0, 1.0])}, lr=0.1)
     np.testing.assert_array_equal(p, [np.inf, -np.inf])
 
 
@@ -1007,7 +999,7 @@ def test_sgd_converges_on_quadratic():
     # 0.5*(theta - 3)^2 has gradient theta - 3
     p = np.array([0.0])
     for _ in range(1000):
-        sgd_step([("w", p)], [("w", p - 3.0)], lr=0.1)
+        sgd_step([("w", p)], {"w": p - 3.0}, lr=0.1)
     assert abs(p[0] - 3.0) <= 1e-6
 
 
@@ -1118,7 +1110,7 @@ def reference_finetune(net, ds, epochs, lr, weight_decay, batch_size, seed, free
                 logits = net.forward(ds.x[idx], capture=True)
                 epoch_loss += _cross_entropy_mean(logits, ds.y[idx]) * idx.size
                 correct += int((logits.argmax(axis=1) == ds.y[idx]).sum())
-                grads = net.backward(logits, ds.y[idx])
+                _, grads = net.backward(logits, ds.y[idx])
                 for i in net.parameterized_ids():
                     layer_masks = masks.get(i, {})
                     for name, p in net.layers[i].param_items():

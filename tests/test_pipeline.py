@@ -176,6 +176,17 @@ def test_parse_config_missing_file():
         parse_config("/nonexistent/nowhere.cfg")
 
 
+def test_non_ascii_config_is_a_usage_error(tmp_path, capsys):
+    # one UTF-8 letter, even in a comment: exit 2 with an error line
+    path = tmp_path / "run.cfg"
+    path.write_bytes("# caf\u00e9\nseed = 1\n".encode("utf-8"))
+    with pytest.raises(FormatError, match="config files are ASCII"):
+        parse_config(str(path))
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: config files are ASCII")
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_validate_config_errors():
     for bad in (
         {"strategy": "magnitude"},
@@ -367,6 +378,28 @@ def test_idx_error_paths(tmp_path):
         load_idx(labels, labels)
     with pytest.raises(FormatError, match="sample count"):
         load_idx(images, labels)
+
+
+def test_empty_idx_split_is_a_usage_error(tmp_path, capsys):
+    """An IDX pair with no samples is refused when it is loaded: the CLI
+    exits 2 before any output directory exists, for either split."""
+    rng = np.random.default_rng(3)
+    ip = write_idx_images(tmp_path / "img.idx", rng.integers(0, 256, (8, 5, 5)))
+    lp = write_idx_labels(tmp_path / "lab.idx", np.arange(8) % 2)
+    empty_ip = write_idx_images(tmp_path / "empty_img.idx", np.zeros((0, 5, 5)))
+    empty_lp = write_idx_labels(tmp_path / "empty_lab.idx", np.zeros(0))
+    with pytest.raises(FormatError, match="no samples"):
+        load_idx(empty_ip, empty_lp)
+    for split in ("train", "test"):
+        settings = dict(
+            dataset="idx", train_images=ip, train_labels=lp, test_images=ip, test_labels=lp,
+            arch="mlp:8", image="1x5x5", epochs=1, out=str(tmp_path / "run"),
+        )
+        settings.update({f"{split}_images": empty_ip, f"{split}_labels": empty_lp})
+        config = write_config(tmp_path / "empty.cfg", **settings)
+        assert cli.main(["train", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: {empty_ip}: IDX files hold no samples\n"
+        assert not os.path.exists(tmp_path / "run")
 
 
 def test_checkpoint_roundtrip_plain_network():

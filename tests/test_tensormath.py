@@ -106,27 +106,30 @@ def test_khatri_rao_entry_pattern():
 
 
 def test_sym_eig_identity():
-    eig = tm.sym_eig(np.eye(3))
-    np.testing.assert_allclose(eig.values, [1.0, 1.0, 1.0], atol=1e-14)
-    np.testing.assert_allclose(eig.vectors @ eig.vectors.T, np.eye(3), atol=1e-12)
+    values, vectors = tm.sym_eig(np.eye(3))
+    np.testing.assert_allclose(values, [1.0, 1.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(vectors @ vectors.T, np.eye(3), atol=1e-12)
 
 
 def test_sym_eig_diagonal_sorted():
-    eig = tm.sym_eig(np.diag([1.0, 4.0]))
-    np.testing.assert_allclose(eig.values, [4.0, 1.0], atol=1e-14)
+    values, vectors = tm.sym_eig(np.diag([1.0, 4.0]))
+    np.testing.assert_allclose(values, [4.0, 1.0], atol=1e-14)
     # eigenvectors are signed standard basis vectors
-    np.testing.assert_allclose(np.abs(eig.vectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+    np.testing.assert_allclose(np.abs(vectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
 
 def test_sym_eig_reconstructs_random():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((8, 8))
     sym = m @ m.T
-    eig = tm.sym_eig(sym)
-    assert np.all(np.diff(eig.values) <= 1e-12)
-    recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
+    values, vectors = tm.sym_eig(sym)
+    assert np.all(np.diff(values) <= 1e-12)
+    # C-ordered, as the basis GEMMs were measured with: their rounding
+    # follows operand layout
+    assert vectors.flags.c_contiguous
+    recon = vectors @ np.diag(values) @ vectors.T
     np.testing.assert_allclose(recon, sym, atol=1e-8 * np.linalg.norm(sym))
-    np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(8), atol=1e-10)
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(8), atol=1e-10)
 
 
 def test_sym_eig_rejects_bad_input():
