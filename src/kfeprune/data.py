@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -20,7 +22,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     num_classes: int
-    name: str = "dataset"
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -54,10 +55,12 @@ def read_idx(path: str) -> np.ndarray:
         if len(raw_dims) != 4 * ndim:
             raise FormatError(f"{path}: truncated IDX dimension header")
         dims = struct.unpack(f">{ndim}I", raw_dims)
-        count = int(np.prod(dims))
-        payload = f.read(count)
-        if len(payload) != count:
+        count = math.prod(dims)
+        # checked against the bytes after the header before reading, so a
+        # huge claim is not allocated
+        if count > os.fstat(f.fileno()).st_size - 4 * (ndim + 1):
             raise FormatError(f"{path}: IDX payload shorter than header claims")
+        payload = f.read(count)
         data = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
     if magic == IDX_MAGIC_IMAGES:
         return data.astype(np.float64) / 255.0
@@ -79,13 +82,13 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise FormatError(f"{images_path}: IDX files hold no samples")
     x = images.reshape(images.shape[0], 1, images.shape[1], images.shape[2])
     classes = int(labels.max()) + 1
-    return Dataset(x=x, y=labels, num_classes=classes, name="idx")
+    return Dataset(x=x, y=labels, num_classes=classes)
 
 
-def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Cheap box blur along the two trailing axes."""
+def _smooth(field: np.ndarray) -> np.ndarray:
+    """Cheap box blur along the two trailing axes, two passes."""
     out = field
-    for _ in range(passes):
+    for _ in range(2):
         acc = out.copy()
         acc[..., 1:, :] += out[..., :-1, :]
         acc[..., :-1, :] += out[..., 1:, :]
@@ -103,7 +106,6 @@ def synth_dataset(
     dim: int = 2,
     image_shape=None,
     sigma: float = 0.8,
-    name: str | None = None,
     task_seed: int | None = None,
 ) -> Dataset:
     """Seeded synthetic datasets.
@@ -129,14 +131,14 @@ def synth_dataset(
         x[:, 0] = np.where(half == 0, np.cos(t), 1.0 - np.cos(t))
         x[:, 1] = np.where(half == 0, np.sin(t), 0.5 - np.sin(t))
         x += sigma * 0.12 * rng.standard_normal((n, 2))
-        return Dataset(x=x, y=half, num_classes=2, name=name or "moons")
+        return Dataset(x=x, y=half, num_classes=2)
     if kind == "random":
         if image_shape is not None:
             x = rng.standard_normal((n, *image_shape))
         else:
             x = rng.standard_normal((n, dim))
         y = rng.integers(0, classes, size=n)
-        return Dataset(x=x, y=y, num_classes=classes, name=name or "random")
+        return Dataset(x=x, y=y, num_classes=classes)
     if kind != "blobs":
         raise ValidationError(f"unknown synthetic dataset kind {kind!r}")
     labels = rng.integers(0, classes, size=n)
@@ -146,7 +148,7 @@ def synth_dataset(
         templates = _smooth(templates)
         templates *= 2.0 / np.sqrt((templates ** 2).mean(axis=(1, 2, 3), keepdims=True) + 1e-12)
         x = templates[labels] + sigma * rng.standard_normal((n, c, h, w))
-        return Dataset(x=x, y=labels, num_classes=classes, name=name or "blobs")
+        return Dataset(x=x, y=labels, num_classes=classes)
     # centers sit on a circle in the first two dims so classes stay separable
     angles = 2.0 * np.pi * (np.arange(classes) + task_rng.uniform()) / classes
     centers = np.zeros((classes, dim))
@@ -154,4 +156,4 @@ def synth_dataset(
     if dim > 1:
         centers[:, 1] = 3.5 * np.sin(angles)
     x = centers[labels] + sigma * rng.standard_normal((n, dim))
-    return Dataset(x=x, y=labels, num_classes=classes, name=name or "blobs")
+    return Dataset(x=x, y=labels, num_classes=classes)

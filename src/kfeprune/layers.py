@@ -25,7 +25,8 @@ output side's layout.  The layer decides what runs between input and
 output rows: the GEMM against w for a plain layer, or a bottleneck's
 core stage followed by the qs projection.  So one forward and one
 backward in _Plain serve DenseLayer and ConvLayer, and one pair in
-Bottleneck serves both bottleneck kinds.
+Bottleneck serves both bottleneck kinds.  Every kind derives from _Layer,
+and counts its parameters and FLOPs from its arrays' sizes.
 
 A conv's input gradient is bitwise col2im(g @ K.T).  Where the scatter
 would span more than one bincount group, c_in is a multiple of 8, the
@@ -63,6 +64,7 @@ holds it.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -224,6 +226,11 @@ class _DenseGeometry:
             raise DimensionError(f"{self.kind} expects ({self.fan_in},), got {tuple(in_shape)}")
         return (self.fan_out,)
 
+    def _locations(self, in_shape) -> tuple:
+        """(input pixels, output locations) of a sample: one of each."""
+        self.out_shape(in_shape)
+        return 1, 1
+
     def _gemm(self, x: np.ndarray, kernel: np.ndarray, tape: dict | None) -> np.ndarray:
         if tape is not None:
             tape["a"] = x
@@ -279,6 +286,12 @@ class _ConvGeometry:
         if h_out <= 0 or w_out <= 0:
             raise DimensionError(f"{self.kind} output would be empty for input {h}x{w}")
         return (self.c_out, h_out, w_out)
+
+    def _locations(self, in_shape) -> tuple:
+        """(input pixels, output locations) of a sample: H*W and
+        H_out*W_out."""
+        _, h_out, w_out = self.out_shape(in_shape)
+        return in_shape[1] * in_shape[2], h_out * w_out
 
     def _gemm(self, x: np.ndarray, kernel: np.ndarray, tape: dict | None) -> np.ndarray:
         """(B, L, m) product of x's patches and kernel; the tape keeps x_in
@@ -406,7 +419,28 @@ class _ConvGeometry:
         return _channels_last(y, y.shape[0], *out_shape)
 
 
-class _Plain:
+class _Layer:
+    """Base of every kind: param_count sums the sizes of param_items, and
+    flops(in_shape), the forward multiply-add count of one sample at two
+    ops each, is the parameters' sizes times the geometry's _locations."""
+
+    def param_items(self):
+        return []
+
+    def param_count(self) -> int:
+        return sum(p.size for _, p in self.param_items())
+
+    def flops(self, in_shape) -> int:
+        return 0
+
+    def _set_bias(self, bias: np.ndarray | None, n: int):
+        """The bias b as n float64 values, zeros when bias is None."""
+        self.b = np.ascontiguousarray(np.zeros(n) if bias is None else bias, dtype=np.float64)
+        if self.b.shape != (n,):
+            raise DimensionError(f"{self.kind} bias shape mismatch")
+
+
+class _Plain(_Layer):
     """The one forward/backward of both plain kinds: the geometry's GEMM
     against the weight w, a (fan_in, fan_out) matrix, plus the bias."""
 
@@ -414,11 +448,7 @@ class _Plain:
         self.w = np.ascontiguousarray(w, dtype=np.float64)
         if self.w.ndim != 2:
             raise DimensionError(f"{self.kind} weight must be 2-D")
-        if bias is None:
-            bias = np.zeros(self.w.shape[1])
-        self.b = np.ascontiguousarray(bias, dtype=np.float64)
-        if self.b.shape != (self.w.shape[1],):
-            raise DimensionError(f"{self.kind} bias shape mismatch")
+        self._set_bias(bias, self.w.shape[1])
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         out_shape = self.out_shape(x.shape[1:])
@@ -438,8 +468,9 @@ class _Plain:
     def param_items(self):
         return [("w", self.w), ("b", self.b)]
 
-    def param_count(self) -> int:
-        return self.w.size + self.b.size
+    def flops(self, in_shape) -> int:
+        """The GEMM against w at every output location."""
+        return 2 * self.w.size * self._locations(in_shape)[1]
 
 
 class DenseLayer(_DenseGeometry, _Plain):
@@ -452,9 +483,6 @@ class DenseLayer(_DenseGeometry, _Plain):
     @property
     def fan_out(self) -> int:
         return self.w.shape[1]
-
-    def flops(self, in_shape) -> int:
-        return 2 * self.fan_in * self.fan_out
 
 
 class ConvLayer(_ConvGeometry, _Plain):
@@ -484,12 +512,8 @@ class ConvLayer(_ConvGeometry, _Plain):
     def c_out(self) -> int:
         return self.w.shape[1]
 
-    def flops(self, in_shape) -> int:
-        _, h_out, w_out = self.out_shape(in_shape)
-        return 2 * self.k * self.k * self.c_in * self.c_out * h_out * w_out
 
-
-class ReluLayer:
+class ReluLayer(_Layer):
     kind = "relu"
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
@@ -506,20 +530,11 @@ class ReluLayer:
         dy *= tape["mask"]
         return dy
 
-    def param_items(self):
-        return []
-
     def out_shape(self, in_shape):
         return in_shape
 
-    def param_count(self) -> int:
-        return 0
 
-    def flops(self, in_shape) -> int:
-        return 0
-
-
-class FlattenLayer:
+class FlattenLayer(_Layer):
     kind = "flatten"
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
@@ -536,23 +551,11 @@ class FlattenLayer:
         # hand a conv stack's ReLU its gradient in the mask's layout
         return _channels_last(_pixel_rows(dx), *dx.shape) if dx.ndim == 4 else dx
 
-    def param_items(self):
-        return []
-
     def out_shape(self, in_shape):
-        n = 1
-        for s in in_shape:
-            n *= s
-        return (n,)
-
-    def param_count(self) -> int:
-        return 0
-
-    def flops(self, in_shape) -> int:
-        return 0
+        return (math.prod(in_shape),)
 
 
-class Bottleneck:
+class Bottleneck(_Layer):
     """A layer rewritten as qa @ core @ qs.T with prunable inner ranks.
 
     qa (fan_in side, ra columns) and qs (fan_out side, rc columns) are the
@@ -577,11 +580,7 @@ class Bottleneck:
         ra, rc = self.core_ranks()
         if self.qa.ndim != 2 or self.qs.ndim != 2 or self.ra != ra or self.rc != rc:
             raise DimensionError("basis column counts must match core ranks")
-        if bias is None:
-            bias = np.zeros(self.qs.shape[0])
-        self.b = np.ascontiguousarray(bias, dtype=np.float64)
-        if self.b.shape != (self.qs.shape[0],):
-            raise DimensionError("bottleneck bias shape mismatch")
+        self._set_bias(bias, self.qs.shape[0])
 
     @property
     def ra(self) -> int:
@@ -599,8 +598,11 @@ class Bottleneck:
     def param_items(self):
         return [("qa", self.qa), ("core", self.core), ("qs", self.qs), ("b", self.b)]
 
-    def param_count(self) -> int:
-        return self.qa.size + self.core.size + self.qs.size + self.b.size
+    def flops(self, in_shape) -> int:
+        """The factored layer's count, qa at every input pixel and the core
+        and qs at every output location, not that of the forward's GEMMs."""
+        pixels, locations = self._locations(in_shape)
+        return 2 * (self.qa.size * pixels + (self.core.size + self.qs.size) * locations)
 
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         out_shape = self.out_shape(x.shape[1:])
@@ -662,9 +664,6 @@ class BottleneckDenseLayer(_DenseGeometry, Bottleneck):
             gqa /= dh1.shape[0]
             grads = gqa, self._kernel_grad(tape, dh2)
         return grads, dh1 @ self.qa.T if input_grad else None
-
-    def flops(self, in_shape) -> int:
-        return 2 * self.fan_in * self.ra + 2 * self.ra * self.rc + 2 * self.rc * self.fan_out
 
 
 class BottleneckConvLayer(_ConvGeometry, Bottleneck):
@@ -755,11 +754,3 @@ class BottleneckConvLayer(_ConvGeometry, Bottleneck):
         columns, which the factors are pinned to bit for bit."""
         batch, _, h, w = x.shape
         return (self.qa.T @ _pixel_rows(x).transpose(0, 2, 1)).reshape(batch, self.ra, h, w)
-
-    def flops(self, in_shape) -> int:
-        """The factored layer's count, qa at input resolution and the core
-        and qs at every output location, not that of the forward's GEMMs."""
-        _, h, w = in_shape
-        _, h_out, w_out = self.out_shape(in_shape)
-        per_loc = self.core.size + self.rc * self.c_out
-        return 2 * self.c_in * self.ra * h * w + 2 * per_loc * h_out * w_out

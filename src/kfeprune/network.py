@@ -148,16 +148,10 @@ def build_mlp(in_dim: int, hidden, classes: int, seed: int) -> Network:
     return Network(layers)
 
 
-def build_cnn(
-    in_shape,
-    channels,
-    classes: int,
-    seed: int,
-    k: int = 3,
-    stride: int = 2,
-    padding: int = 1,
-) -> Network:
-    """Conv/ReLU stack, flatten, then a dense classifier head."""
+def build_cnn(in_shape, channels, classes: int, seed: int) -> Network:
+    """Conv/ReLU stack, flatten, then a dense classifier head.  Every conv
+    is 3x3 with stride 2 and padding 1."""
+    k = 3
     rng = np.random.default_rng(seed)
     c, h, w = in_shape
     layers = []
@@ -165,7 +159,7 @@ def build_cnn(
     for c_out in channels:
         fan_in = cur[0] * k * k
         weight = kaiming_uniform(rng, fan_in, (fan_in, c_out))
-        conv = ConvLayer(weight, None, c_in=cur[0], k=k, stride=stride, padding=padding)
+        conv = ConvLayer(weight, None, c_in=cur[0], k=k, stride=2, padding=1)
         layers.append(conv)
         layers.append(ReluLayer())
         cur = conv.out_shape(cur)

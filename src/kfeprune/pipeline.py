@@ -57,7 +57,6 @@ def build_dataset(cfg: RunConfig, split: str) -> Dataset:
         dim=cfg.dim,
         image_shape=image_shape,
         sigma=cfg.sigma,
-        name=split,
         task_seed=cfg.seed,
     )
 

@@ -35,7 +35,6 @@ def single_sample_factors(seed):
         x=rng.standard_normal((1, 3)),
         y=np.array([2]),
         num_classes=4,
-        name="one",
     )
     factors, _ = kfac.estimate_factors(net, ds, batch_size=1)
     return net, ds, factors[0]
@@ -126,7 +125,6 @@ def conv_net_and_data(seed, h=4, w=4, c_in=2, c_out=3, k=3, n=2):
         x=rng.standard_normal((n, c_in, h, w)),
         y=rng.integers(0, 2, size=n),
         num_classes=2,
-        name="convtoy",
     )
     return net, ds
 

@@ -1283,7 +1283,7 @@ def test_evaluate_batch_invariant():
 def test_xor_training_reaches_full_accuracy():
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    ds = Dataset(x=x, y=y, num_classes=2, name="xor")
+    ds = Dataset(x=x, y=y, num_classes=2)
     net = build_mlp(2, [8], 2, seed=0)
     train(net, ds, epochs=400, lr=0.5, batch_size=4, seed=0)
     _, acc = evaluate(net, x, y)

@@ -380,6 +380,30 @@ def test_idx_error_paths(tmp_path):
         load_idx(images, labels)
 
 
+@pytest.mark.parametrize(
+    "dims",
+    # 2**48 bytes; a product that overflows int64 to 0; one that wraps negative
+    [(2**16, 2**16, 2**16), (2**22, 2**22, 2**20), (2**31, 2**31, 2**31 - 1)],
+)
+def test_idx_header_claiming_more_than_the_file_is_a_usage_error(tmp_path, capsys, dims):
+    """A header whose payload the file cannot hold is refused before any
+    read: a FormatError, and through the CLI exit 2 with no output
+    directory."""
+    huge = tmp_path / "huge.idx"
+    huge.write_bytes(struct.pack(">IIII", 0x00000803, *dims))
+    with pytest.raises(FormatError, match="payload shorter than header claims"):
+        read_idx(str(huge))
+    lp = write_idx_labels(tmp_path / "lab.idx", np.arange(8) % 2)
+    config = write_config(
+        tmp_path / "huge.cfg", dataset="idx", train_images=huge, train_labels=lp,
+        test_images=huge, test_labels=lp, arch="mlp:8", image="1x5x5", epochs=1,
+        out=str(tmp_path / "run"),
+    )
+    assert cli.main(["train", "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {huge}: IDX payload shorter than header claims\n"
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_empty_idx_split_is_a_usage_error(tmp_path, capsys):
     """An IDX pair with no samples is refused when it is loaded: the CLI
     exits 2 before any output directory exists, for either split."""
@@ -814,6 +838,9 @@ def test_count_flops_examples():
     bottleneck_dense = Network(
         [BottleneckDenseLayer(np.zeros((10, 3)), np.zeros((3, 2)), np.zeros((5, 2)))]
     )
+    # qa at every input pixel, the core and qs at every output location
+    assert accounting.count_flops(bottleneck_dense, (10,)) == 2 * (30 + 6 + 10) == 92
+    assert accounting.count_params(bottleneck_dense) == 30 + 6 + 10 + 5 == 51
     bottleneck_conv = Network(
         [
             BottleneckConvLayer(
@@ -822,6 +849,19 @@ def test_count_flops_examples():
             )
         ]
     )
+    assert accounting.count_flops(bottleneck_conv, (2, 8, 8)) == 2 * (8 * 64 + 123 * 36) == 9880
+    assert accounting.count_params(bottleneck_conv) == 8 + 108 + 15 + 5 == 136
+    depthwise = Network(
+        [
+            BottleneckConvLayer(
+                np.zeros((2, 3)), np.zeros((9, 3)), np.zeros((5, 3)), None,
+                c_in=2, k=3, stride=1, padding=0,
+            )
+        ]
+    )
+    assert accounting.count_flops(depthwise, (2, 8, 8)) == 2 * (6 * 64 + 42 * 36) == 3792
+    assert accounting.count_params(depthwise) == 6 + 27 + 15 + 5 == 53
+    assert ReluLayer().param_count() == FlattenLayer().param_count() == 0
     # a sample shape a layer cannot take: wrong width or rank for the dense
     # kinds; wrong channel count, rank, or an empty output for the conv kinds
     for net, bad in (
