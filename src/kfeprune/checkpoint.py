@@ -14,19 +14,18 @@ block (u8 count of entries, each a length-prefixed ASCII tag, dtype
 byte, ndim byte, u32 dims, raw payload).  Payloads are float64
 little-endian.  Writing the same object twice produces identical bytes.
 
-Each record kind holds exactly its own meta keys and tensor tags, each
-once.  Tensor tags: plain layers "W"/"b"; bottleneck layers "QA"/"Wp"
-(full core) or "D" (depthwise core, conv only)/"QS"/"b".  Older
-bottleneck records also hold u32 "kept_rows"/"kept_cols" lists, which
-the reader accepts there and drops.
+Each record kind holds exactly the meta keys and tensor tags of its row
+in _RECORDS, each once, and the writer and the reader both take them
+from that row; a depthwise core (conv only) is tagged "D", not "Wp".
+Older bottleneck records also hold u32 "kept_rows"/"kept_cols" lists,
+which the reader accepts there and drops.
 
-Bottleneck records carry a "core_mode" meta key: 0 for a full core, 1
-for a depthwise one.  Dense bottleneck records always carry 0; the
-reader rejects any other value there, and any code that does not match
-the rank of the core tensor (a layer reads its mode off that rank).  Conv bottleneck records also
-carry a "basis" meta key that is always 0, the channel basis.  Code 1
-named a patch basis that is no longer supported; the reader rejects it,
-and every other malformed input, with FormatError.
+A bottleneck record's "core_mode" is 0 for a full core and 1 for a
+depthwise one.  The reader rejects 1 on a dense bottleneck, and any code
+that does not match the rank of the core tensor (a layer reads its mode
+off that rank).  A conv bottleneck's "basis" is always 0, the channel
+basis; code 1 named a patch basis that is no longer supported.  The
+reader rejects it, and every other malformed input, with FormatError.
 """
 
 from __future__ import annotations
@@ -70,14 +69,24 @@ CHANNEL_BASIS = 0
 LEGACY_KEPT = ("kept_rows", "kept_cols")
 _CORE_CODE = {"full": 0, "diag": 1}
 _CORE_NAME = {v: k for k, v in _CORE_CODE.items()}
-_META_KEYS = {
-    TAG_DENSE: (),
-    TAG_CONV: CONV_GEOMETRY,
-    TAG_RELU: (),
-    TAG_FLATTEN: (),
-    TAG_BN_DENSE: ("core_mode",),
-    TAG_BN_CONV: CONV_GEOMETRY + ("basis", "core_mode"),
+
+_PLAIN_TENSORS = (("W", "w"), ("b", "bias"))
+_BOTTLENECK_TENSORS = (("QA", "qa"), ("Wp", "core"), ("QS", "qs"), ("b", "bias"))
+# tag: (class, meta keys, (tensor tag, constructor argument) pairs), in record order
+_RECORDS = {
+    TAG_DENSE: (DenseLayer, (), _PLAIN_TENSORS),
+    TAG_CONV: (ConvLayer, CONV_GEOMETRY, _PLAIN_TENSORS),
+    TAG_RELU: (ReluLayer, (), ()),
+    TAG_FLATTEN: (FlattenLayer, (), ()),
+    TAG_BN_DENSE: (BottleneckDenseLayer, ("core_mode",), _BOTTLENECK_TENSORS),
+    TAG_BN_CONV: (BottleneckConvLayer, CONV_GEOMETRY + ("basis", "core_mode"), _BOTTLENECK_TENSORS),
 }
+_TAG_OF = {row[0]: tag for tag, row in _RECORDS.items()}
+
+
+def _tensor_tags(row_tensors: tuple, mode) -> list:
+    """A row's (tensor tag, argument) pairs for a core in mode."""
+    return [("D" if tag == "Wp" and mode == "diag" else tag, arg) for tag, arg in row_tensors]
 
 
 def _key_bytes(key: str) -> bytes:
@@ -103,27 +112,18 @@ def _write_tensors(out: list, tensors: dict):
         out.append(arr.astype("<f8").tobytes(order="C"))
 
 
-def _bottleneck_tensors(layer) -> dict:
-    core_tag = "D" if layer.core_mode == "diag" else "Wp"
-    return {"QA": layer.qa, core_tag: layer.core, "QS": layer.qs, "b": layer.b}
-
-
 def _layer_record(layer) -> tuple:
-    if isinstance(layer, DenseLayer):
-        return TAG_DENSE, {}, {"W": layer.w, "b": layer.b}
-    if isinstance(layer, ConvLayer):
-        return TAG_CONV, layer.geometry(), {"W": layer.w, "b": layer.b}
-    if isinstance(layer, ReluLayer):
-        return TAG_RELU, {}, {}
-    if isinstance(layer, FlattenLayer):
-        return TAG_FLATTEN, {}, {}
-    if isinstance(layer, BottleneckDenseLayer):
-        return TAG_BN_DENSE, {"core_mode": _CORE_CODE["full"]}, _bottleneck_tensors(layer)
-    if isinstance(layer, BottleneckConvLayer):
-        mode = _CORE_CODE[layer.core_mode]
-        meta = {**layer.geometry(), "basis": CHANNEL_BASIS, "core_mode": mode}
-        return TAG_BN_CONV, meta, _bottleneck_tensors(layer)
-    raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
+    tag = _TAG_OF.get(type(layer))
+    if tag is None:
+        raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
+    _, meta_keys, row_tensors = _RECORDS[tag]
+    # plain layers have no core_mode, and their rows name no core meta keys
+    mode = getattr(layer, "core_mode", "full")
+    fields = {**layer.geometry(), "basis": CHANNEL_BASIS, "core_mode": _CORE_CODE[mode]}
+    # param_items names the bias "b", the constructors "bias"
+    params = {("bias" if name == "b" else name): p for name, p in layer.param_items()}
+    tensors = {tag: params[arg] for tag, arg in _tensor_tags(row_tensors, mode)}
+    return tag, {key: fields[key] for key in meta_keys}, tensors
 
 
 def _sealed(out: list) -> bytes:
@@ -223,49 +223,37 @@ def _expect(fields: dict, names: tuple, what: str):
             raise FormatError(f"layer record has unknown {what} {name!r}")
 
 
-def _build_bottleneck(tag: int, meta: dict, tensors: dict):
-    if meta["core_mode"] not in _CORE_NAME:
-        raise FormatError(f"unknown core_mode code {meta['core_mode']}")
-    mode = _CORE_NAME[meta["core_mode"]]
-    if tag == TAG_BN_DENSE:
-        if mode != "full":
+def _build_layer(tag: int, meta: dict, tensors: dict):
+    if tag not in _RECORDS:
+        raise FormatError(f"unknown layer tag {tag}")
+    cls, meta_keys, row_tensors = _RECORDS[tag]
+    _expect(meta, meta_keys, "meta key")
+    mode, legacy = None, ()
+    if "core_mode" in meta:
+        if meta["core_mode"] not in _CORE_NAME:
+            raise FormatError(f"unknown core_mode code {meta['core_mode']}")
+        mode = _CORE_NAME[meta["core_mode"]]
+        if mode != "full" and "k" not in meta:
             raise FormatError(
                 f"dense bottleneck core_mode code {meta['core_mode']} is not "
                 "supported (only conv bottlenecks hold a depthwise core)"
             )
-        cls, extra = BottleneckDenseLayer, {}
-    else:
-        if meta["basis"] != CHANNEL_BASIS:
+        if meta.get("basis", CHANNEL_BASIS) != CHANNEL_BASIS:
             raise FormatError(
                 f"conv bottleneck basis code {meta['basis']} is not supported "
                 "(code 1, the patch basis, is retired)"
             )
-        cls, extra = BottleneckConvLayer, {key: meta[key] for key in CONV_GEOMETRY}
-    core_tag = "D" if mode == "diag" else "Wp"
-    legacy = LEGACY_KEPT if tensors.keys() & set(LEGACY_KEPT) else ()
-    _expect(tensors, ("QA", core_tag, "QS", "b") + legacy, "tensor")
-    core = tensors[core_tag]
-    if core.ndim != (3 if tag == TAG_BN_CONV and mode == "full" else 2):
+        legacy = LEGACY_KEPT if tensors.keys() & set(LEGACY_KEPT) else ()
+    tags = _tensor_tags(row_tensors, mode)
+    _expect(tensors, tuple(tag for tag, _ in tags) + legacy, "tensor")
+    args = {arg: tensors[tag] for tag, arg in tags}
+    # a full conv core holds a k*k offset axis
+    if mode is not None and args["core"].ndim != (3 if "k" in meta and mode == "full" else 2):
         raise FormatError(
-            f"core_mode code {meta['core_mode']} does not match a {core.ndim}-D core"
+            f"core_mode code {meta['core_mode']} does not match a {args['core'].ndim}-D core"
         )
-    return cls(qa=tensors["QA"], core=core, qs=tensors["QS"], bias=tensors["b"], **extra)
-
-
-def _build_layer(tag: int, meta: dict, tensors: dict):
-    if tag not in _META_KEYS:
-        raise FormatError(f"unknown layer tag {tag}")
-    _expect(meta, _META_KEYS[tag], "meta key")
     try:
-        if tag in (TAG_BN_DENSE, TAG_BN_CONV):
-            return _build_bottleneck(tag, meta, tensors)
-        if tag in (TAG_RELU, TAG_FLATTEN):
-            _expect(tensors, (), "tensor")
-            return ReluLayer() if tag == TAG_RELU else FlattenLayer()
-        _expect(tensors, ("W", "b"), "tensor")
-        if tag == TAG_DENSE:
-            return DenseLayer(tensors["W"], tensors["b"])
-        return ConvLayer(tensors["W"], tensors["b"], **meta)
+        return cls(**args, **{key: meta[key] for key in CONV_GEOMETRY if key in meta})
     except (DimensionError, ValidationError) as err:
         raise FormatError(f"malformed layer record: {err}") from err
 

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 numeric or training failure, 2 usage or IO
-error.  Flags override values from the config file.
+error.  Flags override config file values; the command checks the result.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import STRATEGIES, parse_config, validate_config
+from .config import STRATEGIES, parse_config
 from .errors import FormatError, KfepruneError
 from .pipeline import (
     cmd_decompose,
@@ -76,7 +76,6 @@ def main(argv=None) -> int:
             value = getattr(args, name)
             if value is not None:
                 setattr(cfg, name, value)
-        validate_config(cfg)
         record = COMMANDS[args.command](cfg)
     except (FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

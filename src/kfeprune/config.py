@@ -1,8 +1,9 @@
 """Flat key = value run configuration.
 
 One assignment per line, # starts a comment, blank lines are skipped.
-Unknown keys and badly typed values are format errors so a bad file
-fails loudly before any work happens.
+Unknown keys and badly typed values are format errors.  Every command
+runs validate_config first, after the command line's overrides, so a
+bad value fails loudly before any work happens.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ def parse_config(path) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
         setattr(cfg, key, _coerce(key, raw))
-    validate_config(cfg)
     return cfg
 
 

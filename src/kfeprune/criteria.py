@@ -11,7 +11,9 @@ factor eigenvalue products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -235,28 +237,30 @@ def eigendamage_scores(
 def select_mask(tables, ratio: float, cap: float) -> PruneMask:
     """Global threshold selection with a hard per-group removal cap.
 
-    The threshold tau is the nearest-rank ratio-percentile of the pooled
-    scores.  Units scoring <= tau are removal candidates; within each
-    (layer, kind) group at most floor(cap * group_size) are removed,
-    lowest score first, ties broken by lower unit id.  Candidates rescued
-    by the cap are the group's highest-scoring ones.
+    The threshold tau is the ceil(ratio * n)-th smallest pooled score.
+    Units scoring <= tau are removal candidates; within each (layer,
+    kind) group at most floor(cap * group_size) are removed, lowest score
+    first, ties broken by lower unit id.  Candidates rescued by the cap
+    are the group's highest-scoring ones.  Both products are exact, of
+    the decimals ratio and cap print as: 0.55 of 100 units is 55.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValidationError(f"ratio must lie in [0, 1], got {ratio}")
     if not 0.0 < cap <= 1.0:
         raise ValidationError(f"cap must lie in (0, 1], got {cap}")
+    ratio, cap = (Fraction(repr(float(v))) for v in (ratio, cap))
     by_group = {(t.layer_id, t.unit_kind): t.delta_l for t in tables}
     if len(by_group) < len(tables):
         raise ValidationError("two importance tables for one layer and unit kind")
     pooled = np.concatenate(list(by_group.values()) or [np.empty(0)])
     if not pooled.size:
         raise ValidationError("no importance entries to select from")
-    rank = int(np.ceil(ratio * pooled.size))
+    rank = math.ceil(ratio * pooled.size)
     tau = float(np.partition(pooled, rank - 1)[rank - 1]) if rank >= 1 else -np.inf
     groups = {}
     for key in sorted(by_group):
         scores = by_group[key]
-        budget = int(np.floor(cap * scores.size))
+        budget = math.floor(cap * scores.size)
         candidates = np.flatnonzero(scores <= tau)
         # a stable sort keeps ascending ids among equal scores
         removed = candidates[np.argsort(scores[candidates], kind="stable")[:budget]]

@@ -39,7 +39,8 @@ class Dataset:
 
 
 def read_idx(path: str) -> np.ndarray:
-    """Parse one IDX file (big-endian); images are scaled to [0, 1]."""
+    """Parse one IDX file (big-endian); images are scaled to [0, 1].  The
+    payload must be exactly the size the header claims."""
     with open(path, "rb") as f:
         head = f.read(4)
         if len(head) != 4:
@@ -58,8 +59,10 @@ def read_idx(path: str) -> np.ndarray:
         count = math.prod(dims)
         # checked against the bytes after the header before reading, so a
         # huge claim is not allocated
-        if count > os.fstat(f.fileno()).st_size - 4 * (ndim + 1):
-            raise FormatError(f"{path}: IDX payload shorter than header claims")
+        held = os.fstat(f.fileno()).st_size - 4 * (ndim + 1)
+        if count != held:
+            side = "shorter" if count > held else "longer"
+            raise FormatError(f"{path}: IDX payload {side} than header claims")
         payload = f.read(count)
         data = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
     if magic == IDX_MAGIC_IMAGES:

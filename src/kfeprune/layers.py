@@ -218,9 +218,6 @@ class _DenseGeometry:
     y = x @ K against a (fan_in, m) kernel K, and the output is those
     rows.  The tape keeps the input as "a"."""
 
-    def geometry(self) -> dict:
-        return {}
-
     def out_shape(self, in_shape):
         if tuple(in_shape) != (self.fan_in,):
             raise DimensionError(f"{self.kind} expects ({self.fan_in},), got {tuple(in_shape)}")
@@ -423,6 +420,9 @@ class _Layer:
     """Base of every kind: param_count sums the sizes of param_items, and
     flops(in_shape), the forward multiply-add count of one sample at two
     ops each, is the parameters' sizes times the geometry's _locations."""
+
+    def geometry(self) -> dict:
+        return {}
 
     def param_items(self):
         return []

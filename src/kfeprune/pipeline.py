@@ -25,7 +25,7 @@ from .checkpoint import (
     save_network,
     write_atomic,
 )
-from .config import RunConfig, parse_arch, parse_image, resolve_cap
+from .config import RunConfig, parse_arch, parse_image, resolve_cap, validate_config
 from .data import Dataset, load_idx, synth_dataset
 from .errors import DimensionError, FormatError, KfepruneError, ValidationError
 from .layers import ConvLayer, DenseLayer, FlattenLayer
@@ -135,8 +135,10 @@ def _plan(strategy: str, layer_id: int, layer, factors, damping: float):
         table = criteria.c_obs_scores(layer_id, w, np.diag(a_inv), np.diag(s_inv))
     elif strategy == "kron-obd":
         table = criteria.kron_obd_scores(layer_id, w, kf.a, kf.s)
-    else:
+    elif strategy == "kron-obs":
         table, update = criteria.kron_obs_scores_and_update(layer_id, w, kf.a, s_inv)
+    else:
+        raise ValidationError(f"unknown strategy {strategy!r}")
 
     def rewrite(mask):
         removed = np.asarray(mask.removed(layer_id, table.unit_kind), dtype=np.intp)
@@ -265,12 +267,14 @@ def write_importance(out_dir: str, tables):
 def _open(cfg: RunConfig, fresh: bool = False) -> tuple:
     """Read and check every input of a command; writes nothing.
 
-    Loads the checkpoint (or, when fresh, builds a network for the train
-    split), builds both splits and walks their sample shape through the
-    network.  A network and data that do not fit raise FormatError.
+    Checks cfg, loads the checkpoint (or, when fresh, builds a network
+    for the train split), builds both splits and walks their sample
+    shape through the network.  A network and data that do not fit raise
+    FormatError.
     Returns (net, ds_train, ds_test, in_shape, before), with before the
     network's (params, flops).
     """
+    validate_config(cfg)
     if not fresh:
         net = load_network(cfg.checkpoint or os.path.join(cfg.out, CHECKPOINT_NAME))
     ds_train = build_dataset(cfg, "train")

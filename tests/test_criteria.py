@@ -1,6 +1,7 @@
 """Tests for saliency scoring and mask selection."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -416,7 +417,9 @@ def test_select_mask_global_threshold_pools_layers(kept):
 def select_mask_reference(tables, ratio, cap):
     """The selection rule one unit at a time: pool every entry, take the
     nearest-rank tau, then remove each group's candidates lowest
-    (score, unit id) first up to floor(cap * group size)."""
+    (score, unit id) first up to floor(cap * group size), both products
+    taken exactly from the decimals ratio and cap print as."""
+    ratio, cap = Fraction(repr(ratio)), Fraction(repr(cap))
     entries = [e for t in tables for e in t.entries]
     pooled = sorted(e.delta_l for e in entries)
     rank = math.ceil(ratio * len(pooled))
@@ -460,6 +463,24 @@ def test_select_mask_matches_per_unit_reference(seed):
                 assert all(type(u) is int for u in group["removed"])
 
 
+def test_select_mask_rank_is_exact_in_the_printed_ratio():
+    """0.55 * 100 is 55.00000000000001 in binary floating point: its
+    ceiling would remove 56 of 100 units."""
+    table = ImportanceTable("c_obd", 0, "filter", np.arange(100.0))
+    mask = criteria.select_mask([table], ratio=0.55, cap=1.0)
+    assert mask.tau == 54.0
+    assert mask.removed(0, "filter") == list(range(55))
+
+
+@pytest.mark.parametrize("cap, size", [(0.7, 90), (0.35, 180)])
+def test_select_mask_budget_is_exact_in_the_printed_cap(cap, size):
+    """cap * size is 62.99999999999999 in binary floating point for both
+    pairs: its floor would allow 62 removals, not 63."""
+    table = ImportanceTable("c_obd", 0, "filter", np.arange(float(size)))
+    mask = criteria.select_mask([table], ratio=1.0, cap=cap)
+    assert mask.removed(0, "filter") == list(range(63))
+
+
 def test_select_mask_rejects_two_tables_for_one_group():
     first = ImportanceTable("c_obd", 1, "filter", np.array([1.0, 2.0]))
     second = ImportanceTable("c_obd", 1, "filter", np.array([3.0]))
@@ -477,6 +498,9 @@ def test_select_mask_validation():
         criteria.select_mask([table], ratio=0.5, cap=0.0)
     with pytest.raises(ValidationError):
         criteria.select_mask([], ratio=0.5, cap=1.0)
+    for ratio, cap in ((float("nan"), 1.0), (0.5, float("nan"))):
+        with pytest.raises(ValidationError, match="must lie in"):
+            criteria.select_mask([table], ratio=ratio, cap=cap)
 
 
 def test_prune_mask_accessors(kept):

@@ -1,6 +1,7 @@
 """End-to-end tests: config parsing, datasets, checkpoints, accounting,
 pipeline commands, and the command line."""
 
+import hashlib
 import json
 import os
 import struct
@@ -404,6 +405,27 @@ def test_idx_header_claiming_more_than_the_file_is_a_usage_error(tmp_path, capsy
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_idx_payload_longer_than_header_claims_is_a_usage_error(tmp_path, capsys):
+    """An IDX file must hold exactly what its header claims: bytes past
+    the claim are refused, not dropped, and through the CLI exit 2 with
+    no output directory."""
+    images = tmp_path / "img.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 1, 2, 2) + bytes(12))
+    labels = tmp_path / "lab.idx"
+    labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(5))
+    for path in (images, labels):
+        with pytest.raises(FormatError, match="IDX payload longer than header claims"):
+            read_idx(str(path))
+    lp = write_idx_labels(tmp_path / "ok_lab.idx", np.zeros(1))
+    config = write_config(
+        tmp_path / "long.cfg", dataset="idx", train_images=images, train_labels=lp,
+        test_images=images, test_labels=lp, arch="mlp:8", epochs=1, out=str(tmp_path / "run"),
+    )
+    assert cli.main(["train", "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {images}: IDX payload longer than header claims\n"
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_empty_idx_split_is_a_usage_error(tmp_path, capsys):
     """An IDX pair with no samples is refused when it is loaded: the CLI
     exits 2 before any output directory exists, for either split."""
@@ -788,6 +810,52 @@ def test_checkpoint_fuzz_raises_only_format_error():
             assert bytes(raw) != blob
             outcomes["rejected"] += 1
     assert outcomes["rejected"] > 2900, outcomes
+
+
+def arange(*shape):
+    """Distinct float64 values of a shape, from no random generator."""
+    return np.arange(np.prod(shape), dtype=np.float64).reshape(shape) / 8 - 1
+
+
+GOLDEN_NETWORKS = {
+    "plain": lambda: Network([
+        ConvLayer(arange(18, 3), arange(3), c_in=2, k=3, stride=2, padding=1),
+        ReluLayer(),
+        FlattenLayer(),
+        DenseLayer(arange(12, 2), arange(2)),
+    ]),
+    "bottlenecks": lambda: Network([
+        BottleneckConvLayer(
+            arange(2, 2), arange(2, 3, 9), arange(3, 3), arange(3),
+            c_in=2, k=3, stride=2, padding=1,
+        ),
+        FlattenLayer(),
+        BottleneckDenseLayer(arange(12, 2), arange(2, 2), arange(4, 2), arange(4)),
+    ]),
+    "depthwise": lambda: Network([
+        BottleneckConvLayer(
+            arange(2, 3), arange(9, 3), arange(5, 3), arange(5), c_in=2, k=3, stride=1, padding=1,
+        ),
+    ]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("plain", "cbcb09a8edaa84585d686316c9b8aa4a675a3ea4ca546502e362140ee3e073e2"),
+        ("bottlenecks", "528dcd454bc4e8a701bbed72f11d12d542e8f8d25c3dff282ab1873b6ac0e136"),
+        ("depthwise", "96b0c9ef3e3f09682fa17b767eb7b58fe8f1a5e0dd26cf2cfe10a358be957f30"),
+    ],
+)
+def test_checkpoint_bytes_of_every_record_kind_are_pinned(name, digest):
+    """The SHA-256 of each record kind's bytes, as the writer of this
+    format first laid them out: a roundtrip cannot see a writer and a
+    reader that change together, and no workload writes a dense
+    bottleneck.  The pinned files also load back to their bytes."""
+    blob = checkpoint.network_bytes(GOLDEN_NETWORKS[name]())
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert checkpoint.network_bytes(checkpoint.network_from_bytes(blob)) == blob
 
 
 def test_failed_write_keeps_previous_artifacts(mlp_run, tmp_path, monkeypatch):
@@ -1829,3 +1897,52 @@ def test_cli_overrides(mlp_run, tmp_path, capsys):
     record = read_metrics(str(out))
     assert record["seed"] == 5
     assert record["command"] == "eval"
+
+
+def bad_ratio_config(mlp_run, tmp_path):
+    cfg, _ = mlp_run
+    return write_config(
+        tmp_path / "bad.cfg",
+        checkpoint=os.path.join(cfg.out, CHECKPOINT_NAME),
+        ratio=2,
+        **MLP_SETTINGS,
+    )
+
+
+def test_cli_flag_overrides_a_bad_value_in_the_file(mlp_run, tmp_path, capsys):
+    """The config is checked once, after the flags: a flag replaces a bad
+    value in the file."""
+    config = bad_ratio_config(mlp_run, tmp_path)
+    out = tmp_path / "flagged"
+    assert cli.main(["prune", "--config", config, "--ratio", "0.5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert read_metrics(str(out))["ratio"] == 0.5
+
+
+def test_cli_bad_value_in_the_file_is_a_usage_error(mlp_run, tmp_path, capsys):
+    config = bad_ratio_config(mlp_run, tmp_path)
+    out = tmp_path / "alone"
+    assert cli.main(["prune", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: ratio must lie in [0, 1], got 2.0\n"
+    assert not os.path.exists(out)
+
+
+def test_cmd_prune_checks_its_config_from_python(mlp_run, tmp_path):
+    """A command called from Python checks its config as the CLI's does."""
+    cfg, _ = mlp_run
+    with pytest.raises(FormatError, match="unknown strategy 'magnitude'"):
+        cmd_prune(derived(cfg, tmp_path / "p", strategy="magnitude"))
+    assert not os.path.exists(tmp_path / "p")
+
+
+def test_prune_once_refuses_an_unknown_strategy(mlp_run, tmp_path):
+    """prune_once takes no config check: it refuses an unknown strategy
+    by name rather than scoring it as kron-obs, and leaves the network as
+    it was."""
+    cfg, _ = mlp_run
+    bad = derived(cfg, tmp_path / "p", strategy="magnitude")
+    net = checkpoint.load_network(bad.checkpoint)
+    before = checkpoint.network_bytes(net)
+    with pytest.raises(ValidationError, match="unknown strategy 'magnitude'"):
+        prune_once(net, build_dataset(cfg, "train"), bad, cap=0.95)
+    assert checkpoint.network_bytes(net) == before
