@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 numeric or training failure, 2 usage or IO
 error.  Flags override config file values; the command checks the result.
+An aborted iterate round is a warning on stderr; the exit code stays 0.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ def _print_summary(command: str, record: dict):
             print(f"  {key} = {value:.6g}")
         else:
             print(f"  {key} = {value}")
+    aborted = record.get("aborted")
+    if aborted is not None:
+        reason = f"{aborted['error']}: {aborted['reason']}"
+        print(f"warning: {command} round {aborted['round']} aborted: {reason}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -127,17 +127,17 @@ def validate_config(cfg: RunConfig):
 
 
 def parse_arch(spec: str) -> tuple:
-    """Split an architecture spec like mlp:16,8 or cnn:8,16."""
+    """Split an architecture spec like mlp:16,8 or cnn:8,16; an empty width is refused."""
     if ":" not in spec:
         raise FormatError(f"architecture spec needs kind:widths, got {spec!r}")
     kind, _, widths = spec.partition(":")
     if kind not in ("mlp", "cnn"):
         raise FormatError(f"unknown architecture kind {kind!r}")
     try:
-        sizes = [int(w) for w in widths.split(",") if w.strip()]
+        sizes = [int(w) for w in widths.split(",")]
     except ValueError as err:
         raise FormatError(f"bad width list in {spec!r}") from err
-    if not sizes or any(s < 1 for s in sizes):
+    if any(s < 1 for s in sizes):
         raise FormatError(f"widths must be positive integers, got {spec!r}")
     return kind, sizes
 

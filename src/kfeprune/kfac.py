@@ -150,13 +150,6 @@ def inv_psd(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def offdiag_ratio(m: np.ndarray) -> float:
-    """Frobenius mass off the diagonal relative to the whole matrix."""
-    total = np.linalg.norm(m)
-    off = np.linalg.norm(m - np.diag(np.diag(m)))
-    return float(off / max(total, 1e-30))
-
-
 def _capture_arrays(layer, tape, conv_variant: str):
     """Map a layer's tape onto (accumulator, args) for its factor variant."""
     kind = layer.kind

@@ -33,12 +33,6 @@ def _mean_loss(z: np.ndarray, sums: np.ndarray, rows: np.ndarray, labels: np.nda
     return float(np.add.reduce(lse - z[rows, labels]) / z.shape[0])
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    _, e, sums = _shifted_exp(logits)
-    e /= sums
-    return e
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy over the batch."""
     _check_batch(logits, labels)

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the fast paths it checks:
 the Fisher is assembled from per-sample gradient outer products, pruning
 updates come from explicit KKT linear systems rather than the closed
-forms, derivatives come from central differences, the textbook
+forms, derivatives come from central differences, the softmax is
+written out apart from the loss's fused pass, the textbook
 single-weight OBS step uses a dense H^-1, curvature products go through
 an explicit Kronecker product of column-major vecs, a bottleneck's
 plain weight is rebuilt one kernel offset at a time, and the reference
@@ -17,7 +18,7 @@ import numpy as np
 from . import criteria
 from .errors import DimensionError, SingularityError, SizeError, ValidationError
 from .kfac import KronFactors
-from .network import Network, cross_entropy, softmax
+from .network import Network, cross_entropy
 from .tensormath import LSTSQ_RIDGE, as_matrix
 
 MAX_EXACT_PARAMS = 2000
@@ -85,6 +86,19 @@ def fisher_vec(f: KronFactors, x: np.ndarray) -> np.ndarray:
             f"fisher_vec expects shape {(f.a.shape[0], f.s.shape[0])}, got {x.shape}"
         )
     return f.a @ x @ f.s.T
+
+
+def offdiag_ratio(m: np.ndarray) -> float:
+    """Frobenius mass off the diagonal relative to the whole matrix."""
+    total = np.linalg.norm(m)
+    off = np.linalg.norm(m - np.diag(np.diag(m)))
+    return float(off / max(total, 1e-30))
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row softmax, written apart from network.cross_entropy_and_grad."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def effective_weight(layer) -> np.ndarray:

@@ -21,10 +21,10 @@ from kfeprune.kfac import (
     eigenbasis,
     estimate_factors,
     inv_psd,
-    offdiag_ratio,
 )
 from kfeprune.layers import BottleneckConvLayer, conv_out_size, im2col
 from kfeprune.network import build_cnn, build_mlp
+from kfeprune.oracle import offdiag_ratio
 from kfeprune.pipeline import eligible_layer_ids, prune_once
 from kfeprune.reparam import depthwise_decompose, eigenprune, merge_bases, to_kfe
 from kfeprune.training import evaluate, train

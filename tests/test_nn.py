@@ -34,8 +34,8 @@ from kfeprune.network import (
     cross_entropy,
     cross_entropy_and_grad,
     kaiming_uniform,
-    softmax,
 )
+from kfeprune.oracle import softmax
 from kfeprune.training import (
     evaluate,
     keep_patterns,

@@ -82,7 +82,7 @@ def test_exact_fisher_expected_matches_enumeration():
     net = Network([DenseLayer(rng.standard_normal((2, 3)) * 0.5)])
     ds = Dataset(x=rng.standard_normal((4, 2)), y=rng.integers(0, 3, 4), num_classes=3)
     fisher = oracle.exact_fisher(net, ds, flavor="expected")
-    from kfeprune.network import softmax
+    from kfeprune.oracle import softmax
 
     ref = np.zeros((6, 6))
     for s in range(4):

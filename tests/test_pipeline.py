@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 
@@ -238,7 +240,7 @@ def test_validate_config_errors():
 def test_parse_arch():
     assert parse_arch("mlp:16,8") == ("mlp", [16, 8])
     assert parse_arch("cnn:4") == ("cnn", [4])
-    for bad in ("mlp", "tree:4", "mlp:", "mlp:0", "mlp:a,b"):
+    for bad in ("mlp", "tree:4", "mlp:", "mlp:0", "mlp:a,b", "mlp:16,,8", "mlp:16,", "cnn:,8"):
         with pytest.raises(FormatError):
             parse_arch(bad)
 
@@ -1699,6 +1701,43 @@ def test_cli_idx_end_to_end(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not os.path.exists(tmp_path / "bad")
+
+
+def test_cli_iterate_warns_of_an_aborted_round(mlp_run, tmp_path, capsys):
+    """An aborted round is one warning line on stderr; the command still
+    writes its record and exits 0."""
+    cfg, _ = mlp_run
+    out = tmp_path / "abort"
+    config = write_config(
+        tmp_path / "abort.cfg", **MLP_SETTINGS, strategy="eigendamage", ratio=1.0, cap=1.0,
+        iterations=2, out=str(out), checkpoint=os.path.join(cfg.out, CHECKPOINT_NAME),
+    )
+    assert cli.main(["iterate", "--config", config]) == 0
+    captured = capsys.readouterr()
+    reason = read_metrics(out)["aborted"]["reason"]
+    assert "remove every" in reason
+    assert captured.err == f"warning: iterate round 1 aborted: ValidationError: {reason}\n"
+    assert captured.out.startswith("iterate finished\n")
+
+
+def test_cli_import_leaves_out_the_oracle_and_the_old_re_exports():
+    """Importing the command line loads no test check, and the package
+    root holds RunConfig and no other re-export."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, kfeprune.cli, kfeprune; "
+        "print('kfeprune.oracle' in sys.modules, hasattr(kfeprune, 'RunConfig'), "
+        "hasattr(kfeprune, 'eigenbasis'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["False", "True", "False"]
 
 
 def test_cli_usage_errors(tmp_path, capsys):
