@@ -24,8 +24,6 @@ from .errors import DimensionError, SingularityError, StateError, ValidationErro
 from .network import Network, cross_entropy
 from .tensormath import sym_eig
 
-DEFAULT_DAMPING = 1e-6
-
 VARIANTS = ("dense", "conv_full", "conv_channel")
 
 
@@ -119,7 +117,7 @@ def accumulate_conv_channel(f: KronFactors | None, x_in: np.ndarray, g: np.ndarr
     return _accumulate(f, "conv_channel", a_rows, pixels, g.reshape(b * locs, -1), locs, b)
 
 
-def damp(f: KronFactors, lam: float = DEFAULT_DAMPING) -> KronFactors:
+def damp(f: KronFactors, lam: float) -> KronFactors:
     """Add sqrt(lam) * (tr/dim) * I to each factor; scale-aware Tikhonov."""
     if lam < 0:
         raise ValidationError("damping must be non-negative")

@@ -233,9 +233,9 @@ EVAL_FIELDS = ("train_loss", "train_accuracy", "test_loss", "test_accuracy")
 
 def _eval_metrics(net, ds_train, ds_test, batch_size):
     """The EVAL_FIELDS of net: loss and accuracy on both splits."""
-    train = evaluate(net, ds_train.x, ds_train.y, batch_size)
-    test = evaluate(net, ds_test.x, ds_test.y, batch_size)
-    return dict(zip(EVAL_FIELDS, train + test))
+    on_train = evaluate(net, ds_train.x, ds_train.y, batch_size)
+    on_test = evaluate(net, ds_test.x, ds_test.y, batch_size)
+    return dict(zip(EVAL_FIELDS, on_train + on_test))
 
 
 def write_metrics(out_dir: str, record: dict):
@@ -352,17 +352,23 @@ def _finish(out_dir: str, record: dict, t0: float, net=None, curve=None, tables=
     return record
 
 
-def _finetune(net, ds_train, cfg: RunConfig):
-    return train(
+def _fit_net(net, ds_train, cfg: RunConfig, fresh: bool = False) -> tuple:
+    """Train net in place on the train split: a fresh network for
+    cfg.epochs from cfg.lr, a loaded or pruned one for cfg.finetune_epochs
+    from cfg.finetune_lr with its zero weights frozen.  Returns (loss,
+    curve), loss being the split's mean loss before training."""
+    loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
+    _, curve = train(
         net,
         ds_train,
-        epochs=cfg.finetune_epochs,
-        lr=cfg.finetune_lr,
+        epochs=cfg.epochs if fresh else cfg.finetune_epochs,
+        lr=cfg.lr if fresh else cfg.finetune_lr,
         weight_decay=cfg.weight_decay,
         batch_size=cfg.batch_size,
         seed=cfg.seed,
-        freeze_zeros=True,
+        freeze_zeros=not fresh,
     )
+    return loss, curve
 
 
 def _fit(cfg: RunConfig, command: str) -> dict:
@@ -370,19 +376,7 @@ def _fit(cfg: RunConfig, command: str) -> dict:
     t0 = time.perf_counter()
     fresh = command == "train"
     net, ds_train, ds_test, in_shape, _ = _open(cfg, fresh)
-    pre_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
-    if fresh:
-        net, curve = train(
-            net,
-            ds_train,
-            epochs=cfg.epochs,
-            lr=cfg.lr,
-            weight_decay=cfg.weight_decay,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-        )
-    else:
-        net, curve = _finetune(net, ds_train, cfg)
+    pre_loss, curve = _fit_net(net, ds_train, cfg, fresh)
     record = _record(cfg, command, net, ds_train, ds_test, in_shape)
     record["train_loss_pre"] = pre_loss
     record["train_loss_post"] = record["train_loss"]
@@ -423,8 +417,7 @@ def cmd_iterate(cfg: RunConfig) -> dict:
         saved = network_snapshot(net)
         try:
             tables, mask, info = prune_once(net, ds_train, cfg, cap)
-            post_prune_loss, _ = evaluate(net, ds_train.x, ds_train.y, cfg.batch_size)
-            net, _ = _finetune(net, ds_train, cfg)
+            post_prune_loss, _ = _fit_net(net, ds_train, cfg)
         except KfepruneError as err:
             # back to the start of the failed round; completed rounds stand
             net = saved

@@ -15,9 +15,6 @@ import numpy as np
 from .errors import TrainingDivergenceError
 from .network import Network, cross_entropy
 
-# Weights exactly equal to zero are treated as pruned-and-frozen when
-# freeze_zeros is on; a continuous init never produces them by accident.
-
 
 def lr_at_epoch(epoch: int, total_epochs: int, lr0: float) -> float:
     """Learning rate for a 1-based epoch index."""
@@ -49,35 +46,27 @@ def sgd_step(params, grads: dict, lr: float, weight_decay: float = 0.0):
         p -= g
 
 
-def zero_masks(net: Network) -> dict:
-    """Masks of exactly-zero weight entries in plain dense/conv layers.
+def keep_patterns(net: Network) -> dict:
+    """Per plain dense/conv layer and parameter name, a uint64 pattern
+    that is all ones where the entry trains and zero where it is frozen.
 
-    In-place pruning stores removed weights as exact zeros, so freezing
-    these entries keeps pruning decisions intact through finetuning.
-    Bias entries are frozen only when the whole matching output column is
-    zero.  Bottleneck layers prune structurally and need no masks.
-    train(freeze_zeros=True) turns these masks into uint64 keep patterns
-    once per call (see keep_patterns).
+    Weights exactly equal to zero count as pruned: in-place pruning
+    stores removed weights as exact zeros, and a continuous init never
+    produces them by accident.  A bias entry is frozen only when its
+    whole output column of weights is zero as well.  Bottleneck layers
+    prune structurally and get no patterns, and a parameter that freezes
+    nothing gets no pattern and is not masked.
     """
-    masks = {}
+    ones = np.uint64(np.iinfo(np.uint64).max)
+    keeps = {}
     for i in net.parameterized_ids():
         layer = net.layers[i]
         if layer.kind not in ("dense", "conv"):
             continue
-        dead_units = np.all(layer.w == 0.0, axis=0)
-        masks[i] = {"w": layer.w == 0.0, "b": dead_units & (layer.b == 0.0)}
-    return masks
-
-
-def keep_patterns(masks: dict) -> dict:
-    """Per layer and parameter name, a uint64 pattern that is all ones
-    where the entry trains and zero where it is frozen.  A parameter whose
-    mask freezes nothing gets no pattern and is not masked."""
-    ones = np.uint64(np.iinfo(np.uint64).max)
-    return {
-        i: {name: np.where(m, np.uint64(0), ones) for name, m in layer_masks.items() if m.any()}
-        for i, layer_masks in masks.items()
-    }
+        dead_w = layer.w == 0.0
+        frozen = {"w": dead_w, "b": np.all(dead_w, axis=0) & (layer.b == 0.0)}
+        keeps[i] = {name: np.where(m, np.uint64(0), ones) for name, m in frozen.items() if m.any()}
+    return keeps
 
 
 def mask_grad(g: np.ndarray, keep: np.ndarray) -> None:
@@ -119,12 +108,12 @@ def train(
     step takes the batch's loss and gradients from one Network.backward
     and raises TrainingDivergenceError before stepping on a non-finite
     loss.  freeze_zeros keeps every exactly-zero weight of a plain layer
-    (see zero_masks) at zero: each step ANDs the gradient's bits with the
-    keep patterns built once here, in place, since the step owns its
-    gradients.
+    at zero: each step ANDs the gradient's bits with the keep patterns
+    (see keep_patterns) built once here, in place, since the step owns
+    its gradients.
     """
     rng = np.random.default_rng(seed)
-    keeps = keep_patterns(zero_masks(net)) if freeze_zeros else {}
+    keeps = keep_patterns(net) if freeze_zeros else {}
     # per layer, the parameters sgd_step updates in place and their keep patterns
     steps = [(i, net.layers[i].param_items(), keeps.get(i, {})) for i in net.parameterized_ids()]
     curve = []

@@ -43,7 +43,6 @@ from kfeprune.training import (
     mask_grad,
     sgd_step,
     train,
-    zero_masks,
 )
 
 
@@ -1039,16 +1038,14 @@ def test_freeze_zeros_preserves_pruning():
     net.layers[0].w[0, 2] = 0.0
     net.layers[2].w[:, 1] = 0.0
     net.layers[2].b[1] = 0.0
-    masks = zero_masks(net)
-    assert masks[0]["w"][1].all() and masks[0]["w"][0, 2]
-    assert masks[2]["b"][1] and not masks[2]["b"][0]
     train(net, ds, epochs=3, lr=0.2, batch_size=16, seed=0, freeze_zeros=True)
     assert np.all(net.layers[0].w[1, :] == 0.0)
     assert net.layers[0].w[0, 2] == 0.0
     assert np.all(net.layers[2].w[:, 1] == 0.0)
     assert net.layers[2].b[1] == 0.0
-    # untouched entries did move
+    # untouched entries did move, the bias of a live column too
     assert np.any(net.layers[0].w[0, :2] != 0.0)
+    assert net.layers[2].b[0] != 0.0
 
 
 def test_mask_grad_matches_where_bitwise():
@@ -1059,20 +1056,28 @@ def test_mask_grad_matches_where_bitwise():
     g = np.tile(values, 2)
     mask = np.repeat([True, False], values.size)
     want = np.where(mask, 0.0, g)
-    keep = keep_patterns({0: {"w": mask}})[0]["w"]
+    keep = np.where(mask, np.uint64(0), np.uint64(2**64 - 1))
     assert keep.dtype == np.uint64
     mask_grad(g, keep)
     assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
 
 
 def test_keep_patterns_skip_masks_that_freeze_nothing():
-    masks = {
-        0: {"w": np.zeros((3, 2), dtype=bool), "b": np.array([True, False])},
-        2: {"w": np.zeros(4, dtype=bool)},
-    }
-    keeps = keep_patterns(masks)
-    assert set(keeps) == {0, 2} and list(keeps[0]) == ["b"] and keeps[2] == {}
-    assert keeps[0]["b"].tolist() == [0, 2**64 - 1]
+    """Zero weights freeze; a bias entry freezes only when it and its
+    whole weight column are zero; a layer that freezes nothing gets no
+    patterns."""
+    net = build_mlp(3, [2, 4], 3, seed=0)
+    for i in net.parameterized_ids():
+        net.layers[i].b[...] = 0.5
+    net.layers[0].w[:, 0] = 0.0
+    net.layers[0].b[0] = 0.0
+    net.layers[2].w[:, 1] = 0.0
+    keeps = keep_patterns(net)
+    ones = 2**64 - 1
+    assert set(keeps) == {0, 2, 4} and list(keeps[0]) == ["w", "b"] and keeps[4] == {}
+    assert keeps[0]["b"].tolist() == [0, ones]
+    assert keeps[0]["w"].tolist() == [[0, ones]] * 3
+    assert list(keeps[2]) == ["w"] and keeps[2]["w"].tolist() == [[ones, 0, ones, ones]] * 2
 
 
 def same_bits(a, b):
@@ -1090,13 +1095,25 @@ def _relu_backward_allocating(self, dy, tape, input_grad=True, param_grads=True)
     return dy * tape["mask"] if input_grad else None
 
 
+def frozen_masks(net):
+    """Per plain layer, the weights exactly 0.0 and the biases that are
+    0.0 with their whole weight column."""
+    masks = {}
+    for i in net.parameterized_ids():
+        layer = net.layers[i]
+        if layer.kind in ("dense", "conv"):
+            w_zero = layer.w == 0.0
+            masks[i] = {"w": w_zero, "b": w_zero.all(axis=0) & (layer.b == 0.0)}
+    return masks
+
+
 def reference_finetune(net, ds, epochs, lr, weight_decay, batch_size, seed, freeze_zeros=True):
     """train as first written; returns its curve.  Losses and bias
     gradients go through numpy's mean, ReLU's backward allocates dy * mask,
     each frozen gradient is an np.where copy, and the step allocates
     p -= lr * g, or p -= lr * (g + wd * p) under weight decay."""
     rng = np.random.default_rng(seed)
-    masks = zero_masks(net) if freeze_zeros else {}
+    masks = frozen_masks(net) if freeze_zeros else {}
     curve = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ReluLayer, "backward", _relu_backward_allocating)
@@ -1147,7 +1164,7 @@ def test_freeze_zeros_matches_where_reference(arch, image, strategy, weight_deca
     net = pipeline.build_network(cfg, ds.num_classes)
     train(net, ds, epochs=2, lr=0.1, batch_size=16, seed=0)
     pipeline.prune_once(net, ds, cfg, cap=0.9)
-    masks = zero_masks(net)
+    masks = frozen_masks(net)
     assert any(m["w"].any() for m in masks.values())
     before, ref = copy.deepcopy(net), copy.deepcopy(net)
     run = dict(epochs=2, lr=0.05, weight_decay=weight_decay, batch_size=16, seed=3)

@@ -45,7 +45,7 @@ from kfeprune.training import evaluate
 from kfeprune.pipeline import (
     CHECKPOINT_NAME,
     EVAL_FIELDS,
-    _finetune,
+    _fit_net,
     build_dataset,
     build_network,
     cmd_decompose,
@@ -1303,22 +1303,32 @@ def test_pruned_network_finetunes_as_its_snapshot(image_mlp_run, cnn_baseline, a
     for layer in net.layers:
         assert all(p.flags.c_contiguous for _, p in layer.param_items()), layer.kind
     snapshot = network_snapshot(net)
-    net, curve = _finetune(net, ds, cfg)
-    snapshot, snapshot_curve = _finetune(snapshot, ds, cfg)
+    _, curve = _fit_net(net, ds, cfg)
+    _, snapshot_curve = _fit_net(snapshot, ds, cfg)
     assert curve == snapshot_curve
     assert checkpoint.network_bytes(net) == checkpoint.network_bytes(snapshot)
 
 
-@pytest.mark.parametrize("arch", ["mlp", "cnn"])
-def test_cmd_iterate_rounds_compose(image_mlp_run, cnn_baseline, tmp_path, arch):
+@pytest.mark.parametrize(
+    "arch, strategy",
+    [
+        pytest.param("mlp", "eigendamage", id="mlp"),
+        pytest.param("cnn", "eigendamage", id="cnn"),
+        pytest.param("mlp", "obs", id="mlp-obs"),
+        pytest.param("cnn", "obs", id="cnn-obs"),
+    ],
+)
+def test_cmd_iterate_rounds_compose(image_mlp_run, cnn_baseline, tmp_path, arch, strategy):
     """iterate keeps its network in memory between rounds; each round
-    gives what prune then finetune give through a checkpoint, and two
-    rounds write the same bytes as two of those."""
+    gives what prune then finetune give through a checkpoint, its
+    post-prune loss is the finetune's starting loss, and two rounds write
+    the same bytes as two of those.  obs zeroes weights that both
+    finetunes must keep frozen."""
     cfg, net, _ = trained_network(arch, image_mlp_run, cnn_baseline)
     start = str(tmp_path / "start.kfep")
     checkpoint.save_network(start, net)
     cfg = replace(
-        cfg, strategy="eigendamage", ratio=0.4, cap=0.6, finetune_epochs=2, finetune_lr=0.02,
+        cfg, strategy=strategy, ratio=0.4, cap=0.6, finetune_epochs=2, finetune_lr=0.02,
         checkpoint=start,
     )
     it = cmd_iterate(replace(cfg, iterations=2, out=str(tmp_path / "it")))
@@ -1330,6 +1340,7 @@ def test_cmd_iterate_rounds_compose(image_mlp_run, cnn_baseline, tmp_path, arch)
         ft = cmd_finetune(replace(cfg, checkpoint=os.path.join(pruned, CHECKPOINT_NAME), out=tuned))
         assert round_record["params"] == ft["params"]
         assert round_record["test_loss"] == ft["test_loss"]
+        assert round_record["train_loss_post_prune"] == ft["train_loss_pre"]
         cfg = replace(cfg, checkpoint=os.path.join(tuned, CHECKPOINT_NAME))
     assert checkpoint_bytes(str(tmp_path / "it")) == checkpoint_bytes(tuned)
 
@@ -1466,7 +1477,7 @@ def test_cmd_iterate_abort_restores_network(mlp_run, tmp_path):
     [
         ("prune_once", SingularityError),
         ("prune_once", NumericError),
-        ("_finetune", TrainingDivergenceError),
+        ("_fit_net", TrainingDivergenceError),
     ],
 )
 def test_cmd_iterate_rolls_back_on_any_library_error(mlp_run, tmp_path, monkeypatch, where, error):
