@@ -13,10 +13,6 @@ class ValidationError(KfepruneError):
     """Input values violate a precondition (non-finite, asymmetric, out of range)."""
 
 
-class SizeError(KfepruneError):
-    """Requested result would exceed the configured size budget."""
-
-
 class SingularityError(KfepruneError):
     """A linear solve or inversion failed beyond the ridge/damping rescue."""
 

@@ -22,9 +22,11 @@ import numpy as np
 
 from .errors import DimensionError, SingularityError, StateError, ValidationError
 from .network import Network, cross_entropy
-from .tensormath import sym_eig
 
 VARIANTS = ("dense", "conv_full", "conv_channel")
+
+# Relative asymmetry tolerated by sym_eig before it refuses the input.
+SYM_TOL = 1e-6
 
 
 @dataclass
@@ -131,6 +133,41 @@ def damp(f: KronFactors, lam: float) -> KronFactors:
     )
 
 
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Validate and convert to a float64 2-D array."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} contains NaN or Inf")
+    return a
+
+
+def sym_eig(m) -> tuple:
+    """(values, vectors) of a (numerically) symmetric matrix: the
+    eigenvalues in descending order and the matching orthonormal
+    eigenvectors in the columns of a C-contiguous matrix.
+
+    The input is symmetrized as (m + m.T)/2 first.  Asymmetry beyond
+    ``SYM_TOL`` relative Frobenius norm is treated as a bug in the caller
+    and raises instead of being hidden.
+    """
+    a = as_matrix(m, "sym_eig input")
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"sym_eig needs a square matrix, got {a.shape}")
+    scale = np.linalg.norm(a)
+    asym = np.linalg.norm(a - a.T)
+    if asym > SYM_TOL * max(scale, 1e-30):
+        raise ValidationError(
+            f"matrix is asymmetric beyond tolerance (rel {asym / max(scale, 1e-30):.3e})"
+        )
+    sym = (a + a.T) / 2.0
+    values, vectors = np.linalg.eigh(sym)
+    order = np.argsort(values)[::-1]
+    # a C-ordered copy: the GEMMs that read the basis round by operand layout
+    return values[order], vectors[:, order].copy()
+
+
 def eigenbasis(f: KronFactors) -> EigenFactors:
     lam_a, qa = sym_eig(f.a)
     lam_s, qs = sym_eig(f.s)
@@ -165,8 +202,8 @@ def _capture_arrays(layer, tape, conv_variant: str):
 def estimate_factors(
     net: Network,
     dataset,
+    batch_size: int,
     conv_variant: str = "channel",
-    batch_size: int = 64,
     max_batches: int | None = None,
     layer_ids=None,
 ) -> tuple:

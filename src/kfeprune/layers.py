@@ -41,7 +41,8 @@ a checkpoint loads it, so a layer trains bitwise the same from memory or
 from disk: the GEMMs round by operand layout.
 
 Each layer checks a sample shape once, in out_shape, which forward calls
-and accounting walks through a network: DimensionError if it cannot fit.
+and pipeline.flops_and_out_shape walks through a network: DimensionError
+if it cannot fit.
 
 Backward passes propagate per-sample, unscaled loss gradients (the
 gradient of each sample's own loss, not the batch mean).  Parameter

@@ -16,15 +16,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import criteria
-from .errors import DimensionError, SingularityError, SizeError, ValidationError
-from .kfac import KronFactors
+from .errors import DimensionError, KfepruneError, SingularityError, ValidationError
+from .kfac import KronFactors, as_matrix
 from .network import Network, cross_entropy
-from .tensormath import LSTSQ_RIDGE, as_matrix
+from .reparam import LSTSQ_RIDGE
 
 MAX_EXACT_PARAMS = 2000
 
 # Hard ceiling on kron output entries; anything bigger is a mistake at desk scale.
 MAX_KRON_ENTRIES = 2 ** 26
+
+
+class SizeError(KfepruneError):
+    """Requested result would exceed the configured size budget."""
 
 
 def vec(m) -> np.ndarray:
@@ -56,7 +60,7 @@ def kron(a, b) -> np.ndarray:
 
 def lstsq(a, b) -> np.ndarray:
     """Least-squares solve of ``a @ x = b``, every input checked, by the
-    same ridge-stabilized normal equations as ``tensormath.ridge_solve``:
+    same ridge-stabilized normal equations as ``reparam.ridge_solve``:
     the solver of the separable fit's reference sweep."""
     a = as_matrix(a, "lstsq lhs")
     b = np.asarray(b, dtype=np.float64)

@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from . import criteria, kfac, reparam
-from .accounting import count_flops, count_params, flops_and_out_shape, reduction_percent
 from .checkpoint import (
     load_network,
     network_bytes,
@@ -209,6 +208,29 @@ def prune_once(net, dataset, cfg: RunConfig, cap: float):
     return tables, mask, info
 
 
+def count_params(net: Network) -> int:
+    return sum(layer.param_count() for layer in net.layers)
+
+
+def flops_and_out_shape(net: Network, in_shape) -> tuple:
+    """(forward FLOPs for one sample, two per multiply-add, and the output
+    sample shape) from one walk of in_shape through every layer's
+    out_shape; raises DimensionError where a layer cannot take the shape
+    it is handed."""
+    total = 0
+    cur = tuple(in_shape)
+    for layer in net.layers:
+        total += layer.flops(cur)
+        cur = tuple(layer.out_shape(cur))
+    return total, cur
+
+
+def reduction_percent(before: float, after: float) -> float:
+    if before <= 0:
+        raise ValidationError("baseline count must be positive")
+    return 100.0 * (1.0 - after / before)
+
+
 def per_layer_remaining(net: Network) -> list:
     """Live coefficient fraction per parameterized layer.
 
@@ -306,7 +328,7 @@ def _size_record(net: Network, in_shape, before=None) -> dict:
     """params, flops and per_layer_remaining of the network.  Given the
     (params, flops) it started from, also those as params_before and
     flops_before, and the two reduction percentages."""
-    params, flops = count_params(net), count_flops(net, in_shape)
+    params, flops = count_params(net), flops_and_out_shape(net, in_shape)[0]
     record = {"params": params, "flops": flops, "per_layer_remaining": per_layer_remaining(net)}
     if before is not None:
         record["params_before"], record["flops_before"] = before

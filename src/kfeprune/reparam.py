@@ -18,12 +18,14 @@ import numpy as np
 from .errors import DimensionError, SingularityError, ValidationError
 from .kfac import EigenFactors
 from .layers import Bottleneck, BottleneckConvLayer, BottleneckDenseLayer, ConvLayer, DenseLayer
-from .tensormath import khatri_rao, ridge_solve
 
 ALS_MAX_ITER = 200
 ALS_TOL = 1e-8
 ALS_RESTARTS = 3
 COLLAPSE_TOL = 1e-12
+
+# Ridge scale for the normal-equations solver.
+LSTSQ_RIDGE = 1e-12
 
 
 def _rotate(core: np.ndarray, ef: EigenFactors) -> np.ndarray:
@@ -141,6 +143,41 @@ class DepthwiseFactors:
     v: np.ndarray
     c: np.ndarray
     trace: list = field(default_factory=list)
+
+
+def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product of two float64 matrices with equal
+    column counts.  Entries are not checked: a non-finite one gives a
+    non-finite product column."""
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(
+            f"khatri_rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}"
+        )
+    m, r = a.shape
+    n = b.shape[0]
+    # column j is kron(a[:, j], b[:, j]); a's row index varies slower
+    return (a[:, None, :] * b[None, :, :]).reshape(m * n, r)
+
+
+def ridge_solve(a: np.ndarray, b: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Least-squares solve of ``a @ x = b`` via ridge-stabilized normal equations.
+
+    ``a`` is an (n, r) and ``b`` an (n, k) float64 matrix, both finite, and
+    ``eye`` is ``np.eye(r)``: a caller that solves many systems checks its
+    inputs and builds ``eye`` once.  The ridge is tied to the scale of
+    ``a.T @ a`` so well-posed systems are perturbed negligibly.  A system
+    that stays singular even with the ridge (for example an all-zero
+    ``a``), or a non-finite solution, raises SingularityError.
+    """
+    gram = a.T @ a
+    gram += (LSTSQ_RIDGE * gram.trace() / len(eye)) * eye
+    try:
+        x = np.linalg.solve(gram, a.T @ b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(f"normal equations singular beyond ridge: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise SingularityError("normal equations produced non-finite solution")
+    return x
 
 
 def _objective(t: np.ndarray, u, v, c) -> float:

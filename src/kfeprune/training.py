@@ -77,7 +77,7 @@ def mask_grad(g: np.ndarray, keep: np.ndarray) -> None:
     np.bitwise_and(bits, keep, out=bits)
 
 
-def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 256):
+def evaluate(net: Network, x: np.ndarray, y: np.ndarray, batch_size: int):
     """(mean loss, accuracy) over a dataset in fixed-order batches."""
     n = x.shape[0]
     total_loss = 0.0

@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 
 from kfeprune import criteria, oracle
-from kfeprune.accounting import count_params
 from kfeprune.checkpoint import network_bytes
 from kfeprune.data import Dataset, synth_dataset
 from kfeprune.kfac import (
@@ -25,7 +24,7 @@ from kfeprune.kfac import (
 from kfeprune.layers import BottleneckConvLayer, conv_out_size, im2col
 from kfeprune.network import build_cnn, build_mlp
 from kfeprune.oracle import offdiag_ratio
-from kfeprune.pipeline import eligible_layer_ids, prune_once
+from kfeprune.pipeline import count_params, eligible_layer_ids, prune_once
 from kfeprune.reparam import depthwise_decompose, eigenprune, merge_bases, to_kfe
 from kfeprune.training import evaluate, train
 
@@ -175,7 +174,7 @@ def test_criterion_05_offdiagonal_mass_drops(capsys):
         net = build_mlp(2, [12, 8], 2, seed=seed)
         train(net, ds, epochs=8, lr=0.2, batch_size=32, seed=seed)
         fisher = oracle.exact_fisher(net, ds, flavor="empirical", layer_ids=[2])
-        ef = eigenbasis(estimate_factors(net, ds, layer_ids=[2])[0][2])
+        ef = eigenbasis(estimate_factors(net, ds, batch_size=64, layer_ids=[2])[0][2])
         q = np.kron(ef.qs, ef.qa)
         r_param = offdiag_ratio(fisher)
         r_kfe = offdiag_ratio(q.T @ fisher @ q)
@@ -185,7 +184,7 @@ def test_criterion_05_offdiagonal_mass_drops(capsys):
 
 
 def _rotate_all(net, ds):
-    factors, _ = estimate_factors(net, ds, conv_variant="channel")
+    factors, _ = estimate_factors(net, ds, batch_size=64, conv_variant="channel")
     for lid in net.parameterized_ids():
         layer = net.layers[lid]
         net.layers[lid] = to_kfe(layer, eigenbasis(factors[lid]))
@@ -364,7 +363,7 @@ def test_criterion_10_rotated_pruning_wins_pre_finetune(capsys, cnn_baseline):
         for strategy in ("eigendamage",) + STRUCTURED_BASELINES:
             cfg, net, ds_train, _ = cnn_baseline(seed)
             prune_once(net, ds_train, replace(cfg, strategy=strategy), 0.95)
-            losses[strategy] = evaluate(net, ds_train.x, ds_train.y)[0]
+            losses[strategy] = evaluate(net, ds_train.x, ds_train.y, 256)[0]
         for strategy in STRUCTURED_BASELINES:
             if not losses["eigendamage"] <= losses[strategy]:
                 problems.append(
@@ -381,7 +380,7 @@ def test_criterion_11_prune_finetune_recovery(capsys, cnn_baseline):
     problems = []
     for seed in range(3):
         cfg, baseline, ds_train, ds_test = cnn_baseline(seed)
-        base_acc = evaluate(baseline, ds_test.x, ds_test.y)[1]
+        base_acc = evaluate(baseline, ds_test.x, ds_test.y, 256)[1]
         params_before = count_params(baseline)
 
         def run():
@@ -401,7 +400,7 @@ def test_criterion_11_prune_finetune_recovery(capsys, cnn_baseline):
         first, second = run(), run()
         if network_bytes(first) != network_bytes(second):
             problems.append(f"seed {seed}: repeat run produced different weights")
-        acc = evaluate(first, ds_test.x, ds_test.y)[1]
+        acc = evaluate(first, ds_test.x, ds_test.y, 256)[1]
         if acc < 0.9 * base_acc:
             problems.append(f"seed {seed}: accuracy {acc:.4f} below 90% of {base_acc:.4f}")
         reduction = 100.0 * (1.0 - count_params(first) / params_before)

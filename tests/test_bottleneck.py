@@ -25,11 +25,11 @@ from kfeprune.reparam import (
     absorb_depthwise,
     depthwise_decompose,
     eigenprune,
+    khatri_rao,
     merge_bases,
     smallest_form,
     to_kfe,
 )
-from kfeprune.tensormath import khatri_rao
 
 
 def random_orthonormal(rng, dim):

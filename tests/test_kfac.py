@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from kfeprune import checkpoint, kfac, pipeline, reparam
-from kfeprune.accounting import count_params
 from kfeprune.data import Dataset, synth_dataset
 from kfeprune.errors import (
     DimensionError,
@@ -19,7 +18,7 @@ from kfeprune.config import STRATEGIES, RunConfig
 from kfeprune.layers import BottleneckConvLayer, ConvLayer, DenseLayer, FlattenLayer, ReluLayer
 from kfeprune.network import Network, build_cnn, build_mlp
 from kfeprune.oracle import exact_fisher, fisher_vec, kron, offdiag_ratio, vec
-from kfeprune.pipeline import prune_once
+from kfeprune.pipeline import count_params, prune_once
 from kfeprune.training import evaluate, train
 
 
@@ -550,7 +549,7 @@ def test_estimate_factors_options(monkeypatch):
     assert limited[0].count == 10
     assert loss == evaluate(net, ds.x, ds.y, 5)[0]
     with pytest.raises(ValidationError):
-        kfac.estimate_factors(net, ds, conv_variant="bogus")
+        kfac.estimate_factors(net, ds, batch_size=64, conv_variant="bogus")
     forwards = []
     original = Network.forward
 
@@ -560,7 +559,7 @@ def test_estimate_factors_options(monkeypatch):
 
     monkeypatch.setattr(Network, "forward", counting_forward)
     with pytest.raises(StateError):
-        kfac.estimate_factors(net, ds, max_batches=0)
+        kfac.estimate_factors(net, ds, batch_size=64, max_batches=0)
     assert forwards == []
     kfac.estimate_factors(net, ds, batch_size=5, max_batches=2)
     assert forwards == [True, True, False, False]
@@ -608,7 +607,7 @@ def eigendamage_pruned_cnn(images, seed=4):
         ReluLayer(),
         DenseLayer(rng.standard_normal((5, 3))),
     ])
-    factors, _ = kfac.estimate_factors(net, images, layer_ids=[0, 3])
+    factors, _ = kfac.estimate_factors(net, images, batch_size=64, layer_ids=[0, 3])
     for i, rows, cols in ((0, [1], [2]), (3, [0, 4, 7], [1])):
         rotated = reparam.to_kfe(net.layers[i], kfac.eigenbasis(factors[i]))
         net.layers[i] = reparam.eigenprune(rotated, rows, cols)

@@ -1303,7 +1303,7 @@ def test_xor_training_reaches_full_accuracy():
     ds = Dataset(x=x, y=y, num_classes=2)
     net = build_mlp(2, [8], 2, seed=0)
     train(net, ds, epochs=400, lr=0.5, batch_size=4, seed=0)
-    _, acc = evaluate(net, x, y)
+    _, acc = evaluate(net, x, y, 256)
     assert acc == 1.0
 
 
@@ -1311,7 +1311,7 @@ def test_separable_blobs_reach_high_accuracy():
     ds = synth_dataset("blobs", seed=0, n=200, classes=2, dim=2)
     net = build_mlp(2, [8], 2, seed=0)
     train(net, ds, epochs=20, lr=0.2, batch_size=32, seed=0)
-    _, acc = evaluate(net, ds.x, ds.y)
+    _, acc = evaluate(net, ds.x, ds.y, 256)
     assert acc >= 0.99
 
 
@@ -1319,7 +1319,7 @@ def test_moons_mlp_reaches_high_accuracy():
     ds = synth_dataset("moons", seed=0, n=200, classes=2)
     net = build_mlp(2, [12, 8], 2, seed=0)
     train(net, ds, epochs=60, lr=0.3, batch_size=32, seed=0)
-    _, acc = evaluate(net, ds.x, ds.y)
+    _, acc = evaluate(net, ds.x, ds.y, 256)
     assert acc >= 0.95
 
 

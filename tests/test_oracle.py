@@ -5,7 +5,7 @@ import pytest
 
 from kfeprune import oracle
 from kfeprune.data import Dataset, synth_dataset
-from kfeprune.errors import DimensionError, SizeError, ValidationError
+from kfeprune.errors import DimensionError, ValidationError
 from kfeprune.layers import DenseLayer
 from kfeprune.network import Network, build_mlp
 from kfeprune.oracle import kron
@@ -103,7 +103,7 @@ def test_exact_fisher_options_and_limits():
     with pytest.raises(ValidationError):
         oracle.exact_fisher(net, ds, flavor="bogus")
     big = build_mlp(2, [64, 64], 2, seed=0)
-    with pytest.raises(SizeError):
+    with pytest.raises(oracle.SizeError):
         oracle.exact_fisher(big, ds)
     # restricting to one layer shrinks the block
     f = oracle.exact_fisher(net, ds, layer_ids=[2])
@@ -129,7 +129,7 @@ def test_net_loss_fn_matches_evaluate():
     ds = synth_dataset("blobs", seed=5, n=20, classes=2, dim=2)
     net = build_mlp(2, [4], 2, seed=0)
     lossfn, theta0 = oracle.net_loss_fn(net, ds)
-    ref, _ = evaluate(net, ds.x, ds.y)
+    ref, _ = evaluate(net, ds.x, ds.y, 256)
     np.testing.assert_allclose(lossfn(theta0), ref, rtol=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""End-to-end tests: config parsing, datasets, checkpoints, accounting,
+"""End-to-end tests: config parsing, datasets, checkpoints, size counts,
 pipeline commands, and the command line."""
 
 import hashlib
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kfeprune import accounting, checkpoint, cli, criteria, kfac, pipeline, reparam
+from kfeprune import checkpoint, cli, criteria, kfac, pipeline, reparam
 from kfeprune.config import (
     STRATEGIES,
     RunConfig,
@@ -893,24 +893,24 @@ def test_failed_write_keeps_previous_artifacts(mlp_run, tmp_path, monkeypatch):
 
 def test_count_params_examples():
     dense = Network([DenseLayer(np.zeros((10, 5)), np.zeros(5))])
-    assert accounting.count_params(dense) == 55
+    assert pipeline.count_params(dense) == 55
     mlp = build_mlp(2, [16], 4, seed=0)
-    assert accounting.count_params(mlp) == 2 * 16 + 16 + 16 * 4 + 4
+    assert pipeline.count_params(mlp) == 2 * 16 + 16 + 16 * 4 + 4
 
 
 def test_count_flops_examples():
     dense = Network([DenseLayer(np.zeros((10, 5)), np.zeros(5))])
-    assert accounting.count_flops(dense, (10,)) == 100
+    assert pipeline.flops_and_out_shape(dense, (10,))[0] == 100
     conv = Network(
         [ConvLayer(np.zeros((2 * 9, 4)), None, c_in=2, k=3, stride=1, padding=1)]
     )
-    assert accounting.count_flops(conv, (2, 8, 8)) == 9216
+    assert pipeline.flops_and_out_shape(conv, (2, 8, 8))[0] == 9216
     bottleneck_dense = Network(
         [BottleneckDenseLayer(np.zeros((10, 3)), np.zeros((3, 2)), np.zeros((5, 2)))]
     )
     # qa at every input pixel, the core and qs at every output location
-    assert accounting.count_flops(bottleneck_dense, (10,)) == 2 * (30 + 6 + 10) == 92
-    assert accounting.count_params(bottleneck_dense) == 30 + 6 + 10 + 5 == 51
+    assert pipeline.flops_and_out_shape(bottleneck_dense, (10,))[0] == 2 * (30 + 6 + 10) == 92
+    assert pipeline.count_params(bottleneck_dense) == 30 + 6 + 10 + 5 == 51
     bottleneck_conv = Network(
         [
             BottleneckConvLayer(
@@ -919,8 +919,9 @@ def test_count_flops_examples():
             )
         ]
     )
-    assert accounting.count_flops(bottleneck_conv, (2, 8, 8)) == 2 * (8 * 64 + 123 * 36) == 9880
-    assert accounting.count_params(bottleneck_conv) == 8 + 108 + 15 + 5 == 136
+    flops = pipeline.flops_and_out_shape(bottleneck_conv, (2, 8, 8))[0]
+    assert flops == 2 * (8 * 64 + 123 * 36) == 9880
+    assert pipeline.count_params(bottleneck_conv) == 8 + 108 + 15 + 5 == 136
     depthwise = Network(
         [
             BottleneckConvLayer(
@@ -929,8 +930,8 @@ def test_count_flops_examples():
             )
         ]
     )
-    assert accounting.count_flops(depthwise, (2, 8, 8)) == 2 * (6 * 64 + 42 * 36) == 3792
-    assert accounting.count_params(depthwise) == 6 + 27 + 15 + 5 == 53
+    assert pipeline.flops_and_out_shape(depthwise, (2, 8, 8))[0] == 2 * (6 * 64 + 42 * 36) == 3792
+    assert pipeline.count_params(depthwise) == 6 + 27 + 15 + 5 == 53
     assert ReluLayer().param_count() == FlattenLayer().param_count() == 0
     # a sample shape a layer cannot take: wrong width or rank for the dense
     # kinds; wrong channel count, rank, or an empty output for the conv kinds
@@ -941,17 +942,17 @@ def test_count_flops_examples():
         (bottleneck_conv, (1, 8, 8)), (bottleneck_conv, (2, 2, 2)),
     ):
         with pytest.raises(DimensionError):
-            accounting.count_flops(net, bad)
+            pipeline.flops_and_out_shape(net, bad)
         # forward runs the same check
         with pytest.raises(DimensionError):
             net.forward(np.zeros((1,) + bad))
 
 
 def test_reduction_percent():
-    assert accounting.reduction_percent(200, 100) == 50.0
-    assert accounting.reduction_percent(100, 100) == 0.0
+    assert pipeline.reduction_percent(200, 100) == 50.0
+    assert pipeline.reduction_percent(100, 100) == 0.0
     with pytest.raises(ValidationError):
-        accounting.reduction_percent(0, 1)
+        pipeline.reduction_percent(0, 1)
 
 
 def test_bottleneck_param_count_matches_stored_tensors():
@@ -1239,6 +1240,24 @@ def test_readme_demo_figures(tmp_path):
     it = cmd_iterate(derived(cfg, cfg.out, iterations=3, cap=0.5))
     assert [r["params"] for r in it["rounds"]] == [961, 515, 386]
     assert it["test_accuracy"] == 0.9921875
+
+
+def test_readme_python_api_matches_the_commands(tmp_path):
+    """The README's Python API block, run as written, gives bitwise the
+    figures the commands record on its config: its loss and accuracy are
+    prune's train_loss and train_accuracy, and the pre-prune loss is
+    train's train_loss."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Python API\n\n```python\n", 1)[1].split("```", 1)[0]
+    api = {}
+    exec(block, api)
+    cfg = replace(api["cfg"], out=str(tmp_path / "train"))
+    trained = cmd_train(cfg)
+    pruned = cmd_prune(derived(cfg, tmp_path / "prune"))
+    assert (api["loss"], api["acc"]) == (pruned["train_loss"], pruned["train_accuracy"])
+    assert api["info"]["train_loss_pre"] == trained["train_loss"]
 
 
 def test_cmd_finetune_zero_epochs_is_passthrough(mlp_run, tmp_path):

@@ -1,29 +1,26 @@
-"""Tests for the dense linear-algebra primitives, and for the explicit
-Kronecker product and vec/unvec pair the oracles build on."""
+"""Tests for the dense linear-algebra primitives in kfac and reparam, and
+for the explicit Kronecker product and vec/unvec pair the oracles build on."""
 
 import numpy as np
 import pytest
 
 from kfeprune import oracle
-from kfeprune import tensormath as tm
-from kfeprune.errors import (
-    DimensionError,
-    SingularityError,
-    SizeError,
-    ValidationError,
-)
+from kfeprune.errors import DimensionError, SingularityError, ValidationError
+from kfeprune.kfac import as_matrix, sym_eig
+from kfeprune.oracle import SizeError
+from kfeprune.reparam import khatri_rao, ridge_solve
 
 
 def test_as_matrix_converts_and_validates():
-    out = tm.as_matrix([[1, 2], [3, 4]])
+    out = as_matrix([[1, 2], [3, 4]])
     assert out.dtype == np.float64
     np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DimensionError):
-        tm.as_matrix(np.zeros(3))
+        as_matrix(np.zeros(3))
     with pytest.raises(ValidationError):
-        tm.as_matrix([[np.nan, 0.0], [0.0, 1.0]])
+        as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
-        tm.as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+        as_matrix([[np.inf, 0.0], [0.0, 1.0]])
 
 
 def test_vec_stacks_columns():
@@ -80,11 +77,11 @@ def test_kron_size_guard():
 def test_khatri_rao_scalar_columns():
     a = np.array([[2.0, 3.0, 4.0]])
     b = np.array([[5.0, 6.0, 7.0]])
-    np.testing.assert_array_equal(tm.khatri_rao(a, b), [[10.0, 18.0, 28.0]])
+    np.testing.assert_array_equal(khatri_rao(a, b), [[10.0, 18.0, 28.0]])
 
 
 def test_khatri_rao_identity_columns():
-    out = tm.khatri_rao(np.eye(2), np.eye(2))
+    out = khatri_rao(np.eye(2), np.eye(2))
     expected = np.column_stack(
         [np.kron(np.eye(2)[:, j], np.eye(2)[:, j]) for j in range(2)]
     )
@@ -95,24 +92,24 @@ def test_khatri_rao_entry_pattern():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 2))
     b = rng.standard_normal((4, 2))
-    out = tm.khatri_rao(a, b)
+    out = khatri_rao(a, b)
     assert out.shape == (12, 2)
     for j in range(2):
         for i in range(3):
             for k in range(4):
                 assert out[i * 4 + k, j] == a[i, j] * b[k, j]
     with pytest.raises(DimensionError):
-        tm.khatri_rao(a, rng.standard_normal((4, 3)))
+        khatri_rao(a, rng.standard_normal((4, 3)))
 
 
 def test_sym_eig_identity():
-    values, vectors = tm.sym_eig(np.eye(3))
+    values, vectors = sym_eig(np.eye(3))
     np.testing.assert_allclose(values, [1.0, 1.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(vectors @ vectors.T, np.eye(3), atol=1e-12)
 
 
 def test_sym_eig_diagonal_sorted():
-    values, vectors = tm.sym_eig(np.diag([1.0, 4.0]))
+    values, vectors = sym_eig(np.diag([1.0, 4.0]))
     np.testing.assert_allclose(values, [4.0, 1.0], atol=1e-14)
     # eigenvectors are signed standard basis vectors
     np.testing.assert_allclose(np.abs(vectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
@@ -122,7 +119,7 @@ def test_sym_eig_reconstructs_random():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((8, 8))
     sym = m @ m.T
-    values, vectors = tm.sym_eig(sym)
+    values, vectors = sym_eig(sym)
     assert np.all(np.diff(values) <= 1e-12)
     # C-ordered, as the basis GEMMs were measured with: their rounding
     # follows operand layout
@@ -134,9 +131,9 @@ def test_sym_eig_reconstructs_random():
 
 def test_sym_eig_rejects_bad_input():
     with pytest.raises(ValidationError):
-        tm.sym_eig([[1.0, 2.0], [0.0, 1.0]])
+        sym_eig([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(DimensionError):
-        tm.sym_eig(np.zeros((2, 3)))
+        sym_eig(np.zeros((2, 3)))
 
 
 def test_lstsq_identity_system():
@@ -176,7 +173,7 @@ def test_ridge_solve_is_bitwise_the_checked_lstsq():
     for rows, cols, rhs in ((10, 4, 3), (9, 1, 2), (27, 6, 9)):
         a = rng.standard_normal((rows, cols))
         b = rng.standard_normal((rows, rhs))
-        got = tm.ridge_solve(a, b, np.eye(cols))
+        got = ridge_solve(a, b, np.eye(cols))
         assert got.tobytes() == oracle.lstsq(a, b).tobytes()
     with pytest.raises(SingularityError):
-        tm.ridge_solve(np.zeros((4, 3)), np.ones((4, 1)), np.eye(3))
+        ridge_solve(np.zeros((4, 3)), np.ones((4, 1)), np.eye(3))
