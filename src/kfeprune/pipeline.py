@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from . import criteria, kfac, reparam
+# kfac, criteria and reparam are imported by the functions that call them:
+# train, finetune and eval never prune, and start faster without them
 from .checkpoint import (
     load_network,
     network_bytes,
@@ -96,6 +97,8 @@ def _plan(strategy: str, layer_id: int, layer, factors, damping: float):
     weights.  Every pruned layer is built through its kind's
     constructor, so it holds its parameters as a loaded checkpoint would.
     """
+    from . import criteria, kfac, reparam
+
     if strategy == "eigendamage":
         ef = kfac.eigenbasis(factors)
         if isinstance(layer, (DenseLayer, ConvLayer)):
@@ -175,6 +178,8 @@ def prune_once(net, dataset, cfg: RunConfig, cap: float):
     changes only once every rewrite is built, so when this raises the
     network is as it was.
     """
+    from . import criteria, kfac
+
     strategy = cfg.strategy
     ids = eligible_layer_ids(net, strategy)
     if not ids:
@@ -476,6 +481,8 @@ def cmd_eval(cfg: RunConfig) -> dict:
 
 
 def cmd_decompose(cfg: RunConfig) -> dict:
+    from . import reparam
+
     t0 = time.perf_counter()
     net, ds_train, ds_test, in_shape, before = _open(cfg)
     decomposed = []

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 import zlib
 from dataclasses import replace
 
@@ -1750,24 +1751,47 @@ def test_cli_iterate_warns_of_an_aborted_round(mlp_run, tmp_path, capsys):
     assert captured.out.startswith("iterate finished\n")
 
 
-def test_cli_import_leaves_out_the_oracle_and_the_old_re_exports():
+def test_cli_import_leaves_out_the_oracle_and_the_old_re_exports(tmp_path):
     """Importing the command line loads no test check, and the package
-    root holds RunConfig and no other re-export."""
+    root holds RunConfig and no other re-export.  Nor does it load the
+    pruning stack (kfac, criteria, reparam, and fractions through
+    criteria): train and eval still run without it, and prune loads it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import sys, kfeprune.cli, kfeprune; "
-        "print('kfeprune.oracle' in sys.modules, hasattr(kfeprune, 'RunConfig'), "
-        "hasattr(kfeprune, 'eigenbasis'))"
+    probe = textwrap.dedent(
+        """
+        import json, sys
+        import kfeprune.cli, kfeprune
+        from kfeprune import pipeline
+        from kfeprune.config import RunConfig
+
+        def stack():
+            names = ("kfeprune.kfac", "kfeprune.criteria", "kfeprune.reparam", "fractions")
+            return [name in sys.modules for name in names]
+
+        print("kfeprune.oracle" in sys.modules, hasattr(kfeprune, "RunConfig"),
+              hasattr(kfeprune, "eigenbasis"), *stack())
+        cfg = RunConfig(**json.loads(sys.argv[1]))
+        pipeline.cmd_train(cfg)
+        pipeline.cmd_eval(cfg)
+        print(*stack())
+        pipeline.cmd_prune(cfg)
+        print(*stack())
+        """
     )
+    settings = {**MLP_SETTINGS, "epochs": 1, "out": str(tmp_path / "run")}
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, json.dumps(settings)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.split() == ["False", "True", "False"]
+    assert done.stdout.splitlines() == [
+        "False True False False False False False",
+        "False False False False",
+        "True True True True",
+    ]
 
 
 def test_cli_usage_errors(tmp_path, capsys):
